@@ -11,11 +11,11 @@ Quick start::
     g = double_gamma_value(1.5 + 0.5j, 2.0)
     r = log_double_gamma(1.5 + 0.5j, 2.0)   # canonical log + error estimate
 
-The numerical hot loops run on a compiled extension when it is built, with a
-pure-Python fallback selected automatically at import (see barnesg.backend).
+The numerical hot loops (the product sum and the modular-form partial sums)
+live in barnesg.backend, in plain Python.
 """
 
-from .backend import available_backends, backend_name
+from .backend import backend_name
 from .engine import (
     AsymptoticCoeffs,
     ComputeParams,
@@ -86,7 +86,7 @@ __all__ = [
     "EvalResult", "IdentityReport", "LatticeZeroError", "ModularForms",
     "PoleError", "PreconditionError", "QuadratureSpec", "Rational",
     "RationalPolynomial", "SectorError", "asymptotic_coeffs",
-    "available_backends", "b0_of_tau", "backend_name", "bernoulli_number",
+    "b0_of_tau", "backend_name", "bernoulli_number",
     "bernoulli_polynomial", "choose_params", "d_reflection_residual",
     "double_gamma_value", "elliptic_ke", "eval_bivariate",
     "eval_rational_poly", "gamma2", "integrate_semiaxis", "lattice_distance",

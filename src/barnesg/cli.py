@@ -17,10 +17,9 @@ import io
 import json
 import math
 import sys
-import time
 from dataclasses import replace
 
-from . import backend, engine, identities, modular, polys
+from . import engine, identities, modular, polys
 from .errors import CapacityError, ConvergenceError, DomainError, LatticeZeroError
 
 EXIT_OK = 0
@@ -256,25 +255,6 @@ def _bench_order_asym():
     return rows, slopes
 
 
-def _bench_timing():
-    z, tau = 2 + 1j, math.sqrt(2)
-    rows = []
-    for name in backend.available_backends():
-        gn = backend.gn_sum if name == backend.backend_name() else None
-        if gn is None:
-            from . import _pykernels
-            gn = _pykernels.gn_sum
-        for N in (64, 128, 256, 512, 1024, 2048, 4096):
-            gn(z, tau, N)  # warm up
-            times = []
-            for _ in range(3):
-                t0 = time.perf_counter()
-                gn(z, tau, N)
-                times.append(time.perf_counter() - t0)
-            rows.append([name, N, sorted(times)[1]])
-    return rows
-
-
 def _cmd_bench(args) -> int:
     if args.mode == "order-N":
         rows, slopes = _bench_order_n()
@@ -284,7 +264,7 @@ def _cmd_bench(args) -> int:
         csv_rows = [[m, n, e] for m, n, e in rows]
         csv_rows += [[f"slope_M{k}", "", v] for k, v in slopes.items()]
         _emit(args, payload, ["M", "N", "error"], csv_rows)
-    elif args.mode == "order-asym":
+    else:
         rows, slopes = _bench_order_asym()
         payload = {"rows": [{"abs_z": a, "n_tail": n, "error": _round17(e)}
                             for a, n, e in rows],
@@ -292,11 +272,6 @@ def _cmd_bench(args) -> int:
         csv_rows = [[a, n, e] for a, n, e in rows]
         csv_rows += [[f"slope_ntail{k}", "", v] for k, v in slopes.items()]
         _emit(args, payload, ["abs_z", "n_tail", "error"], csv_rows)
-    else:
-        rows = _bench_timing()
-        payload = [{"backend": b, "N": n, "seconds": _round17(t)}
-                   for b, n, t in rows]
-        _emit(args, payload, ["backend", "N", "seconds"], rows)
     return EXIT_OK
 
 
@@ -342,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=("default", "strict"), default="default")
 
     p = sub.add_parser("bench", parents=[common],
-                       help="convergence/timing benchmarks")
-    p.add_argument("--mode", choices=("order-N", "order-asym", "timing"),
+                       help="convergence-order benchmarks")
+    p.add_argument("--mode", choices=("order-N", "order-asym"),
                    default="order-N")
     return ap
 

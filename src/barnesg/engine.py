@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import backend
 from ._laurent import Laurent
-from ._pykernels import LN_2PI
+from .backend import LN_2PI
 from .errors import (
     ArgumentConditionError,
     CapacityError,
@@ -35,8 +35,8 @@ from .errors import (
     SectorError,
 )
 from .kernels import QuadratureSpec, integrate_semiaxis, log_gamma
-from .modular import check_off_cut, default_m, modular_forms_cached
-from .polys import eval_rational_poly, p_poly_recursive, q_poly
+from .modular import check_finite, check_off_cut, default_m, modular_forms_cached
+from .polys import eval_rational_poly, p_poly, q_poly
 
 _N_CAP = 1_000_000
 
@@ -118,8 +118,8 @@ def _dist_to_nonpos_integers(w: complex) -> float:
 def lattice_distance(z: complex, tau: complex, m_cap: int | None = None) -> float:
     """Distance from z to the zero set {-m tau - n : m, n >= 0}, probing
     z + m tau against the nonpositive integers for 0 <= m <= m_cap."""
-    z = complex(z)
-    tau = complex(tau)
+    z = check_finite(z, "z")
+    tau = check_finite(tau, "tau")
     best = math.inf
     if m_cap is None:
         # same scale the automatic truncation would use
@@ -144,12 +144,15 @@ def lattice_distance(z: complex, tau: complex, m_cap: int | None = None) -> floa
     return best
 
 
+# An lru_cache function rather than a plain table: the benchmark reports its
+# cache_info().
 @functools.lru_cache(maxsize=64)
 def _p_rounded(k: int) -> tuple[tuple[float, ...], ...]:
     # z-major coefficient matrix of P_k from the exact tables, each rational
-    # rounded to binary64 once (same rounding eval_bivariate would apply)
+    # rounded to binary64 once (same rounding eval_bivariate would apply).
+    # The direct convolution is the cheapest exact route to build cold.
     return tuple(tuple(float(c) for c in row.coeffs)
-                 for row in p_poly_recursive(k).coeffs)
+                 for row in p_poly(k).coeffs)
 
 
 def _eval_p(coeffs, z: complex, tau: complex) -> complex:
@@ -202,7 +205,7 @@ def choose_params(z: complex, tau: complex, target: float = 1e-12) -> ComputePar
     """Pick (N, M, m_cd) adaptively: M = 12, N floor 64 scaled by |z|/|tau|,
     then doubled until the error heuristic meets `target` (cap 10^6)."""
     tau = check_off_cut(tau)
-    z = complex(z)
+    z = check_finite(z, "z")
     N = max(64, math.ceil(8.0 * (2.0 + abs(z)) / abs(tau)))
     M = 12
     while True:
@@ -220,7 +223,7 @@ def log_double_gamma(z: complex, tau: complex,
                      params: ComputeParams | None = None) -> EvalResult:
     """Canonical log of G(z;tau); raises LatticeZeroError at zeros of G."""
     tau = check_off_cut(tau)
-    z = complex(z)
+    z = check_finite(z, "z")
     tol = 1e-12 * (1.0 + abs(z))
     if lattice_distance(z, tau, params.N if params else None) <= tol:
         raise LatticeZeroError(
@@ -247,7 +250,7 @@ def double_gamma_value(z: complex, tau: complex,
                        params: ComputeParams | None = None) -> complex:
     """G(z;tau) everywhere, returning exactly 0 on the zero lattice."""
     tau = check_off_cut(tau)
-    z = complex(z)
+    z = check_finite(z, "z")
     try:
         return log_double_gamma(z, tau, params).value
     except LatticeZeroError:
@@ -297,7 +300,7 @@ def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
     arg(-tau); violations raise SectorError.
     """
     tau = check_off_cut(tau)
-    z = complex(z)
+    z = check_finite(z, "z")
     if z == 0:
         raise SectorError("z = 0 is outside every admissible sector")
     theta = cmath.phase(z)

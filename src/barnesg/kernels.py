@@ -10,11 +10,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import _pykernels, backend
+from . import backend
 from .errors import ConvergenceError, DomainError
 
-EULER_GAMMA = _pykernels.EULER_GAMMA
-LN_2PI = _pykernels.LN_2PI
+EULER_GAMMA = backend.EULER_GAMMA
+LN_2PI = backend.LN_2PI
 
 _EPS = 2.220446049250313e-16
 
@@ -33,7 +33,7 @@ def log_gamma_stirling(z: complex) -> complex:
 
     Exists so the primary route has an in-package cross-check.
     """
-    return _pykernels.loggamma_stirling(z)
+    return backend.loggamma_stirling(z)
 
 
 def polygamma(k: int, z: complex) -> complex:
@@ -42,7 +42,7 @@ def polygamma(k: int, z: complex) -> complex:
         return backend.digamma(z)
     if k == 1:
         return backend.trigamma(z)
-    return _pykernels.polygamma(k, z)
+    return backend.polygamma(k, z)
 
 
 def q_pochhammer(a: complex, q: complex) -> complex:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import backend
 from ._laurent import Laurent
-from ._pykernels import EULER_GAMMA, LN_2PI, binet_j, psi_tail
+from .backend import EULER_GAMMA, LN_2PI, binet_j, psi_tail
 from .errors import ConsistencyError, DomainError, PreconditionError
 from .kernels import QuadratureSpec, elliptic_ke, integrate_semiaxis, log_gamma, polygamma
 
@@ -69,8 +69,15 @@ class ModularForms:
         }
 
 
+def check_finite(w: complex, what: str) -> complex:
+    w = complex(w)
+    if not cmath.isfinite(w):
+        raise DomainError(f"{what} must be finite, got {w}")
+    return w
+
+
 def check_off_cut(tau: complex, what: str = "tau") -> complex:
-    tau = complex(tau)
+    tau = check_finite(tau, what)
     if tau.imag == 0.0 and tau.real <= 0.0:
         raise DomainError(f"{what} must lie off the cut (-inf, 0], got {tau}")
     return tau

@@ -384,7 +384,11 @@ _P_RECURSIVE = _MemoList(_next_p_recursive)
 
 
 def p_poly_recursive(n: int) -> BivariatePolynomial:
-    """P_n(z;tau) by the recursion starting from P_1 = 1 (exact tau-division)."""
+    """P_n(z;tau) by the recursion starting from P_1 = 1 (exact tau-division).
+
+    The engine builds from ``p_poly``; this route stays as the independent
+    reference the tests compare it against, and the benchmark traces it.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     return _P_RECURSIVE.get(n - 1)

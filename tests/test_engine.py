@@ -138,6 +138,14 @@ def test_domain_error_on_cut():
         log_double_gamma(1.0, -1.0)
     with pytest.raises(DomainError):
         double_gamma_value(1.0, 0.0)
+    # non-finite z or tau is outside the domain too
+    nan, inf = math.nan, math.inf
+    for z, tau in ((nan, 1.0), (inf, 1.0), (complex(1.0, nan), 1.0),
+                   (1.0, nan), (1.0, inf), (1.0, complex(1.0, -inf))):
+        for f in (log_double_gamma, double_gamma_value, choose_params,
+                  lattice_distance, log_double_gamma_asymptotic):
+            with pytest.raises(DomainError):
+                f(z, tau)
 
 
 def test_lattice_distance():
