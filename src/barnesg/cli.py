@@ -75,7 +75,7 @@ def _c17(v: complex) -> dict:
 def _params_from_args(z, tau, args) -> engine.ComputeParams:
     if args.N is not None:
         return engine.ComputeParams(N=args.N, M=args.M or 12, m_cd=args.m)
-    params = engine.choose_params(z, tau, 1e-12)
+    params = engine.choose_params(z, tau)
     if args.M is not None:
         params = replace(params, M=args.M)
     if args.m is not None:
@@ -278,14 +278,16 @@ def _cmd_bench(args) -> int:
 # ------------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
+    # each subcommand takes only the flags it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (identical numeric payloads)")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--N", type=int, help="product truncation override")
-    common.add_argument("--M", type=int, help="correction order override (1..16)")
-    common.add_argument("--m", type=int, help="Euler-Maclaurin length override")
-    common.add_argument("--seed", type=int, default=0, help="verification seed")
+    em = argparse.ArgumentParser(add_help=False)
+    em.add_argument("--m", type=int, help="Euler-Maclaurin length override")
+    truncation = argparse.ArgumentParser(add_help=False, parents=[em])
+    truncation.add_argument("--N", type=int, help="product truncation override")
+    truncation.add_argument("--M", type=int, help="correction order override (1..16)")
 
     ap = argparse.ArgumentParser(
         prog="barnesg",
@@ -294,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification, and convergence benchmarks.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate G(z;tau)")
+    p = sub.add_parser("eval", parents=[common, truncation], help="evaluate G(z;tau)")
     p.add_argument("--z", type=parse_complex, required=True)
     p.add_argument("--tau", type=parse_complex, required=True)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[common, truncation],
                        help="evaluate G on a line segment of z values")
     p.add_argument("--grid", type=_parse_grid, required=True,
                    metavar="START:STOP:COUNT")
@@ -309,11 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("q", "P"), required=True)
     p.add_argument("--n", type=int, required=True, help="maximum index")
 
-    p = sub.add_parser("modular-forms", parents=[common],
+    p = sub.add_parser("modular-forms", parents=[common, em],
                        help="gamma modular forms at tau")
     p.add_argument("--tau", type=parse_complex, required=True)
 
     p = sub.add_parser("verify", parents=[common], help="run the identity suite")
+    p.add_argument("--seed", type=int, default=0, help="verification seed")
     p.add_argument("--profile", choices=("default", "strict"), default="default")
 
     p = sub.add_parser("bench", parents=[common],

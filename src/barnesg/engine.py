@@ -35,10 +35,13 @@ from .errors import (
     SectorError,
 )
 from .kernels import QuadratureSpec, integrate_semiaxis, log_gamma
-from .modular import check_finite, check_off_cut, default_m, modular_forms_cached
+from .modular import (_cut_distance, check_finite, check_off_cut, default_m,
+                      modular_forms_cached)
 from .polys import eval_rational_poly, p_poly, q_poly
 
 _N_CAP = 1_000_000
+# error target of the automatic truncation
+_TARGET = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,6 @@ class ComputeParams:
     N: int
     M: int = 12
     m_cd: int | None = None
-    auto: bool = False
 
     def __post_init__(self):
         if self.N < 1:
@@ -69,10 +71,6 @@ class EvalResult:
     value: complex
     error_estimate: float
     params_used: ComputeParams
-
-    @property
-    def precision_exhausted(self) -> bool:
-        return not (self.error_estimate <= 1e-6)
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,41 +104,36 @@ def _safe_exp(w: complex) -> complex:
         return complex(math.inf, math.inf)
 
 
-def _dist_to_nonpos_integers(w: complex) -> float:
-    n0 = round(-w.real)
-    best = math.inf
-    for n in (n0 - 1, n0, n0 + 1):
-        if n >= 0:
-            best = min(best, abs(w + n))
-    return best
+def lattice_distance(z: complex, tau: complex) -> float:
+    """Exact distance from z to the whole zero set {-m tau - n : m, n >= 0}.
 
-
-def lattice_distance(z: complex, tau: complex, m_cap: int | None = None) -> float:
-    """Distance from z to the zero set {-m tau - n : m, n >= 0}, probing
-    z + m tau against the nonpositive integers for 0 <= m <= m_cap."""
+    Row m is the distance from z + m tau to {0, -1, -2, ...}. It is at least
+    |Im(z + m tau)| and at least Re(z + m tau), so only the rows where both
+    are below the best distance so far can improve on it. Row 0 is at least
+    |Im z| and Re z, so that window starts at m = 1; tau off the cut bounds
+    it above, and it shrinks as the best distance does. Raises
+    CapacityError, before scanning, when the first window spans more than
+    _N_CAP rows; choose_params refuses every such input as well.
+    """
     z = check_finite(z, "z")
-    tau = check_finite(tau, "tau")
+    tau = check_off_cut(tau)
     best = math.inf
-    if m_cap is None:
-        # same scale the automatic truncation would use
-        m_cap = max(64, int(math.ceil(8.0 * (2.0 + abs(z)) / abs(tau))))
-    m_near = int(math.ceil((abs(z) + 2.0) / abs(tau))) + 1
-    for m in range(min(m_near, m_cap) + 1):
+    m = stop = 0
+    while m <= stop:
         w = z + m * tau
-        best = min(best, _dist_to_nonpos_integers(w))
-        if w.real > 1.0 and abs(w) - 1.0 > best:
-            break
-    if tau.real < 0.0 and tau.imag != 0.0:
-        # marching up-left: the track can re-approach the negative reals where
-        # Im(z + m tau) crosses [-1, 1]; scan that window up to the cap
-        lo = (-1.0 - z.imag) / tau.imag
-        hi = (1.0 - z.imag) / tau.imag
-        if lo > hi:
-            lo, hi = hi, lo
-        m_lo = max(m_near + 1, int(math.floor(lo)))
-        m_hi = min(m_cap, int(math.ceil(hi)))
-        for m in range(m_lo, m_hi + 1):
-            best = min(best, _dist_to_nonpos_integers(z + m * tau))
+        d = abs(w + max(0, round(-w.real)))
+        if d < best:
+            best = d
+            stop = math.inf
+            if tau.imag:
+                stop = max((best - z.imag) / tau.imag, (-best - z.imag) / tau.imag)
+            if tau.real > 0.0:
+                stop = min(stop, (best - z.real) / tau.real)
+            stop += 1.0  # a row of slack for the rounding of the bound
+            if stop > _N_CAP:
+                raise CapacityError(
+                    f"zero-lattice scan would exceed {_N_CAP} multiples of tau")
+        m += 1
     return best
 
 
@@ -196,14 +189,12 @@ def _error_heuristic(z: complex, tau: complex, N: int, last_term: float) -> floa
 
 def _disk_clears_cut(N: int, tau: complex, z: complex) -> bool:
     # validity condition: the disk |w - N tau| <= 2|z| must miss (-inf, 0].
-    c = N * tau
-    dist = abs(c) if c.real >= 0.0 else abs(c.imag)
-    return dist > 2.0 * abs(z)
+    return _cut_distance(N * tau) > 2.0 * abs(z)
 
 
-def choose_params(z: complex, tau: complex, target: float = 1e-12) -> ComputeParams:
+def choose_params(z: complex, tau: complex) -> ComputeParams:
     """Pick (N, M, m_cd) adaptively: M = 12, N floor 64 scaled by |z|/|tau|,
-    then doubled until the error heuristic meets `target` (cap 10^6)."""
+    then doubled until the error heuristic meets 1e-12 (cap 10^6)."""
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
     N = max(64, math.ceil(8.0 * (2.0 + abs(z)) / abs(tau)))
@@ -213,19 +204,20 @@ def choose_params(z: complex, tau: complex, target: float = 1e-12) -> ComputePar
             raise CapacityError(f"product truncation exceeded {_N_CAP}")
         if _disk_clears_cut(N, tau, z):
             _, last = _correction(z, tau, N, M)
-            if _error_heuristic(z, tau, N, last) <= target:
+            if _error_heuristic(z, tau, N, last) <= _TARGET:
                 break
         N *= 2
-    return ComputeParams(N=N, M=M, m_cd=default_m(tau), auto=True)
+    return ComputeParams(N=N, M=M, m_cd=default_m(tau))
 
 
 def log_double_gamma(z: complex, tau: complex,
                      params: ComputeParams | None = None) -> EvalResult:
-    """Canonical log of G(z;tau); raises LatticeZeroError at zeros of G."""
+    """Canonical log of G(z;tau); raises LatticeZeroError at zeros of G,
+    whether or not the product with the given N would reach them."""
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
     tol = 1e-12 * (1.0 + abs(z))
-    if lattice_distance(z, tau, params.N if params else None) <= tol:
+    if lattice_distance(z, tau) <= tol:
         raise LatticeZeroError(
             f"G({z};{tau}) = 0 on the zero lattice; no finite logarithm")
     if params is None:
@@ -249,8 +241,6 @@ def log_double_gamma(z: complex, tau: complex,
 def double_gamma_value(z: complex, tau: complex,
                        params: ComputeParams | None = None) -> complex:
     """G(z;tau) everywhere, returning exactly 0 on the zero lattice."""
-    tau = check_off_cut(tau)
-    z = check_finite(z, "z")
     try:
         return log_double_gamma(z, tau, params).value
     except LatticeZeroError:

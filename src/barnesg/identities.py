@@ -21,11 +21,11 @@ from .engine import (
     lattice_distance,
     log_double_gamma,
 )
+from .backend import LN_2PI
 from .errors import DomainError
 from .kernels import log_gamma, q_pochhammer
 from .modular import d_reflection_residual
 
-LN_2PI = math.log(2.0 * math.pi)
 SQRT2 = math.sqrt(2.0)
 
 

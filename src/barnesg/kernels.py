@@ -13,9 +13,6 @@ from typing import Callable, NamedTuple
 from . import backend
 from .errors import ConvergenceError, DomainError
 
-EULER_GAMMA = backend.EULER_GAMMA
-LN_2PI = backend.LN_2PI
-
 _EPS = 2.220446049250313e-16
 
 

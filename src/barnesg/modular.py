@@ -261,7 +261,7 @@ def _canonical_log_stencil(tau: complex, h: float):
     # in the differences.
     from . import engine
 
-    params = engine.choose_params(tau, tau, 1e-12)
+    params = engine.choose_params(tau, tau)
     vals = {}
     for j in (-2, -1, 0, 1, 2):
         vals[j] = engine.log_double_gamma(tau + j * h, tau, params).log_value

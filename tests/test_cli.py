@@ -150,6 +150,10 @@ def test_polys_cap(capsys):
     code, _, err = run_cli(capsys, "polys", "--family", "q", "--n", "201")
     assert code == 2
     assert "cap" in err
+    # a flag the subcommand does not read is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["polys", "--family", "q", "--n", "3", "--N", "5"])
+    assert exc.value.code == 2
 
 
 # ------------------------------------------------------------ modular-forms

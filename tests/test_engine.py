@@ -5,6 +5,7 @@ import cmath
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,8 @@ def test_domain_error_on_cut():
         log_double_gamma(1.0, -1.0)
     with pytest.raises(DomainError):
         double_gamma_value(1.0, 0.0)
+    with pytest.raises(DomainError):
+        lattice_distance(1.0, 0.0)
     # non-finite z or tau is outside the domain too
     nan, inf = math.nan, math.inf
     for z, tau in ((nan, 1.0), (inf, 1.0), (complex(1.0, nan), 1.0),
@@ -152,6 +155,29 @@ def test_lattice_distance():
     assert lattice_distance(0.0, 1 + 1j) == 0
     assert abs(lattice_distance(-1 - 1j - 1, 1 + 1j)) < 1e-15
     assert lattice_distance(5 + 5j, 1.3) > 5
+    # every z + m tau lies right of 0: the nearest zero is 0 itself
+    assert lattice_distance(1e6, 1.0) == 1e6
+    # exact against a brute-force minimum over m <= 4000 on a seeded grid:
+    # general, real, small-Im and Re < 0 tau; a third of the points are a
+    # planted zero -m tau - n (m up to 300) moved by up to 0.3 in each part
+    rng = random.Random(41)
+    ms = np.arange(4001)
+    for i in range(1200):
+        sign = rng.choice((-1, 1))
+        tau = (complex(rng.uniform(-2, 2), sign * rng.uniform(0.1, 2)),
+               complex(rng.uniform(0.05, 3), 0),
+               complex(rng.uniform(-2, 2), sign * rng.uniform(0.005, 0.05)),
+               complex(rng.uniform(-2, -0.1), sign * rng.uniform(0.1, 1)))[i % 4]
+        if i % 3 == 0:
+            z = (-rng.randrange(301) * tau - rng.randrange(20)
+                 + complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)))
+        else:
+            z = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
+        w = z + ms * tau
+        # np.hypot is the C hypot behind abs(complex), so the rows match
+        # the scan's bit for bit
+        rows = np.hypot(w.real + np.maximum(0.0, np.rint(-w.real)), w.imag)
+        assert lattice_distance(z, tau) == rows.min(), (z, tau)
 
 
 def test_lattice_zero_far_up_the_lattice():
@@ -159,9 +185,13 @@ def test_lattice_zero_far_up_the_lattice():
     # large m; the zero -1000 tau - 1999 must still be detected
     tau = -2 + 0.001j
     z = -1000 * tau - 1999
-    assert lattice_distance(z, tau, 2000) == 0
+    assert lattice_distance(z, tau) == 0
     assert double_gamma_value(z, tau, ComputeParams(N=2000, M=8)) == 0
-    assert lattice_distance(z + 0.05, tau, 2000) == pytest.approx(0.05, rel=1e-9)
+    assert lattice_distance(z + 0.05, tau) == pytest.approx(0.05, rel=1e-9)
+    # the zero -100 tau at -2i lies beyond the automatic N floor of 64
+    with pytest.raises(LatticeZeroError):
+        log_double_gamma(-2j, -1 + 0.02j)
+    assert double_gamma_value(-2j, -1 + 0.02j) == 0
 
 
 def test_functional_equation_near_cut_tau():
@@ -176,19 +206,19 @@ def test_functional_equation_near_cut_tau():
 # ------------------------------------------------------------ choose_params
 
 def test_choose_params_floor():
-    p = choose_params(1.0, 1.0, 1e-10)
-    assert p.N >= 64 and p.M == 12 and p.auto
+    p = choose_params(1.0, 1.0)
+    assert p.N >= 64 and p.M == 12
 
 
 def test_choose_params_scaling():
-    p = choose_params(100.0, 0.1, 1e-10)
+    p = choose_params(100.0, 0.1)
     assert p.N >= 8160
 
 
 def test_choose_params_disk_condition_near_cut():
     tau = -1 + 0.05j  # nearly on the cut; only |tau| enters the floor formula
     z = 10 + 10j
-    p = choose_params(z, tau, 1e-8)
+    p = choose_params(z, tau)
     c = p.N * tau
     dist = abs(c) if c.real >= 0 else abs(c.imag)
     assert dist > 2 * abs(z)
@@ -355,7 +385,7 @@ def test_b0_double_integral_identity():
     nodes, weights = np.polynomial.legendre.leggauss(32)
     xs = 0.5 * (nodes + 1)
     ws = 0.5 * weights
-    params = choose_params(1 + tau, tau, 1e-12)
+    params = choose_params(1 + tau, tau)
     total = 0j
     for wy, y in zip(ws, xs):
         for wx, x in zip(ws, xs):
@@ -436,7 +466,6 @@ def test_log_g_integral_domain():
 def test_eval_result_consistency_and_json():
     r = log_double_gamma(1.2, 1 + 1j)
     assert abs(r.value - cmath.exp(r.log_value)) <= 1e-14 * abs(r.value)
-    assert not r.precision_exhausted
     d = r.to_json_dict()
     payload = json.loads(json.dumps(d))
     assert set(payload) == {"log", "value", "err_est", "N", "M"}
@@ -452,7 +481,13 @@ def test_eval_result_consistency_and_json():
 
 def test_capacity_error():
     with pytest.raises(CapacityError):
-        choose_params(5e4, 1e-2, 1e-10)
+        choose_params(5e4, 1e-2)
+    # refused at once, before any scan over multiples of tau
+    for z, tau in ((1e7, 1.0), (1e8, 1.0), (1.5 + 0.5j, 1e-6), (1.5 + 0.5j, 1e-9)):
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError):
+            log_double_gamma(z, tau)
+        assert time.perf_counter() - t0 < 1.0, (z, tau)
 
 
 def test_value_overflow_is_inf():
