@@ -9,7 +9,9 @@
                       sum_{m=1..N} [lgG(m tau) - lgG(z+m tau) + z psi(m tau)
                       + z^2/2 psi'(m tau)],
                       evaluated term-wise through a cancellation-free regrouped
-                      form once m tau is deep in the Stirling regime.
+                      form once m tau is deep in the Stirling regime; the
+                      pieces of each term that depend on m tau alone are
+                      memoized per tau (``TauMemo``).
 * ``cd_sums``       - the partial psi/psi' sums feeding the gamma modular
                       forms, split into a small-k direct part and Bernoulli
                       tail pieces so that no intermediate grows with m.
@@ -22,6 +24,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
+import threading
+from collections import OrderedDict
 
 from .errors import DomainError, PoleError
 
@@ -277,13 +282,58 @@ def _neumaier_add(s: float, c: float, x: float) -> tuple[float, float]:
     return t, c
 
 
+class TauMemo:
+    """Bounded memo of per-tau tables. ``table(tau)`` returns the table kept
+    for tau (a new ``make_table()`` the first time), holding values that
+    depend on tau alone. At most ``max_taus`` tau are remembered; the least
+    recently used is forgotten first. With ``keep_first_use=False`` the first
+    use of a tau only remembers it and returns None, so a tau used once keeps
+    nothing.
+
+    Thread contract: ``table`` is locked. A table is read and filled without
+    a lock: its values are computed deterministically, stored whole and never
+    modified, so two threads racing on one key compute the same value and
+    either store leaves every bit as it was.
+    """
+
+    def __init__(self, max_taus: int, make_table=dict, keep_first_use: bool = True):
+        self.max_taus = max_taus
+        self._make_table = make_table
+        self._keep_first_use = keep_first_use
+        self._tables: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def table(self, tau: complex):
+        # Keyed by the bits of tau: 0.0 and -0.0 are equal as dict keys but
+        # are different inputs, and a value must be the one its own tau gives.
+        key = struct.pack("<2d", tau.real, tau.imag)
+        with self._lock:
+            seen = key in self._tables
+            t = self._tables.pop(key, None)
+            if t is None and (seen or self._keep_first_use):
+                t = self._make_table()
+            self._tables[key] = t
+            if len(self._tables) > self.max_taus:
+                self._tables.popitem(last=False)
+            return t
+
+
 _STABLE_RADIUS = 16.0
 _MAX_ARG = 2.356194490192345  # 3*pi/4
 
+# Pieces of the gn_sum terms that depend on w = m tau alone, for m <= _MEMO_M
+# at the last 8 tau: a pair of dicts {m: (lgG(w), psi(w), psi'(w))} for the
+# direct branch and {m: (1/w^2, J(w), S(w), S'(w))} for the stable one, kept
+# apart because which branch a given m takes depends on z. Kept from a tau's
+# second use on: filling them at a tau that never repeats cost about 4% of
+# its sum.
+_MEMO_M = 1024
+_GN_PIECES = TauMemo(8, lambda: ({}, {}), keep_first_use=False)
 
-def _r_term_direct(z: complex, z2h: complex, w: complex) -> complex:
-    return (loggamma(w) - loggamma(z + w)
-            + z * digamma(w) + z2h * trigamma(w))
+
+def _r_term_direct(z: complex, z2h: complex, w: complex, pieces) -> complex:
+    lg, ps, ps1 = pieces
+    return lg - loggamma(z + w) + z * ps + z2h * ps1
 
 
 def _log1p_tail(u: complex) -> complex:
@@ -304,20 +354,20 @@ def _log1p_tail(u: complex) -> complex:
         k += 1
 
 
-def _r_term_stable(z: complex, z2h: complex, w: complex) -> complex:
+def _r_term_stable(z: complex, z2h: complex, w: complex, pieces) -> complex:
     # Regrouped r_m with the first two log1p orders cancelled analytically:
     #   r_m = z^3/(2 w^2) - (z+w-1/2) g(z/w) - [J(z+w) - J(w)]
     #         - z S(w) + (z^2/2) S'(w),
     # so every intermediate is O(|z|^3/|w|^2), the size of r_m itself, and
     # the term evaluates to near-relative accuracy. Requires |w| >= 16,
     # |z/w| <= 1/2, |arg w| <= 3pi/4.
+    iw2, jw, s, s1 = pieces
     u = z / w
-    iw2 = 1.0 / (w * w)
     return (0.5 * z * z * z * iw2
             - (z + w - 0.5) * _log1p_tail(u)
-            - (_binet(z + w) - _binet(w))
-            - z * _psi_tail(w)
-            + z2h * _psi1_tail(w))
+            - (_binet(z + w) - jw)
+            - z * s
+            + z2h * s1)
 
 
 def gn_sum(z: complex, tau: complex, N: int) -> complex:
@@ -326,7 +376,8 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
 
     The prefix property matters: for N' < N the first N' terms are computed
     bit-identically, so differences of results at two truncations carry no
-    shared-prefix rounding noise.
+    shared-prefix rounding noise. The memoized pieces are the values the
+    kernels return, so a warm memo changes no bit either.
     """
     z = complex(z)
     tau = complex(tau)
@@ -336,13 +387,28 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
         m_switch = int(math.ceil(max(_STABLE_RADIUS, 2.0 * abs(z)) / abs_tau))
     else:
         m_switch = N + 1
+    tables = _GN_PIECES.table(tau)
+    direct, stable = tables or (None, None)
+    cap = 0 if tables is None else _MEMO_M   # memo keys are m <= cap
     sr = cr = si = ci = 0.0
+    # the memo lookups are inlined: a helper call per term cost a few percent
+    # of the sum
     for m in range(1, N + 1):
         w = m * tau
         if m < m_switch:
-            t = _r_term_direct(z, z2h, w)
+            p = direct.get(m) if m <= cap else None
+            if p is None:
+                p = (loggamma(w), digamma(w), trigamma(w))
+                if m <= cap:
+                    direct[m] = p
+            t = _r_term_direct(z, z2h, w, p)
         else:
-            t = _r_term_stable(z, z2h, w)
+            p = stable.get(m) if m <= cap else None
+            if p is None:
+                p = (1.0 / (w * w), _binet(w), _psi_tail(w), _psi1_tail(w))
+                if m <= cap:
+                    stable[m] = p
+            t = _r_term_stable(z, z2h, w, p)
         sr, cr = _neumaier_add(sr, cr, t.real)
         si, ci = _neumaier_add(si, ci, t.imag)
     return complex(sr + cr, si + ci)

@@ -121,7 +121,11 @@ def lattice_distance(z: complex, tau: complex) -> float:
     m = stop = 0
     while m <= stop:
         w = z + m * tau
-        d = abs(w + max(0, round(-w.real)))
+        try:
+            d = abs(w + max(0, round(-w.real)))
+        except OverflowError:
+            raise DomainError(
+                f"z + m tau overflows binary64 at m = {m}") from None
         if d < best:
             best = d
             stop = math.inf
@@ -148,14 +152,9 @@ def _p_rounded(k: int) -> tuple[tuple[float, ...], ...]:
                  for row in p_poly(k).coeffs)
 
 
-def _eval_p(coeffs, z: complex, tau: complex) -> complex:
-    acc = 0j
-    for row in reversed(coeffs):
-        v = 0j
-        for c in reversed(row):
-            v = v * tau + c
-        acc = acc * z + v
-    return acc
+# Row values of P_k(z;-tau), the coefficient of each power of z, by Horner
+# in -tau: {k: rows} per tau, for the last 8 tau (k <= 16, the largest M).
+_P_ROWS = backend.TauMemo(8)
 
 
 def _correction(z: complex, tau: complex, N: int, M: int) -> tuple[complex, float]:
@@ -167,8 +166,21 @@ def _correction(z: complex, tau: complex, N: int, M: int) -> tuple[complex, floa
     npow = invN
     acc = 0j
     last = 0.0
+    p_rows = _P_ROWS.table(tau)
     for k in range(1, M + 1):
-        pk = _eval_p(_p_rounded(k), z, -tau)
+        rows = p_rows.get(k)
+        if rows is None:
+            rows = []
+            t = -tau
+            for row in _p_rounded(k):
+                v = 0j
+                for c in reversed(row):
+                    v = v * t + c
+                rows.append(v)
+            p_rows[k] = rows
+        pk = 0j
+        for v in reversed(rows):
+            pk = pk * z + v
         term = z3 * pw * pk / (k * (k + 1) * (k + 2)) * npow
         acc += term
         last = abs(term)
@@ -197,7 +209,13 @@ def choose_params(z: complex, tau: complex) -> ComputeParams:
     then doubled until the error heuristic meets 1e-12 (cap 10^6)."""
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
-    N = max(64, math.ceil(8.0 * (2.0 + abs(z)) / abs(tau)))
+    scale = 8.0 * (2.0 + abs(z))
+    if math.isinf(scale):
+        raise DomainError(f"|z| = {abs(z)} overflows binary64 in the N floor")
+    floor = scale / abs(tau)
+    if floor > _N_CAP:
+        raise CapacityError(f"product truncation exceeded {_N_CAP}")
+    N = max(64, math.ceil(floor))
     M = 12
     while True:
         if N > _N_CAP:
@@ -216,12 +234,14 @@ def log_double_gamma(z: complex, tau: complex,
     whether or not the product with the given N would reach them."""
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
+    if params is None:
+        # before the zero-lattice scan, so an input too large to evaluate is
+        # refused without scanning
+        params = choose_params(z, tau)
     tol = 1e-12 * (1.0 + abs(z))
     if lattice_distance(z, tau) <= tol:
         raise LatticeZeroError(
             f"G({z};{tau}) = 0 on the zero lattice; no finite logarithm")
-    if params is None:
-        params = choose_params(z, tau)
     m_cd = params.m_cd if params.m_cd is not None else default_m(tau)
     mf = modular_forms_cached(tau, m_cd)
     corr, last = _correction(z, tau, params.N, params.M)

@@ -2,6 +2,7 @@
 growth, pure evaluators safe for unrestricted concurrent use."""
 
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from barnesg.engine import ComputeParams, log_double_gamma
@@ -32,6 +33,36 @@ def test_engine_concurrent_evaluations_deterministic():
     with ThreadPoolExecutor(max_workers=6) as ex:
         results = list(ex.map(run, args))
     assert all(r == serial for r in results)  # bit-identical
+
+
+def test_per_tau_memos_under_concurrent_fill_and_eviction():
+    # 8 threads evaluate distinct z at 3 shared tau (both gn_sum branches and
+    # the all-direct sector), interleaved with 10 single-use tau that evict
+    # them; every result must equal the serial one bit for bit
+    shared = (1.1 + 0.4j, 0.6 + 0.9j, -0.9 + 0.3j)
+    evicting = [complex(1.7, 0.05 + 0.07 * k) for k in range(10)]
+    jobs = [(complex(0.3 + 0.45 * k, 0.2 - 0.1 * k), tau)
+            for k in range(12) for tau in shared]
+    for k, tau in enumerate(evicting):
+        jobs.insert(4 * k + 2, (complex(0.5, 0.1 * k), tau))
+    jobs.append((9.0 + 2.0j, shared[0]))   # a later stable switch point
+    params = ComputeParams(N=200, M=10, m_cd=64)
+
+    def run(zt):
+        return repr(log_double_gamma(zt[0], zt[1], params).log_value)
+
+    serial = [run(zt) for zt in jobs]
+    for k in range(8):   # evict every tau above: the threads start cold
+        log_double_gamma(0.5, complex(2.3, 0.05 + 0.07 * k), params)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):   # cold, then warm
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                results = list(ex.map(run, jobs, timeout=120))
+            assert results == serial
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_kernels_concurrent_use():

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from barnesg import backend, engine
 from barnesg.engine import (
     ComputeParams,
     EvalResult,
@@ -149,6 +150,15 @@ def test_domain_error_on_cut():
                   lattice_distance, log_double_gamma_asymptotic):
             with pytest.raises(DomainError):
                 f(z, tau)
+    # z + m tau overflowing binary64 is outside the domain, not a raw
+    # OverflowError
+    for f in (lattice_distance, log_double_gamma):
+        with pytest.raises(DomainError):
+            f(-1e308 - 0.3j, -1e308 + 0.1j)
+    # and so is a |z| whose N floor 8(2+|z|)/|tau| overflows
+    for f in (choose_params, log_double_gamma):
+        with pytest.raises(DomainError):
+            f(1e308, 1.0)
 
 
 def test_lattice_distance():
@@ -258,6 +268,144 @@ def test_determinism():
     a = log_double_gamma(1.7 + 0.3j, 1.1 + 0.2j, p).log_value
     b = log_double_gamma(1.7 + 0.3j, 1.1 + 0.2j, p).log_value
     assert a == b  # bit-identical
+
+
+# ------------------------------------------------------------ per-tau memos
+
+def _gn_sum_unmemoized(z, tau, N):
+    # gn_sum with every kernel called per term, as before the memo existed
+    z2h = 0.5 * z * z
+    if abs(cmath.phase(tau)) <= backend._MAX_ARG:
+        m_switch = int(math.ceil(max(backend._STABLE_RADIUS, 2.0 * abs(z))
+                                 / abs(tau)))
+    else:
+        m_switch = N + 1
+    sr = cr = si = ci = 0.0
+    for m in range(1, N + 1):
+        w = m * tau
+        if m < m_switch:
+            t = (backend.loggamma(w) - backend.loggamma(z + w)
+                 + z * backend.digamma(w) + z2h * backend.trigamma(w))
+        else:
+            t = (0.5 * z * z * z * (1.0 / (w * w))
+                 - (z + w - 0.5) * backend._log1p_tail(z / w)
+                 - (backend._binet(z + w) - backend._binet(w))
+                 - z * backend._psi_tail(w)
+                 + z2h * backend._psi1_tail(w))
+        sr, cr = backend._neumaier_add(sr, cr, t.real)
+        si, ci = backend._neumaier_add(si, ci, t.imag)
+    return complex(sr + cr, si + ci)
+
+
+def _fresh_tau(rng):
+    # a tau no other test uses, so its memo tables start cold
+    return complex(rng.uniform(0.5, 2.5), rng.uniform(0.05, 1.5))
+
+
+# (z, tau) covering both branches, a z-dependent switch point (|z| > 8),
+# the all-direct sector |arg tau| > 3pi/4 and N beyond the cached m
+_MEMO_CASES = ((1.3 + 0.4j, 1.1 + 0.4j, 300), (11.0 - 3.0j, 0.9 + 0.2j, 400),
+               (0.4 + 0.7j, -1.2 + 0.5j, 150), (2.0 + 1.0j, SQRT2, 1100))
+
+
+def test_gn_sum_memo_cold_and_warm_bit_identical():
+    # the first use of a tau keeps nothing, the second fills the memo and
+    # the third reads it
+    rng = random.Random(5)
+    for z, tau, N in _MEMO_CASES:
+        tau = tau + 1e-9 * _fresh_tau(rng)   # unseen bits, same region
+        ref = repr(_gn_sum_unmemoized(z, tau, N))
+        for _ in range(3):
+            assert repr(backend.gn_sum(z, tau, N)) == ref, (z, tau, N)
+
+
+def test_gn_sum_prefix_property_with_warm_memo():
+    rng = random.Random(6)
+    for z, tau, N in _MEMO_CASES:
+        for order in ((N // 3, N, N // 3), (N, N // 3, N)):
+            t = tau + 1e-9 * _fresh_tau(rng)
+            for n in order:
+                assert repr(backend.gn_sum(z, t, n)) == \
+                    repr(_gn_sum_unmemoized(z, t, n)), (z, t, n)
+
+
+def test_gn_sum_memo_interleaved_with_eviction():
+    # eleven tau (more than the memo keeps) and z values taking different
+    # switch points, in a shuffled order: every result equals the
+    # unmemoized sum, whether its tau was cold, warm or evicted
+    rng = random.Random(7)
+    taus = [_fresh_tau(rng) for _ in range(11)]
+    zs = (0.3 + 0.2j, 1.7 - 0.6j, 9.0 + 2.0j, -2.5 + 1.5j)
+    jobs = [(z, t) for z in zs for t in taus] * 2
+    rng.shuffle(jobs)
+    for z, t in jobs:
+        assert repr(backend.gn_sum(z, t, 90)) == \
+            repr(_gn_sum_unmemoized(z, t, 90)), (z, t)
+
+
+def _correction_unmemoized(z, tau, N, M):
+    # the correction series with P_k(z;-tau) by the bivariate Horner
+    def eval_p(coeffs, z, t):
+        acc = 0j
+        for row in reversed(coeffs):
+            v = 0j
+            for c in reversed(row):
+                v = v * t + c
+            acc = acc * z + v
+        return acc
+
+    z3 = z * z * z
+    inv_neg_tau = -1.0 / tau
+    pw = inv_neg_tau * inv_neg_tau
+    invN = 1.0 / N
+    npow = invN
+    acc = 0j
+    last = 0.0
+    for k in range(1, M + 1):
+        pk = eval_p(engine._p_rounded(k), z, -tau)
+        term = z3 * pw * pk / (k * (k + 1) * (k + 2)) * npow
+        acc += term
+        last = abs(term)
+        pw *= inv_neg_tau
+        npow *= invN
+    return acc, last
+
+
+def test_correction_memo_bit_identical():
+    rng = random.Random(8)
+    for _ in range(12):
+        tau = _fresh_tau(rng)
+        for z, N, M in ((1.5 + 0.5j, 64, 12), (-3.0 + 2.0j, 200, 16),
+                        (0.7 - 0.1j, 128, 5)):
+            ref = repr(_correction_unmemoized(z, tau, N, M))
+            assert repr(engine._correction(z, tau, N, M)) == ref
+            assert repr(engine._correction(z, tau, N, M)) == ref
+
+
+def test_memo_bounds():
+    # twenty fresh tau, each summed past the cached m; every other one in
+    # the all-direct sector, so both branches fill up to the bound
+    rng = random.Random(9)
+    for i in range(20):
+        tau = _fresh_tau(rng)
+        if i % 2:
+            tau = complex(-tau.real - 1.0, 0.3 * tau.imag)
+        for _ in range(2):   # gn_sum keeps a tau from its second use on
+            backend.gn_sum(0.5 + 0.5j, tau, 1100)
+        engine._correction(1.0 + 1.0j, tau, 64, 16)
+    gn = list(backend._GN_PIECES._tables.values())
+    rows = list(engine._P_ROWS._tables.values())
+    assert len(gn) == len(rows) == 8
+    for tables, max_key in (([t[0] for t in gn], backend._MEMO_M),
+                            ([t[1] for t in gn], backend._MEMO_M),
+                            (rows, 16)):
+        assert max(max(t, default=0) for t in tables) == max_key
+        assert all(1 <= m <= max_key for t in tables for m in t)
+    # a tau used once is remembered but keeps no table
+    tau = _fresh_tau(rng)
+    backend.gn_sum(0.5 + 0.5j, tau, 100)
+    assert list(backend._GN_PIECES._tables.values())[-1] is None
+    assert len(backend._GN_PIECES._tables) == 8
 
 
 # ----------------------------------------------------------- asymptotics
@@ -482,12 +630,16 @@ def test_eval_result_consistency_and_json():
 def test_capacity_error():
     with pytest.raises(CapacityError):
         choose_params(5e4, 1e-2)
+    with pytest.raises(CapacityError):   # the N floor overflows binary64
+        choose_params(1.5, 1e-310)
     # refused at once, before any scan over multiples of tau
-    for z, tau in ((1e7, 1.0), (1e8, 1.0), (1.5 + 0.5j, 1e-6), (1.5 + 0.5j, 1e-9)):
+    for z, tau, limit in ((1e7, 1.0, 1.0), (1e8, 1.0, 1.0),
+                          (1.5 + 0.5j, 1e-6, 1.0), (1.5 + 0.5j, 1e-7, 0.1),
+                          (1.5 + 0.5j, 1e-9, 1.0)):
         t0 = time.perf_counter()
         with pytest.raises(CapacityError):
             log_double_gamma(z, tau)
-        assert time.perf_counter() - t0 < 1.0, (z, tau)
+        assert time.perf_counter() - t0 < limit, (z, tau)
 
 
 def test_value_overflow_is_inf():
