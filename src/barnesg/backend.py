@@ -11,7 +11,7 @@
                       evaluated term-wise through a cancellation-free regrouped
                       form once m tau is deep in the Stirling regime; the
                       pieces of each term that depend on m tau alone are
-                      memoized per tau (``TauMemo``).
+                      memoized per tau (``_gn_pieces``).
 * ``cd_sums``       - the partial psi/psi' sums feeding the gamma modular
                       forms, split into a small-k direct part and Bernoulli
                       tail pieces so that no intermediate grows with m.
@@ -23,10 +23,9 @@ Neumaier compensation, so repeated calls are bit-identical.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import struct
-import threading
-from collections import OrderedDict
 
 from .errors import DomainError, PoleError
 
@@ -282,53 +281,29 @@ def _neumaier_add(s: float, c: float, x: float) -> tuple[float, float]:
     return t, c
 
 
-class TauMemo:
-    """Bounded memo of per-tau tables. ``table(tau)`` returns the table kept
-    for tau (a new ``make_table()`` the first time), holding values that
-    depend on tau alone. At most ``max_taus`` tau are remembered; the least
-    recently used is forgotten first. With ``keep_first_use=False`` the first
-    use of a tau only remembers it and returns None, so a tau used once keeps
-    nothing.
-
-    Thread contract: ``table`` is locked. A table is read and filled without
-    a lock: its values are computed deterministically, stored whole and never
-    modified, so two threads racing on one key compute the same value and
-    either store leaves every bit as it was.
-    """
-
-    def __init__(self, max_taus: int, make_table=dict, keep_first_use: bool = True):
-        self.max_taus = max_taus
-        self._make_table = make_table
-        self._keep_first_use = keep_first_use
-        self._tables: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def table(self, tau: complex):
-        # Keyed by the bits of tau: 0.0 and -0.0 are equal as dict keys but
-        # are different inputs, and a value must be the one its own tau gives.
-        key = struct.pack("<2d", tau.real, tau.imag)
-        with self._lock:
-            seen = key in self._tables
-            t = self._tables.pop(key, None)
-            if t is None and (seen or self._keep_first_use):
-                t = self._make_table()
-            self._tables[key] = t
-            if len(self._tables) > self.max_taus:
-                self._tables.popitem(last=False)
-            return t
-
-
 _STABLE_RADIUS = 16.0
 _MAX_ARG = 2.356194490192345  # 3*pi/4
 
 # Pieces of the gn_sum terms that depend on w = m tau alone, for m <= _MEMO_M
 # at the last 8 tau: a pair of dicts {m: (lgG(w), psi(w), psi'(w))} for the
 # direct branch and {m: (1/w^2, J(w), S(w), S'(w))} for the stable one, kept
-# apart because which branch a given m takes depends on z. Kept from a tau's
-# second use on: filling them at a tau that never repeats cost about 4% of
-# its sum.
+# apart because which branch a given m takes depends on z.
+# Thread contract: lru_cache keeps the table lookup consistent; a table is
+# read and filled without a lock, since its values are computed
+# deterministically, stored whole and never modified, so racing threads store
+# the same bits (a concurrent miss may build a table twice; one is kept).
 _MEMO_M = 1024
-_GN_PIECES = TauMemo(8, lambda: ({}, {}), keep_first_use=False)
+
+
+def tau_key(tau: complex) -> bytes:
+    """Key of the per-tau memos: the bits of tau, because 0.0 and -0.0
+    compare equal but are different inputs."""
+    return struct.pack("<2d", tau.real, tau.imag)
+
+
+@functools.lru_cache(maxsize=8)
+def _gn_pieces(tau_bits: bytes) -> tuple[dict, dict]:
+    return {}, {}
 
 
 def _r_term_direct(z: complex, z2h: complex, w: complex, pieces) -> complex:
@@ -387,26 +362,24 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
         m_switch = int(math.ceil(max(_STABLE_RADIUS, 2.0 * abs(z)) / abs_tau))
     else:
         m_switch = N + 1
-    tables = _GN_PIECES.table(tau)
-    direct, stable = tables or (None, None)
-    cap = 0 if tables is None else _MEMO_M   # memo keys are m <= cap
+    direct, stable = _gn_pieces(tau_key(tau))
     sr = cr = si = ci = 0.0
     # the memo lookups are inlined: a helper call per term cost a few percent
     # of the sum
     for m in range(1, N + 1):
         w = m * tau
         if m < m_switch:
-            p = direct.get(m) if m <= cap else None
+            p = direct.get(m)
             if p is None:
                 p = (loggamma(w), digamma(w), trigamma(w))
-                if m <= cap:
+                if m <= _MEMO_M:
                     direct[m] = p
             t = _r_term_direct(z, z2h, w, p)
         else:
-            p = stable.get(m) if m <= cap else None
+            p = stable.get(m)
             if p is None:
                 p = (1.0 / (w * w), _binet(w), _psi_tail(w), _psi1_tail(w))
-                if m <= cap:
+                if m <= _MEMO_M:
                     stable[m] = p
             t = _r_term_stable(z, z2h, w, p)
         sr, cr = _neumaier_add(sr, cr, t.real)

@@ -141,6 +141,41 @@ def lattice_distance(z: complex, tau: complex) -> float:
     return best
 
 
+def _zero_within(z: complex, tau: complex, tol: float) -> bool:
+    """Whether a zero -m tau - n of G lies within tol of z. Past row 0 it
+    scans only the rows m where |Im(z + m tau)| <= tol and
+    Re(z + m tau) <= tol, the rows whose distance can be that small (with a
+    row of slack at each end for the rounding of the bounds). When row 0 is
+    farther than tol, that window lies inside the first one lattice_distance
+    scans. False as well when the window spans more than _N_CAP rows or a
+    row overflows binary64."""
+
+    def near(m: int) -> bool:
+        w = z + m * tau
+        return abs(w + max(0, round(-w.real))) <= tol
+
+    lo, hi = 0.0, math.inf
+    if tau.imag:
+        a = (-tol - z.imag) / tau.imag
+        b = (tol - z.imag) / tau.imag
+        lo, hi = max(lo, min(a, b)), max(a, b)
+    elif abs(z.imag) > tol:
+        return False
+    if tau.real > 0.0:
+        hi = min(hi, (tol - z.real) / tau.real)
+    elif tau.real < 0.0:
+        lo = max(lo, (tol - z.real) / tau.real)
+    try:
+        if near(0):
+            return True
+        if hi + 1.0 < lo or not hi - lo <= _N_CAP:
+            return False
+        return any(near(m) for m in range(max(1, math.floor(lo) - 1),
+                                          math.ceil(hi) + 2))
+    except OverflowError:
+        return False
+
+
 # An lru_cache function rather than a plain table: the benchmark reports its
 # cache_info().
 @functools.lru_cache(maxsize=64)
@@ -154,7 +189,10 @@ def _p_rounded(k: int) -> tuple[tuple[float, ...], ...]:
 
 # Row values of P_k(z;-tau), the coefficient of each power of z, by Horner
 # in -tau: {k: rows} per tau, for the last 8 tau (k <= 16, the largest M).
-_P_ROWS = backend.TauMemo(8)
+# Keyed and shared across threads as backend._gn_pieces is.
+@functools.lru_cache(maxsize=8)
+def _p_rows(tau_bits: bytes) -> dict:
+    return {}
 
 
 def _correction(z: complex, tau: complex, N: int, M: int) -> tuple[complex, float]:
@@ -166,7 +204,7 @@ def _correction(z: complex, tau: complex, N: int, M: int) -> tuple[complex, floa
     npow = invN
     acc = 0j
     last = 0.0
-    p_rows = _P_ROWS.table(tau)
+    p_rows = _p_rows(backend.tau_key(tau))
     for k in range(1, M + 1):
         rows = p_rows.get(k)
         if rows is None:
@@ -234,12 +272,19 @@ def log_double_gamma(z: complex, tau: complex,
     whether or not the product with the given N would reach them."""
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
+    tol = 1e-12 * (1.0 + abs(z))
+    zero = False
     if params is None:
         # before the zero-lattice scan, so an input too large to evaluate is
-        # refused without scanning
-        params = choose_params(z, tau)
-    tol = 1e-12 * (1.0 + abs(z))
-    if lattice_distance(z, tau) <= tol:
+        # refused without scanning every row that could come near z; only
+        # the rows that could hold a zero of G are checked first
+        try:
+            params = choose_params(z, tau)
+        except CapacityError:
+            if not _zero_within(z, tau, tol):
+                raise
+            zero = True
+    if zero or lattice_distance(z, tau) <= tol:
         raise LatticeZeroError(
             f"G({z};{tau}) = 0 on the zero lattice; no finite logarithm")
     m_cd = params.m_cd if params.m_cd is not None else default_m(tau)

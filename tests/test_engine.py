@@ -202,6 +202,13 @@ def test_lattice_zero_far_up_the_lattice():
     with pytest.raises(LatticeZeroError):
         log_double_gamma(-2j, -1 + 0.02j)
     assert double_gamma_value(-2j, -1 + 0.02j) == 0
+    # zeros whose N floor is over the cap are still zeros, not CapacityError:
+    # row 0, a row far up the lattice, and a real tau with the zero at row 2
+    for z, tau in ((-2e5, 1.0), (-2e5 * (1 + 1j), 1 + 1j),
+                   (-3e5 * (2 + 0.5j) - 7, 2 + 0.5j), (-2e5 / 3, 1 / 3)):
+        with pytest.raises(LatticeZeroError):
+            log_double_gamma(z, tau)
+        assert double_gamma_value(z, tau) == 0
 
 
 def test_functional_equation_near_cut_tau():
@@ -309,8 +316,7 @@ _MEMO_CASES = ((1.3 + 0.4j, 1.1 + 0.4j, 300), (11.0 - 3.0j, 0.9 + 0.2j, 400),
 
 
 def test_gn_sum_memo_cold_and_warm_bit_identical():
-    # the first use of a tau keeps nothing, the second fills the memo and
-    # the third reads it
+    # the first use of a tau fills the memo and the later ones read it
     rng = random.Random(5)
     for z, tau, N in _MEMO_CASES:
         tau = tau + 1e-9 * _fresh_tau(rng)   # unseen bits, same region
@@ -386,26 +392,27 @@ def test_memo_bounds():
     # twenty fresh tau, each summed past the cached m; every other one in
     # the all-direct sector, so both branches fill up to the bound
     rng = random.Random(9)
+    keys = []
     for i in range(20):
         tau = _fresh_tau(rng)
         if i % 2:
             tau = complex(-tau.real - 1.0, 0.3 * tau.imag)
-        for _ in range(2):   # gn_sum keeps a tau from its second use on
-            backend.gn_sum(0.5 + 0.5j, tau, 1100)
+        keys.append(backend.tau_key(tau))
+        backend.gn_sum(0.5 + 0.5j, tau, 1100)
         engine._correction(1.0 + 1.0j, tau, 64, 16)
-    gn = list(backend._GN_PIECES._tables.values())
-    rows = list(engine._P_ROWS._tables.values())
-    assert len(gn) == len(rows) == 8
+        assert backend._gn_pieces.cache_info().currsize <= 8
+        assert engine._p_rows.cache_info().currsize <= 8
+    assert backend._gn_pieces.cache_info().currsize == 8
+    assert engine._p_rows.cache_info().currsize == 8
+    # the tables of the last 8 tau, read back (cache hits, so none evicted)
+    gn = [backend._gn_pieces(k) for k in keys[-8:]]
+    rows = [engine._p_rows(k) for k in keys[-8:]]
+    assert backend._gn_pieces.cache_info().currsize == 8
     for tables, max_key in (([t[0] for t in gn], backend._MEMO_M),
                             ([t[1] for t in gn], backend._MEMO_M),
                             (rows, 16)):
         assert max(max(t, default=0) for t in tables) == max_key
         assert all(1 <= m <= max_key for t in tables for m in t)
-    # a tau used once is remembered but keeps no table
-    tau = _fresh_tau(rng)
-    backend.gn_sum(0.5 + 0.5j, tau, 100)
-    assert list(backend._GN_PIECES._tables.values())[-1] is None
-    assert len(backend._GN_PIECES._tables) == 8
 
 
 # ----------------------------------------------------------- asymptotics
