@@ -42,10 +42,6 @@ class Laurent:
         return Laurent(0, [1.0 + 0j])
 
     @staticmethod
-    def x_power(k: int) -> "Laurent":
-        return Laurent(k, [1.0 + 0j])
-
-    @staticmethod
     def exp_series(a: complex) -> "Laurent":
         """exp(a x)."""
         cs = [1.0 + 0j]

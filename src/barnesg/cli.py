@@ -87,16 +87,20 @@ def _params_from_args(z, tau, args) -> engine.ComputeParams:
 
 def _cmd_eval(args) -> int:
     z, tau = args.z, args.tau
-    params = _params_from_args(z, tau, args)
+    # with no override the library picks the truncations, so a zero it finds
+    # without summing reports N and M as null
+    params = None
+    if (args.N, args.M, args.m) != (None, None, None):
+        params = _params_from_args(z, tau, args)
     try:
         result = engine.log_double_gamma(z, tau, params)
     except LatticeZeroError:
+        N, M = (None, None) if params is None else (params.N, params.M)
         payload = {"log": None, "value": {"re": 0.0, "im": 0.0},
-                   "err_est": 0.0, "N": params.N, "M": params.M,
-                   "note": "lattice zero"}
+                   "err_est": 0.0, "N": N, "M": M, "note": "lattice zero"}
         _emit(args, payload,
               ["log_re", "log_im", "value_re", "value_im", "err_est", "N", "M", "note"],
-              [["", "", 0.0, 0.0, 0.0, params.N, params.M, "lattice zero"]])
+              [["", "", 0.0, 0.0, 0.0, N, M, "lattice zero"]])
         return EXIT_OK
     d = result.to_json_dict()
     payload = {"log": _c17(result.log_value), "value": _c17(result.value),

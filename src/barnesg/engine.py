@@ -35,11 +35,10 @@ from .errors import (
     SectorError,
 )
 from .kernels import QuadratureSpec, integrate_semiaxis, log_gamma
-from .modular import (_cut_distance, check_finite, check_off_cut, default_m,
-                      modular_forms_cached)
+from .modular import (_N_CAP, _cut_distance, check_finite, check_off_cut,
+                      default_m, modular_forms_cached)
 from .polys import eval_rational_poly, p_poly, q_poly
 
-_N_CAP = 1_000_000
 # error target of the automatic truncation
 _TARGET = 1e-12
 
@@ -104,76 +103,82 @@ def _safe_exp(w: complex) -> complex:
         return complex(math.inf, math.inf)
 
 
+def _row_distance(z: complex, tau: complex, m: int) -> float:
+    # distance from z + m tau to the nearest of 0, -1, -2, ...
+    w = z + m * tau
+    try:
+        return abs(w + max(0, round(-w.real)))
+    except OverflowError:
+        raise DomainError(
+            f"z + m tau overflows binary64 at m = {m}") from None
+
+
+def _rows_within(z: complex, tau: complex, r: float) -> range:
+    """The rows m >= 1 whose z + m tau can come within r of {0, -1, -2, ...}:
+    those with |Im(z + m tau)| <= r and Re(z + m tau) <= r, plus a row of
+    slack at each end for the rounding of the bounds. tau off the cut bounds
+    them. Raises CapacityError when they span more than _N_CAP rows."""
+    lo, hi = 1.0, math.inf
+    if tau.imag:
+        a = (-r - z.imag) / tau.imag
+        b = (r - z.imag) / tau.imag
+        if a > b:
+            a, b = b, a
+        if a > lo:
+            lo = a
+        hi = b
+    elif abs(z.imag) > r:
+        return range(0)
+    if tau.real:
+        c = (r - z.real) / tau.real
+        if tau.real > 0.0:
+            if c < hi:
+                hi = c
+        elif c > lo:
+            lo = c
+    if hi + 1.0 < lo:
+        return range(0)
+    if not hi - lo <= _N_CAP:
+        raise CapacityError(
+            f"zero-lattice window would exceed {_N_CAP} multiples of tau")
+    return range(max(1, math.floor(lo) - 1), math.ceil(hi) + 2)
+
+
 def lattice_distance(z: complex, tau: complex) -> float:
     """Exact distance from z to the whole zero set {-m tau - n : m, n >= 0}.
 
-    Row m is the distance from z + m tau to {0, -1, -2, ...}. It is at least
-    |Im(z + m tau)| and at least Re(z + m tau), so only the rows where both
-    are below the best distance so far can improve on it. Row 0 is at least
-    |Im z| and Re z, so that window starts at m = 1; tau off the cut bounds
-    it above, and it shrinks as the best distance does. Raises
-    CapacityError, before scanning, when the first window spans more than
-    _N_CAP rows; choose_params refuses every such input as well.
+    Row m is the distance from z + m tau to {0, -1, -2, ...}. After row 0
+    only the rows _rows_within the best distance so far can improve on it,
+    and that window shrinks as the best distance does. Raises CapacityError
+    when a window spans more than _N_CAP rows, DomainError when a row
+    overflows binary64.
     """
     z = check_finite(z, "z")
     tau = check_off_cut(tau)
-    best = math.inf
-    m = stop = 0
-    while m <= stop:
-        w = z + m * tau
-        try:
-            d = abs(w + max(0, round(-w.real)))
-        except OverflowError:
-            raise DomainError(
-                f"z + m tau overflows binary64 at m = {m}") from None
-        if d < best:
-            best = d
-            stop = math.inf
-            if tau.imag:
-                stop = max((best - z.imag) / tau.imag, (-best - z.imag) / tau.imag)
-            if tau.real > 0.0:
-                stop = min(stop, (best - z.real) / tau.real)
-            stop += 1.0  # a row of slack for the rounding of the bound
-            if stop > _N_CAP:
-                raise CapacityError(
-                    f"zero-lattice scan would exceed {_N_CAP} multiples of tau")
+    best = _row_distance(z, tau, 0)
+    m = 1
+    while best:  # at 0, z is a zero of G and nothing is nearer
+        rows = _rows_within(z, tau, best)
+        for m in range(max(m, rows.start), rows.stop):
+            d = _row_distance(z, tau, m)
+            if d < best:  # re-derive the window at the new best
+                best = d
+                break
+        else:
+            break  # no row of the window improves on best
         m += 1
     return best
 
 
 def _zero_within(z: complex, tau: complex, tol: float) -> bool:
-    """Whether a zero -m tau - n of G lies within tol of z. Past row 0 it
-    scans only the rows m where |Im(z + m tau)| <= tol and
-    Re(z + m tau) <= tol, the rows whose distance can be that small (with a
-    row of slack at each end for the rounding of the bounds). When row 0 is
-    farther than tol, that window lies inside the first one lattice_distance
-    scans. False as well when the window spans more than _N_CAP rows or a
-    row overflows binary64."""
-
-    def near(m: int) -> bool:
-        w = z + m * tau
-        return abs(w + max(0, round(-w.real))) <= tol
-
-    lo, hi = 0.0, math.inf
-    if tau.imag:
-        a = (-tol - z.imag) / tau.imag
-        b = (tol - z.imag) / tau.imag
-        lo, hi = max(lo, min(a, b)), max(a, b)
-    elif abs(z.imag) > tol:
-        return False
-    if tau.real > 0.0:
-        hi = min(hi, (tol - z.real) / tau.real)
-    elif tau.real < 0.0:
-        lo = max(lo, (tol - z.real) / tau.real)
-    try:
-        if near(0):
+    """Whether a zero -m tau - n of G lies within tol of z: row 0, then the
+    rows _rows_within tol. Raises as _rows_within and _row_distance do."""
+    if _row_distance(z, tau, 0) <= tol:
+        return True
+    for m in _rows_within(z, tau, tol):
+        if _row_distance(z, tau, m) <= tol:
             return True
-        if hi + 1.0 < lo or not hi - lo <= _N_CAP:
-            return False
-        return any(near(m) for m in range(max(1, math.floor(lo) - 1),
-                                          math.ceil(hi) + 2))
-    except OverflowError:
-        return False
+    return False
 
 
 # An lru_cache function rather than a plain table: the benchmark reports its
@@ -244,7 +249,8 @@ def _disk_clears_cut(N: int, tau: complex, z: complex) -> bool:
 
 def choose_params(z: complex, tau: complex) -> ComputeParams:
     """Pick (N, M, m_cd) adaptively: M = 12, N floor 64 scaled by |z|/|tau|,
-    then doubled until the error heuristic meets 1e-12 (cap 10^6)."""
+    then doubled until the error heuristic meets 1e-12, and m_cd =
+    default_m(tau); CapacityError when N or m_cd would exceed _N_CAP."""
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
     scale = 8.0 * (2.0 + abs(z))
@@ -255,6 +261,7 @@ def choose_params(z: complex, tau: complex) -> ComputeParams:
         raise CapacityError(f"product truncation exceeded {_N_CAP}")
     N = max(64, math.ceil(floor))
     M = 12
+    m_cd = default_m(tau)
     while True:
         if N > _N_CAP:
             raise CapacityError(f"product truncation exceeded {_N_CAP}")
@@ -263,7 +270,7 @@ def choose_params(z: complex, tau: complex) -> ComputeParams:
             if _error_heuristic(z, tau, N, last) <= _TARGET:
                 break
         N *= 2
-    return ComputeParams(N=N, M=M, m_cd=default_m(tau))
+    return ComputeParams(N=N, M=M, m_cd=m_cd)
 
 
 def log_double_gamma(z: complex, tau: complex,
@@ -272,21 +279,19 @@ def log_double_gamma(z: complex, tau: complex,
     whether or not the product with the given N would reach them."""
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
-    tol = 1e-12 * (1.0 + abs(z))
-    zero = False
+    refused = None
     if params is None:
-        # before the zero-lattice scan, so an input too large to evaluate is
-        # refused without scanning every row that could come near z; only
-        # the rows that could hold a zero of G are checked first
+        # before the zero test, so an overflowing |z| is refused at once; a
+        # refusal for capacity waits for it, since a zero needs no terms
         try:
             params = choose_params(z, tau)
-        except CapacityError:
-            if not _zero_within(z, tau, tol):
-                raise
-            zero = True
-    if zero or lattice_distance(z, tau) <= tol:
+        except CapacityError as exc:
+            refused = exc
+    if _zero_within(z, tau, 1e-12 * (1.0 + abs(z))):
         raise LatticeZeroError(
             f"G({z};{tau}) = 0 on the zero lattice; no finite logarithm")
+    if refused is not None:
+        raise refused
     m_cd = params.m_cd if params.m_cd is not None else default_m(tau)
     mf = modular_forms_cached(tau, m_cd)
     corr, last = _correction(z, tau, params.N, params.M)

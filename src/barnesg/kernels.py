@@ -35,10 +35,6 @@ def log_gamma_stirling(z: complex) -> complex:
 
 def polygamma(k: int, z: complex) -> complex:
     """psi^(k)(z) for k = 0..12 (k = 0 is the digamma function)."""
-    if k == 0:
-        return backend.digamma(z)
-    if k == 1:
-        return backend.trigamma(z)
     return backend.polygamma(k, z)
 
 

@@ -27,11 +27,14 @@ from dataclasses import dataclass
 from . import backend
 from ._laurent import Laurent
 from .backend import EULER_GAMMA, LN_2PI, binet_j, psi_tail
-from .errors import ConsistencyError, DomainError, PreconditionError
+from .errors import CapacityError, ConsistencyError, DomainError, PreconditionError
 from .kernels import QuadratureSpec, elliptic_ke, integrate_semiaxis, log_gamma, polygamma
 
 _PI2_6 = math.pi * math.pi / 6.0
 _MAX_ARG = 2.356194490192345  # 3*pi/4
+# hard cap on every truncation length: the product length N, the
+# Euler-Maclaurin length m and the rows of a zero-lattice window
+_N_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -84,8 +87,12 @@ def check_off_cut(tau: complex, what: str = "tau") -> complex:
 
 
 def default_m(tau: complex) -> int:
-    """Euler-Maclaurin length keeping |m tau| >= 64."""
-    return max(64, math.ceil(64.0 / abs(tau)))
+    """Euler-Maclaurin length keeping |m tau| >= 64; CapacityError when that
+    takes more than _N_CAP terms."""
+    m = 64.0 / abs(tau)
+    if m > _N_CAP:
+        raise CapacityError(f"Euler-Maclaurin length exceeded {_N_CAP}")
+    return max(64, math.ceil(m))
 
 
 def _cut_distance(w: complex) -> float:
@@ -97,7 +104,8 @@ def _cut_distance(w: complex) -> float:
 def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
     """C(tau) and D(tau) by the Euler-Maclaurin route with m terms.
 
-    Requires tau off (-inf, 0] and m tau at distance >= 1 from the cut. The
+    Requires tau off (-inf, 0] and m tau at distance >= 1 from the cut;
+    raises CapacityError, before summing, when m exceeds _N_CAP. The
     error_estimate field is the magnitude of the last included correction
     term (heuristic, not a certified bound).
     """
@@ -106,6 +114,8 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
         m = default_m(tau)
     if m < 1:
         raise PreconditionError("m must be a positive integer")
+    if m > _N_CAP:
+        raise CapacityError(f"Euler-Maclaurin length exceeded {_N_CAP}")
     w = m * tau
     if _cut_distance(w) < 1.0:
         raise PreconditionError(

@@ -117,11 +117,6 @@ class RationalPolynomial:
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
 
-    def times_var_power(self, k: int) -> "RationalPolynomial":
-        if self.is_zero():
-            return self
-        return RationalPolynomial((_ZERO,) * k + self.coeffs)
-
     def divide_by_var(self) -> "RationalPolynomial":
         """Exact division by the variable; the constant term must vanish."""
         if self.is_zero():
@@ -130,21 +125,6 @@ class RationalPolynomial:
             raise ConsistencyError(
                 f"polynomial division by the variable leaves remainder {self.coeffs[0]}")
         return RationalPolynomial(self.coeffs[1:])
-
-    def substitute_neg(self) -> "RationalPolynomial":
-        """p(x) -> p(-x)."""
-        return RationalPolynomial(
-            [c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
-
-    def reversed_padded(self, length: int) -> "RationalPolynomial":
-        """Coefficient reversal after padding to `length` entries.
-
-        Realizes x^(length-1) * p(1/x) for deg p <= length-1.
-        """
-        if len(self.coeffs) > length:
-            raise ValueError("padding length shorter than the polynomial")
-        padded = list(self.coeffs) + [_ZERO] * (length - len(self.coeffs))
-        return RationalPolynomial(padded[::-1])
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -174,10 +154,6 @@ class BivariatePolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePolynomial is immutable")
-
-    @property
-    def degree_z(self) -> int:
-        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -222,9 +198,6 @@ class BivariatePolynomial:
         return BivariatePolynomial(out)
 
     __rmul__ = __mul__
-
-    def z_coeff(self, k: int) -> RationalPolynomial:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else RationalPolynomial()
 
     def times_z_power(self, k: int) -> "BivariatePolynomial":
         if self.is_zero():

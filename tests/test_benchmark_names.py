@@ -31,3 +31,20 @@ def test_benchmark_bound_names_resolve():
     assert isinstance(barnesg.backend_name(), str)
     barnesg.engine._p_rounded.cache_info()
     barnesg.modular.modular_forms_cached.cache_info()
+
+
+def test_run_suite_calls_lattice_distance(monkeypatch):
+    # The traced benchmark measures engine.lattice_distance.us_per_call from
+    # the calls run_suite makes through the name identities binds; a layer
+    # with no calls reads NaN there.
+    calls = []
+    original = barnesg.identities.lattice_distance
+    assert original is barnesg.engine.lattice_distance
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(barnesg.identities, "lattice_distance", counting)
+    barnesg.identities.run_suite(0)
+    assert calls

@@ -55,6 +55,17 @@ def test_eval_lattice_zero_note(capsys):
     assert payload["value"] == {"re": 0.0, "im": 0.0}
     assert payload["log"] is None
     assert payload["note"] == "lattice zero"
+    # found by the library's own zero test, before any truncation was used
+    assert payload["N"] is None and payload["M"] is None
+
+
+def test_eval_over_cap_zero_is_a_zero(capsys):
+    # the N floor of -2e5 is over the cap, but G is 0 there
+    code, out, _ = run_cli(capsys, "eval", "--z=-200000", "--tau", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == {"re": 0.0, "im": 0.0}
+    assert payload["note"] == "lattice zero"
 
 
 def test_eval_domain_error_exit(capsys):
@@ -169,6 +180,13 @@ def test_modular_forms_output(capsys):
 def test_modular_forms_domain_exit(capsys):
     code, _, _ = run_cli(capsys, "modular-forms", "--tau", "-2")
     assert code == 2
+
+
+def test_modular_forms_capacity_exit(capsys):
+    # the default Euler-Maclaurin length 64/tau = 6.4e8 is over the cap
+    code, _, err = run_cli(capsys, "modular-forms", "--tau", "1e-7")
+    assert code == 3
+    assert "error" in err
 
 
 # ------------------------------------------------------------------- verify

@@ -187,7 +187,11 @@ def test_lattice_distance():
         # np.hypot is the C hypot behind abs(complex), so the rows match
         # the scan's bit for bit
         rows = np.hypot(w.real + np.maximum(0.0, np.rint(-w.real)), w.imag)
-        assert lattice_distance(z, tau) == rows.min(), (z, tau)
+        d = lattice_distance(z, tau)
+        assert d == rows.min(), (z, tau)
+        # the zero test is the same question asked within r
+        for r in (1e-12 * (1 + abs(z)), 0.1):
+            assert engine._zero_within(z, tau, r) == (d <= r), (z, tau, r)
 
 
 def test_lattice_zero_far_up_the_lattice():
@@ -209,6 +213,22 @@ def test_lattice_zero_far_up_the_lattice():
         with pytest.raises(LatticeZeroError):
             log_double_gamma(z, tau)
         assert double_gamma_value(z, tau) == 0
+
+
+def test_one_zero_test_with_explicit_params():
+    # a zero found within tol needs no scan of the full-distance window
+    t0 = time.perf_counter()
+    with pytest.raises(LatticeZeroError):
+        log_double_gamma(-2e5, 1.0, ComputeParams(N=64))
+    assert time.perf_counter() - t0 < 0.1
+    # the zero at m = 100 lies past N = 64 and its window is over the cap:
+    # refused, never a finite log
+    with pytest.raises(CapacityError):
+        log_double_gamma(-2e6 - 100 / 3, 1 / 3, ComputeParams(N=64))
+    # far from every zero, an over-cap full-distance window no longer
+    # refuses; the product with N = 100 does not converge there
+    r = log_double_gamma(-200.5 + 0.5j, 1e-4, ComputeParams(N=100, m_cd=10000))
+    assert math.isinf(r.error_estimate)
 
 
 def test_functional_equation_near_cut_tau():
@@ -647,6 +667,16 @@ def test_capacity_error():
         with pytest.raises(CapacityError):
             log_double_gamma(z, tau)
         assert time.perf_counter() - t0 < limit, (z, tau)
+    # the default Euler-Maclaurin length 64/|tau| = 6.4e9 is over the cap
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        log_double_gamma(1.5 + 0.5j, 1e-8, ComputeParams(N=100))
+    assert time.perf_counter() - t0 < 0.1
+    # N = 536000 meets the target, but the default m_cd = 2133334 is over
+    # the cap: refused by choose_params rather than by modular_forms_em later
+    for f in (choose_params, log_double_gamma):
+        with pytest.raises(CapacityError):
+            f(0.01, 3e-5)
 
 
 def test_value_overflow_is_inf():

@@ -3,10 +3,11 @@
 import cmath
 import json
 import math
+import time
 
 import pytest
 
-from barnesg.errors import DomainError, PreconditionError
+from barnesg.errors import CapacityError, DomainError, PreconditionError
 from barnesg.kernels import QuadratureSpec, integrate_semiaxis
 from barnesg.modular import (
     C_via_integral,
@@ -71,6 +72,17 @@ def test_em_domain_and_precondition():
 def test_default_m():
     assert default_m(1.0) == 64
     assert default_m(0.25) == 256
+
+
+def test_em_length_cap():
+    # refused before summing, whether m is given or the default 64/|tau|
+    for tau, m in ((1e-7, None), (1e-310, None), (1.0, 10 ** 6 + 1)):
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError):
+            modular_forms_em(tau, m)
+        assert time.perf_counter() - t0 < 0.1, (tau, m)
+    with pytest.raises(CapacityError):
+        default_m(1e-7)
 
 
 # -------------------------------------------------------- route agreement
