@@ -75,9 +75,13 @@ def _c17(v: complex) -> dict:
 def _params_from_args(z, tau, args) -> engine.ComputeParams:
     if args.N is not None:
         return engine.ComputeParams(N=args.N, M=args.M or 12, m_cd=args.m)
-    params = engine.choose_params(z, tau)
-    if args.M is not None:
-        params = replace(params, M=args.M)
+    if args.M is None:
+        params = engine.choose_params(z, tau)
+    elif 1 <= args.M <= 16:
+        # N planned for the given order, not for the one choose_params picks
+        params = engine._plan(z, tau, (args.M,))
+    else:
+        raise DomainError("M must be in 1..16")
     if args.m is not None:
         params = replace(params, m_cd=args.m)
     return params

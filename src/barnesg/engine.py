@@ -39,8 +39,9 @@ from .modular import (_N_CAP, _cut_distance, check_finite, check_off_cut,
                       default_m, modular_forms_cached)
 from .polys import eval_rational_poly, p_poly, q_poly
 
-# error target of the automatic truncation
-_TARGET = 1e-12
+# error target of the automatic truncation, per unit of 1 + |z|: the
+# binary64 resolution of a result of that size
+_TARGET = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -200,6 +201,25 @@ def _p_rows(tau_bits: bytes) -> dict:
     return {}
 
 
+def _p_value(p_rows: dict, z: complex, tau: complex, k: int) -> complex:
+    """P_k(z;-tau) by Horner in z over the rows of p_rows, which belongs to
+    tau; a missing row set is built once."""
+    rows = p_rows.get(k)
+    if rows is None:
+        rows = []
+        t = -tau
+        for row in _p_rounded(k):
+            v = 0j
+            for c in reversed(row):
+                v = v * t + c
+            rows.append(v)
+        p_rows[k] = rows
+    pk = 0j
+    for v in reversed(rows):
+        pk = pk * z + v
+    return pk
+
+
 def _correction(z: complex, tau: complex, N: int, M: int) -> tuple[complex, float]:
     """Correction series value and the magnitude of its last term."""
     z3 = z * z * z
@@ -211,19 +231,7 @@ def _correction(z: complex, tau: complex, N: int, M: int) -> tuple[complex, floa
     last = 0.0
     p_rows = _p_rows(backend.tau_key(tau))
     for k in range(1, M + 1):
-        rows = p_rows.get(k)
-        if rows is None:
-            rows = []
-            t = -tau
-            for row in _p_rounded(k):
-                v = 0j
-                for c in reversed(row):
-                    v = v * t + c
-                rows.append(v)
-            p_rows[k] = rows
-        pk = 0j
-        for v in reversed(rows):
-            pk = pk * z + v
+        pk = _p_value(p_rows, z, tau, k)
         term = z3 * pw * pk / (k * (k + 1) * (k + 2)) * npow
         acc += term
         last = abs(term)
@@ -242,35 +250,104 @@ def _error_heuristic(z: complex, tau: complex, N: int, last_term: float) -> floa
     return last_term * N / (1.0 / r - 1.0)
 
 
-def _disk_clears_cut(N: int, tau: complex, z: complex) -> bool:
-    # validity condition: the disk |w - N tau| <= 2|z| must miss (-inf, 0].
-    return _cut_distance(N * tau) > 2.0 * abs(z)
+def _n_floor(z: complex, tau: complex) -> int:
+    """Least N a plan may use: N0 = ceil(8(2+|z|)/|tau|), which is never below
+    gn_sum's direct-branch end ceil(max(16, 2|z|)/|tau|), and the least N
+    whose disk |w - N tau| <= 2|z| misses the cut (-inf, 0]: N|tau| > 2|z|
+    when Re tau >= 0, N|Im tau| > 2|z| otherwise. DomainError when the
+    floor overflows binary64, CapacityError past _N_CAP."""
+    az = abs(z)
+    scale = 8.0 * (2.0 + az)
+    if math.isinf(scale):
+        raise DomainError(f"|z| = {az} overflows binary64 in the N floor")
+    floor = scale / abs(tau)
+    cut = 2.0 * az / _cut_distance(tau)
+    if not max(floor, cut) <= _N_CAP:
+        raise CapacityError(f"product truncation exceeded {_N_CAP}")
+    return max(math.ceil(floor), math.floor(cut) + 1)
+
+
+def _least_n(b: float, c: float, M: int, n_lo: int, target: float) -> int:
+    """Least N >= n_lo at which the error heuristic at order M,
+    b N^(1-M) / (N c - 1), meets target; _N_CAP + 1 when that N is past
+    the cap. n_lo must miss the target. The heuristic decreases in N, so
+    its root lies in ((b/(target c))^(1/M), (b/(target (c - 1/n_lo)))^(1/M)],
+    a bracket that bisection narrows to the least integer."""
+    if not math.isfinite(b):
+        return _N_CAP + 1
+    lo = max(n_lo, math.floor(min((b / (target * c)) ** (1.0 / M), _N_CAP)))
+    hi = math.ceil(min((b / (target * (c - 1.0 / n_lo))) ** (1.0 / M),
+                       _N_CAP)) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if b * mid ** (1 - M) <= target * (mid * c - 1.0):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _plan(z: complex, tau: complex, orders) -> ComputeParams:
+    """The least (N, M), M in orders (ascending), at which the error
+    heuristics of both order M and order M - 1 meet the target: N =
+    _n_floor with the first M that passes there, else the least N over all
+    orders (the lower M on a tie). m_cd = default_m(tau). CapacityError
+    when N or m_cd would exceed _N_CAP.
+
+    With r = |z|/(N|tau|) the heuristic of order k is t_k N / (1/r - 1),
+    and the k-th correction term is t_k = b_k N^(-k) (N-free b_k from one
+    Horner of P_k(z;-tau)), so at fixed k it is explicit in N. Order M - 1
+    is checked too because a small |P_M(z;-tau)| (a z near one of its
+    zeros, or the odd orders at small |z|, whose terms run far below their
+    neighbours') would read a small last term with a large error. No order
+    past the first M that passes at N0 is built.
+    """
+    tau = check_off_cut(tau)
+    z = check_finite(z, "z")
+    n0 = _n_floor(z, tau)
+    m_cd = default_m(tau)
+    az = abs(z)
+    if az == 0.0:  # no correction: every order meets the target
+        return ComputeParams(N=n0, M=orders[0], m_cd=m_cd)
+    c = abs(tau) / az
+    target = _TARGET * (1.0 + az)
+    z3 = az * az * az
+    inv_tau = 1.0 / abs(tau)
+    p_rows = _p_rows(backend.tau_key(tau))
+    at_n0 = target * (n0 * c - 1.0)
+    b, ok = {}, {}
+
+    def at_floor(k: int) -> bool:
+        # whether order k's heuristic meets the target at n0; fills b[k]
+        if k not in ok:
+            b[k] = (z3 * inv_tau ** (k + 1) * abs(_p_value(p_rows, z, tau, k))
+                    / (k * (k + 1) * (k + 2)))
+            ok[k] = b[k] * n0 ** (1 - k) <= at_n0
+        return ok[k]
+
+    def least(k: int) -> int:
+        return n0 if at_floor(k) else _least_n(b[k], c, k, n0, target)
+
+    for M in orders:
+        if at_floor(M) and (M == 1 or at_floor(M - 1)):
+            return ComputeParams(N=n0, M=M, m_cd=m_cd)
+    N, M = min((max(least(M), least(max(1, M - 1))), M) for M in orders)
+    if N > _N_CAP:
+        raise CapacityError(f"product truncation exceeded {_N_CAP}")
+    return ComputeParams(N=N, M=M, m_cd=m_cd)
 
 
 def choose_params(z: complex, tau: complex) -> ComputeParams:
-    """Pick (N, M, m_cd) adaptively: M = 12, N floor 64 scaled by |z|/|tau|,
-    then doubled until the error heuristic meets 1e-12, and m_cd =
-    default_m(tau); CapacityError when N or m_cd would exceed _N_CAP."""
-    tau = check_off_cut(tau)
-    z = check_finite(z, "z")
-    scale = 8.0 * (2.0 + abs(z))
-    if math.isinf(scale):
-        raise DomainError(f"|z| = {abs(z)} overflows binary64 in the N floor")
-    floor = scale / abs(tau)
-    if floor > _N_CAP:
-        raise CapacityError(f"product truncation exceeded {_N_CAP}")
-    N = max(64, math.ceil(floor))
-    M = 12
-    m_cd = default_m(tau)
-    while True:
-        if N > _N_CAP:
-            raise CapacityError(f"product truncation exceeded {_N_CAP}")
-        if _disk_clears_cut(N, tau, z):
-            _, last = _correction(z, tau, N, M)
-            if _error_heuristic(z, tau, N, last) <= _TARGET:
-                break
-        N *= 2
-    return ComputeParams(N=N, M=M, m_cd=m_cd)
+    """Plan (N, M, m_cd) in closed form, with no trial evaluation.
+
+    N starts at the floor N0 = ceil(8(2+|z|)/|tau|), raised where needed so
+    that the disk |w - N tau| <= 2|z| misses the cut. At N0 the plan takes
+    the least M <= 16 whose error heuristic, and that of order M - 1, meet
+    the target 2^-52 (1 + |z|), the binary64 resolution of the result; only
+    when no M does is N raised, to the least N any M reaches.
+    m_cd = default_m(tau). CapacityError when N or m_cd would exceed _N_CAP.
+    """
+    return _plan(z, tau, range(1, 17))
 
 
 def log_double_gamma(z: complex, tau: complex,
@@ -292,6 +369,11 @@ def log_double_gamma(z: complex, tau: complex,
             f"G({z};{tau}) = 0 on the zero lattice; no finite logarithm")
     if refused is not None:
         raise refused
+    if not abs(z) < params.N * abs(tau):
+        # the correction series in z/(N tau) diverges: refuse before summing
+        raise CapacityError(
+            f"N = {params.N} is too small for |z|/|tau| = {abs(z) / abs(tau):.6g};"
+            " the product needs N |tau| > |z|")
     m_cd = params.m_cd if params.m_cd is not None else default_m(tau)
     mf = modular_forms_cached(tau, m_cd)
     corr, last = _correction(z, tau, params.N, params.M)
@@ -356,16 +438,20 @@ def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
     """Large-z expansion of ln G; principal log z, so the result matches the
     canonical logarithm only modulo 2 pi i (compare on exp).
 
-    z must stay 0.2 rad away from the two zero-cone directions pi and
-    arg(-tau); violations raise SectorError.
+    z must stay 0.2 rad away from the zero cone, the closed sector from
+    arg(-tau) to pi taken the short way, which holds the zeros
+    -m tau - n; violations raise SectorError.
     """
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
     if z == 0:
         raise SectorError("z = 0 is outside every admissible sector")
     theta = cmath.phase(z)
-    if (_sector_gap(theta, math.pi) < 0.2
-            or _sector_gap(theta, cmath.phase(-tau)) < 0.2):
+    # the cone is the arc of half-width (pi - |a|)/2 about the bisector of
+    # a = arg(-tau) and pi; a != 0 since tau is off the cut
+    a = cmath.phase(-tau)
+    half = 0.5 * (math.pi - abs(a))
+    if _sector_gap(theta, math.copysign(math.pi - half, a)) < half + 0.2:
         raise SectorError(
             f"arg z = {theta:.3f} is within 0.2 rad of the zero cone")
     if coeffs is None or coeffs.tau != tau or len(coeffs.tail) < n_tail:

@@ -84,6 +84,19 @@ def test_eval_capacity_exit(capsys):
     assert "error" in err
 
 
+def test_eval_order_override_meets_target(capsys):
+    # with --M alone, N is planned for that order, so the estimate still
+    # meets the target 2^-52 (1 + |z|)
+    code, out, _ = run_cli(capsys, "eval", "--z", "2+1i", "--tau", "1+1i",
+                           "--M", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["M"] == 4
+    assert payload["err_est"] <= 2.0 ** -52 * (1 + abs(2 + 1j))
+    code, _, err = run_cli(capsys, "eval", "--z", "1", "--tau", "1", "--M", "17")
+    assert code == 2 and "error" in err
+
+
 def test_eval_csv_json_payload_match(capsys):
     _, out_j, _ = run_cli(capsys, "eval", "--z", "1.3+0.2i", "--tau", "1.1")
     _, out_c, _ = run_cli(capsys, "eval", "--z", "1.3+0.2i", "--tau", "1.1",
@@ -132,6 +145,16 @@ def test_table_complex_segment(capsys):
     rows = json.loads(out)
     assert len(rows) == 3
     assert rows[1]["z"]["im"] == 0.5
+
+
+def test_table_order_override_meets_target(capsys):
+    # the plan is made at the largest |z| of the grid, for the given order
+    code, out, _ = run_cli(capsys, "table", "--grid", "0.5:3+1i:6", "--tau", "2",
+                           "--M", "4")
+    assert code == 0
+    for row in json.loads(out):
+        z = complex(row["z"]["re"], row["z"]["im"])
+        assert row["err_est"] <= 2.0 ** -52 * (1 + abs(z)), row
 
 
 def test_table_bad_grid_exit(capsys):

@@ -202,7 +202,7 @@ def test_lattice_zero_far_up_the_lattice():
     assert lattice_distance(z, tau) == 0
     assert double_gamma_value(z, tau, ComputeParams(N=2000, M=8)) == 0
     assert lattice_distance(z + 0.05, tau) == pytest.approx(0.05, rel=1e-9)
-    # the zero -100 tau at -2i lies beyond the automatic N floor of 64
+    # the zero -100 tau at -2i is found by the zero test, whatever N is
     with pytest.raises(LatticeZeroError):
         log_double_gamma(-2j, -1 + 0.02j)
     assert double_gamma_value(-2j, -1 + 0.02j) == 0
@@ -226,9 +226,12 @@ def test_one_zero_test_with_explicit_params():
     with pytest.raises(CapacityError):
         log_double_gamma(-2e6 - 100 / 3, 1 / 3, ComputeParams(N=64))
     # far from every zero, an over-cap full-distance window no longer
-    # refuses; the product with N = 100 does not converge there
-    r = log_double_gamma(-200.5 + 0.5j, 1e-4, ComputeParams(N=100, m_cd=10000))
-    assert math.isinf(r.error_estimate)
+    # refuses; the product with N = 100 cannot converge there (|z| >= N|tau|),
+    # so it is refused before any summing
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        log_double_gamma(-200.5 + 0.5j, 1e-4, ComputeParams(N=100))
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_functional_equation_near_cut_tau():
@@ -242,9 +245,61 @@ def test_functional_equation_near_cut_tau():
 
 # ------------------------------------------------------------ choose_params
 
+def _heuristic(z, tau, N, M):
+    return engine._error_heuristic(z, tau, N, engine._correction(z, tau, N, M)[1])
+
+
 def test_choose_params_floor():
-    p = choose_params(1.0, 1.0)
-    assert p.N >= 64 and p.M == 12
+    # the plan: N at or past the floor N0 and clear of the cut, the
+    # heuristics of orders M and M - 1 within the target, and M the least
+    # order for which both are at that N
+    for z, tau in ((1.0, 1.0), (1.5 + 0.5j, 2.0), (SQRT3, SQRT3),
+                   (2 + 1j, 1 + 1j), (0.3 + 2j, 0.7 - 0.4j), (5.0, 1.0),
+                   (20 + 5j, 1.5), (4 - 1j, -0.5 + 1.2j),
+                   (100.0, 0.1),             # no order meets it at N0
+                   (10 + 10j, -1 + 0.05j),   # the disk condition sets N
+                   (0.0619, 2.0)):           # order 7 reads 1000x low
+        p = choose_params(z, tau)
+        assert p.N >= math.ceil(8 * (2 + abs(z)) / abs(tau)), (z, tau)
+        c = p.N * tau
+        assert (abs(c) if c.real >= 0 else abs(c.imag)) > 2 * abs(z), (z, tau)
+        target = 2.0 ** -52 * (1 + abs(z))
+
+        def meets(N, M):  # orders M and M - 1
+            return all(_heuristic(z, tau, N, k) <= target * (1 + 1e-9)
+                       for k in range(max(1, M - 1), M + 1))
+
+        assert meets(p.N, p.M), (z, tau)
+        for M in range(1, p.M):
+            assert not meets(p.N, M), (z, tau, M)
+        if p.N > engine._n_floor(z, tau):
+            # past the floor only when no order meets the target there
+            for M in range(1, 17):
+                assert not meets(p.N - 1, M), (z, tau, M)
+
+
+def test_choose_params_count():
+    assert choose_params(1.5 + 0.5j, 2.0).N <= 32
+
+
+def test_auto_truncation_matches_reference():
+    # the automatic plan against a 2^14-term, order-16 reference, which
+    # shares its first N terms bit for bit, to 8 ulps of max(1, |log G|);
+    # every third |z| is drawn from [0.01, 0.3], where the odd correction
+    # terms run far below the even ones; at (0.0619, 2) a plan on the last
+    # term alone takes M = 7 and is 12 ulps off
+    rng = random.Random(13)
+    points = [(0.0619, 2.0)]
+    while len(points) < 25:
+        r = 10 ** rng.uniform(-2, -0.5) if len(points) % 3 == 0 else rng.uniform(0, 6)
+        z = cmath.rect(r, rng.uniform(-math.pi, math.pi))
+        tau = cmath.rect(rng.uniform(0.3, 3), rng.uniform(-0.75, 0.75) * math.pi)
+        if lattice_distance(z, tau) >= 1e-3:
+            points.append((z, tau))
+    for z, tau in points:
+        got = log_double_gamma(z, tau).log_value
+        ref = log_double_gamma(z, tau, ComputeParams(N=2 ** 14, M=16)).log_value
+        assert abs(got - ref) <= 8 * 2.0 ** -52 * max(1.0, abs(ref)), (z, tau)
 
 
 def test_choose_params_scaling():
@@ -502,6 +557,10 @@ def test_sector_violation():
     with pytest.raises(SectorError):
         # along arg(-tau) for tau = 1+1i: angle -3pi/4
         log_double_gamma_asymptotic(cmath.rect(40, -3 * math.pi / 4), 1 + 1j, 4)
+    # inside the cone between arg(-tau) and pi, which holds the zeros
+    for z, tau in ((-50.5 - 49.7j, 1j), (-60.3 - 20.1j, 1 + 1j)):
+        with pytest.raises(SectorError):
+            log_double_gamma_asymptotic(z, tau, 8)
 
 
 # ------------------------------------------------------------------- b0
