@@ -74,7 +74,8 @@ def _c17(v: complex) -> dict:
 
 def _params_from_args(z, tau, args) -> engine.ComputeParams:
     if args.N is not None:
-        return engine.ComputeParams(N=args.N, M=args.M or 12, m_cd=args.m)
+        return engine.ComputeParams(
+            N=args.N, M=12 if args.M is None else args.M, m_cd=args.m)
     if args.M is None:
         params = engine.choose_params(z, tau)
     elif 1 <= args.M <= 16:

@@ -131,16 +131,16 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
     t3 = tau ** 3
     t5 = t3 * tau * tau
     t7 = t5 * tau * tau
+    last_c = t7 / 1209600.0 * polygamma(7, w)
+    last_d = t7 / 1209600.0 * polygamma(8, w)
     corr_c = (-tau / 12.0 * psi1_w
               + t3 / 720.0 * polygamma(3, w)
               - t5 / 30240.0 * polygamma(5, w)
-              + t7 / 1209600.0 * polygamma(7, w))
-    last_c = t7 / 1209600.0 * polygamma(7, w)
+              + last_c)
     corr_d = (-tau / 12.0 * polygamma(2, w)
               + t3 / 720.0 * polygamma(4, w)
               - t5 / 30240.0 * polygamma(6, w)
-              + t7 / 1209600.0 * polygamma(8, w))
-    last_d = t7 / 1209600.0 * polygamma(8, w)
+              + last_d)
 
     radius = 8.0 if arg_tau <= 0.5 * math.pi else 16.0
     k0 = max(1, math.ceil(radius / abs_tau))

@@ -97,6 +97,14 @@ def test_eval_order_override_meets_target(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [("eval", "--z", "1.5", "--tau", "1"),
+                                  ("table", "--grid", "1:2:3", "--tau", "2")])
+def test_explicit_n_rejects_order_zero(capsys, argv):
+    # --M 0 is out of range next to --N as it is alone
+    code, out, err = run_cli(capsys, *argv, "--N", "100", "--M", "0")
+    assert code == 2 and "error" in err and out == ""
+
+
 def test_eval_csv_json_payload_match(capsys):
     _, out_j, _ = run_cli(capsys, "eval", "--z", "1.3+0.2i", "--tau", "1.1")
     _, out_c, _ = run_cli(capsys, "eval", "--z", "1.3+0.2i", "--tau", "1.1",

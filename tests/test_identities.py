@@ -131,6 +131,80 @@ def test_suite_never_aborts(monkeypatch):
     assert by_id["modular-inversion"].passed  # the rest still ran
 
 
+# the check each report's residuals come from, by module attribute
+_SUITE_CHECKS = {
+    "check_functional_equations": ("shift-by-one", "shift-by-tau"),
+    "check_reflection": ("reflection",),
+    "check_modular": ("modular-inversion",),
+    "check_multiplication": ("multiplication",),
+    "check_multiplication_tau_scaled": ("multiplication-tau-scaled",),
+    "check_multiplication_z_scaled": ("multiplication-z-scaled",),
+    "check_product_identity": ("product-identity",),
+    "_check_gamma2_normalization": ("gamma2-normalization",),
+    "_check_gamma2_symmetry": ("gamma2-symmetry",),
+    "_check_gamma2_shift_first": ("gamma2-shift-first",),
+    "_check_gamma2_shift_second": ("gamma2-shift-second",),
+    "check_b0_inversion": ("b0-inversion",),
+    "check_b0_decomposition": ("b0-decomposition",),
+    "check_b0_rational_scaling": ("b0-rational-scaling",),
+    "d_reflection_residual": ("d-reflection",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUITE_CHECKS))
+def test_suite_wiring(monkeypatch, name):
+    # a check that raises fails exactly the reports it feeds, at every point
+    import barnesg.identities as ids
+
+    fed = sorted(i for own in _SUITE_CHECKS.values() for i in own)
+    assert fed == sorted(EXPECTED_IDENTITY_IDS)  # every report has one check
+
+    def boom(*args):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(ids, name, boom)
+    reports = ids.run_suite(0, "default")
+    assert [r.identity_id for r in reports] == list(EXPECTED_IDENTITY_IDS)
+    for r in reports:
+        if r.identity_id in _SUITE_CHECKS[name]:
+            assert not r.passed, r.identity_id
+            assert r.residuals and all(math.isinf(x) for x in r.residuals)
+            assert len(r.notes) == len(r.points)
+            assert all("synthetic failure" in n for n in r.notes)
+        else:
+            assert r.passed and not r.notes, (r.identity_id, r.notes)
+
+
+@pytest.mark.parametrize("name, nan_slot", [("check_modular", None),
+                                            ("check_functional_equations", 1)])
+def test_suite_nan_residual_fails(monkeypatch, name, nan_slot):
+    # a NaN that is not the first residual would slip past max(); the suite
+    # reports it as inf plus a note instead
+    import barnesg.identities as ids
+
+    real = getattr(ids, name)
+    calls = []
+
+    def nan_at_second_point(*args):
+        calls.append(args)
+        out = real(*args)
+        if len(calls) != 2:
+            return out
+        if nan_slot is None:
+            return math.nan
+        return tuple(math.nan if i == nan_slot else x for i, x in enumerate(out))
+
+    monkeypatch.setattr(ids, name, nan_at_second_point)
+    by_id = {r.identity_id: r for r in ids.run_suite(0, "default")}
+    failed = _SUITE_CHECKS[name][0 if nan_slot is None else nan_slot]
+    report = by_id[failed]
+    assert not report.passed
+    assert math.isinf(report.max_residual) and math.isinf(report.residuals[1])
+    assert all(math.isfinite(x) for i, x in enumerate(report.residuals) if i != 1)
+    assert len(report.notes) == 1 and "NaN" in report.notes[0]
+    assert [r.identity_id for r in by_id.values() if not r.passed] == [failed]
+
+
 def test_report_json_round_trip():
     reports = run_suite(0, "default")
     payload = json.loads(json.dumps([r.to_json_dict() for r in reports]))
