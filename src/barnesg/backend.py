@@ -11,7 +11,7 @@
                       evaluated term-wise through a cancellation-free regrouped
                       form once m tau is deep in the Stirling regime; the
                       pieces of each term that depend on m tau alone are
-                      memoized per tau (``_gn_pieces``).
+                      memoized per tau (``tau_memo``).
 * ``cd_sums``       - the partial psi/psi' sums feeding the gamma modular
                       forms, split into a small-k direct part and Bernoulli
                       tail pieces so that no intermediate grows with m.
@@ -32,6 +32,7 @@ from .errors import DomainError, PoleError
 EULER_GAMMA = 0.5772156649015328606065120900824024
 LN_2PI = math.log(2.0 * math.pi)
 _HALF_LN_2PI = 0.5 * LN_2PI
+_MAX_ARG = 2.356194490192345  # 3*pi/4, the widest |arg w| of the series
 
 # B_2 .. B_26 as floats (exact fractions rounded once).
 _B2K = (
@@ -249,7 +250,7 @@ def polygamma(k: int, z: complex) -> complex:
     # the argument not too close to the cut (wide-angle use needs larger |w|).
     while abs(w) < radius or (w.real < 0.5 and
                               not (abs(w) >= 4.0 * radius and
-                                   abs(cmath.phase(w)) <= 2.356194490192345)):
+                                   abs(cmath.phase(w)) <= _MAX_ARG)):
         shift += fact_k * w ** (-k - 1)
         w += 1.0
     if k % 2 == 0:
@@ -282,28 +283,27 @@ def _neumaier_add(s: float, c: float, x: float) -> tuple[float, float]:
 
 
 _STABLE_RADIUS = 16.0
-_MAX_ARG = 2.356194490192345  # 3*pi/4
-
-# Pieces of the gn_sum terms that depend on w = m tau alone, for m <= _MEMO_M
-# at the last 8 tau: a pair of dicts {m: (lgG(w), psi(w), psi'(w))} for the
-# direct branch and {m: (1/w^2, J(w), S(w), S'(w))} for the stable one, kept
-# apart because which branch a given m takes depends on z.
-# Thread contract: lru_cache keeps the table lookup consistent; a table is
-# read and filled without a lock, since its values are computed
-# deterministically, stored whole and never modified, so racing threads store
-# the same bits (a concurrent miss may build a table twice; one is kept).
 _MEMO_M = 1024
 
 
-def tau_key(tau: complex) -> bytes:
-    """Key of the per-tau memos: the bits of tau, because 0.0 and -0.0
-    compare equal but are different inputs."""
-    return struct.pack("<2d", tau.real, tau.imag)
-
-
 @functools.lru_cache(maxsize=8)
-def _gn_pieces(tau_bits: bytes) -> tuple[dict, dict]:
-    return {}, {}
+def _tau_memo(tau_bits: bytes) -> tuple[dict, dict, dict]:
+    return {}, {}, {}
+
+
+def tau_memo(tau: complex) -> tuple[dict, dict, dict]:
+    """The z-independent work of the evaluations at tau, kept for the last
+    8 tau as three tables: gn_sum's {m: (lgG(w), psi(w), psi'(w))} for the
+    direct branch and {m: (1/w^2, J(w), S(w), S'(w))} for the stable one
+    (w = m tau, m <= _MEMO_M; apart because which branch an m takes depends
+    on z), and the engine's p_rows {k: rows of P_k(z;-tau)}, k <= 16.
+
+    Keyed by the bits of tau, since 0.0 and -0.0 compare equal but are
+    different inputs. Threads: lru_cache keeps an entry's lookup
+    consistent; the tables are filled without a lock, with deterministic
+    values stored whole and never modified, so a race stores the same bits
+    (a concurrent miss may build an entry twice; one is kept)."""
+    return _tau_memo(struct.pack("<2d", tau.real, tau.imag))
 
 
 def _r_term_direct(z: complex, z2h: complex, w: complex, pieces) -> complex:
@@ -362,7 +362,7 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
         m_switch = int(math.ceil(max(_STABLE_RADIUS, 2.0 * abs(z)) / abs_tau))
     else:
         m_switch = N + 1
-    direct, stable = _gn_pieces(tau_key(tau))
+    direct, stable, _ = tau_memo(tau)
     sr = cr = si = ci = 0.0
     # the memo lookups are inlined: a helper call per term cost a few percent
     # of the sum
@@ -412,10 +412,6 @@ def cd_sums(tau: complex, m: int, k0: int):
         t = trigamma(k * tau)
         p1_r, p1_c = _neumaier_add(p1_r, p1_c, t.real)
         p1_i, p1_ci = _neumaier_add(p1_i, p1_ci, t.imag)
-    s0 = 0j
-    s1 = 0j
-    h1 = 0.0
-    h2 = 0.0
     s0r = s0c = s0i = s0ci = 0.0
     s1r = s1c = s1i = s1ci = 0.0
     h1s = h1c = 0.0

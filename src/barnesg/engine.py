@@ -193,17 +193,9 @@ def _p_rounded(k: int) -> tuple[tuple[float, ...], ...]:
                  for row in p_poly(k).coeffs)
 
 
-# Row values of P_k(z;-tau), the coefficient of each power of z, by Horner
-# in -tau: {k: rows} per tau, for the last 8 tau (k <= 16, the largest M).
-# Keyed and shared across threads as backend._gn_pieces is.
-@functools.lru_cache(maxsize=8)
-def _p_rows(tau_bits: bytes) -> dict:
-    return {}
-
-
 def _p_value(p_rows: dict, z: complex, tau: complex, k: int) -> complex:
-    """P_k(z;-tau) by Horner in z over the rows of p_rows, which belongs to
-    tau; a missing row set is built once."""
+    """P_k(z;-tau) by Horner in z over p_rows, tau's table of rows in
+    backend.tau_memo; a missing row set is built once, by Horner in -tau."""
     rows = p_rows.get(k)
     if rows is None:
         rows = []
@@ -229,7 +221,7 @@ def _correction(z: complex, tau: complex, N: int, M: int) -> tuple[complex, floa
     npow = invN
     acc = 0j
     last = 0.0
-    p_rows = _p_rows(backend.tau_key(tau))
+    p_rows = backend.tau_memo(tau)[2]
     for k in range(1, M + 1):
         pk = _p_value(p_rows, z, tau, k)
         term = z3 * pw * pk / (k * (k + 1) * (k + 2)) * npow
@@ -313,7 +305,7 @@ def _plan(z: complex, tau: complex, orders) -> ComputeParams:
     target = _TARGET * (1.0 + az)
     z3 = az * az * az
     inv_tau = 1.0 / abs(tau)
-    p_rows = _p_rows(backend.tau_key(tau))
+    p_rows = backend.tau_memo(tau)[2]
     at_n0 = target * (n0 * c - 1.0)
     b, ok = {}, {}
 
@@ -399,8 +391,7 @@ def double_gamma_value(z: complex, tau: complex,
         return 0j
 
 
-def asymptotic_coeffs(tau: complex, n_tail: int = 0,
-                      params: ComputeParams | None = None) -> AsymptoticCoeffs:
+def asymptotic_coeffs(tau: complex, n_tail: int = 0) -> AsymptoticCoeffs:
     """Closed-form a/b coefficients plus n_tail inverse-power tail terms."""
     tau = check_off_cut(tau)
     if n_tail < 0:
@@ -416,7 +407,7 @@ def asymptotic_coeffs(tau: complex, n_tail: int = 0,
         a0=tau / 12.0 + 0.25 + inv / 12.0,
         a1=-0.5 * (1.0 + inv),
         a2=0.5 * inv,
-        b0=b0_of_tau(tau, params),
+        b0=b0_of_tau(tau),
         b1=0.5 * ((inv + 1.0) * (1.0 + ln_tau) + LN_2PI),
         b2=-(1.5 + ln_tau) / (2.0 * tau),
         tail=tuple(tail),
@@ -466,13 +457,13 @@ def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
     return acc
 
 
-def b0_of_tau(tau: complex, params: ComputeParams | None = None) -> complex:
+def b0_of_tau(tau: complex) -> complex:
     """Constant term of the large-z expansion, from the closed form
     b0 = (1/3){ln[G(1/2;tau)^2 G(tau;2tau)] - (1+tau)/2 ln 2pi
                - a0(tau) ln(tau^3/2) - ln 2} with canonical engine logs."""
     tau = check_off_cut(tau)
-    lg_half = log_double_gamma(0.5, tau, params).log_value
-    lg_tt = log_double_gamma(tau, 2.0 * tau, params).log_value
+    lg_half = log_double_gamma(0.5, tau).log_value
+    lg_tt = log_double_gamma(tau, 2.0 * tau).log_value
     a0 = tau / 12.0 + 0.25 + 1.0 / (12.0 * tau)
     ln2 = math.log(2.0)
     return (2.0 * lg_half + lg_tt

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .engine import (
+    _safe_exp,
     b0_of_tau,
     double_gamma_value,
     gamma2,
@@ -72,15 +73,17 @@ class IdentityReport:
 def check_functional_equations(z: complex, tau: complex) -> tuple[float, float]:
     """Multiplicative residuals of the two shift equations
     G(z+1) = Gamma(z/tau) G(z) and G(z+tau) = (2pi)^((tau-1)/2)
-    tau^(1/2-z) Gamma(z) G(z)."""
+    tau^(1/2-z) Gamma(z) G(z), from canonical logs."""
     z = complex(z)
     tau = complex(tau)
-    g0 = double_gamma_value(z, tau)
-    r1 = double_gamma_value(z + 1, tau) / (cmath.exp(log_gamma(z / tau)) * g0)
-    pref = cmath.exp(0.5 * (tau - 1) * LN_2PI
-                     + (0.5 - z) * cmath.log(tau) + log_gamma(z))
-    r2 = double_gamma_value(z + tau, tau) / (pref * g0)
-    return abs(r1 - 1), abs(r2 - 1)
+    g0 = log_double_gamma(z, tau).log_value
+    r1 = abs(_safe_exp(log_double_gamma(z + 1, tau).log_value
+                       - log_gamma(z / tau) - g0) - 1)
+    log_pref = (0.5 * (tau - 1) * LN_2PI
+                + (0.5 - z) * cmath.log(tau) + log_gamma(z))
+    r2 = abs(_safe_exp(log_double_gamma(z + tau, tau).log_value
+                       - log_pref - g0) - 1)
+    return r1, r2
 
 
 def check_reflection(z: complex, tau: complex) -> float:
@@ -98,14 +101,14 @@ def check_reflection(z: complex, tau: complex) -> float:
 
 
 def check_modular(z: complex, tau: complex) -> float:
-    """G(z;tau) vs (2pi)^(z(1-1/tau)/2) tau^((z-z^2)/(2tau)+z/2-1) G(z/tau;1/tau)."""
+    """G(z;tau) vs (2pi)^(z(1-1/tau)/2) tau^((z-z^2)/(2tau)+z/2-1) G(z/tau;1/tau),
+    from canonical logs."""
     z = complex(z)
     tau = complex(tau)
-    lhs = double_gamma_value(z, tau)
-    pref = cmath.exp(0.5 * z * (1 - 1 / tau) * LN_2PI
-                     + ((z - z * z) / (2 * tau) + 0.5 * z - 1) * cmath.log(tau))
-    rhs = pref * double_gamma_value(z / tau, 1 / tau)
-    return abs(lhs / rhs - 1)
+    log_pref = (0.5 * z * (1 - 1 / tau) * LN_2PI
+                + ((z - z * z) / (2 * tau) + 0.5 * z - 1) * cmath.log(tau))
+    return abs(_safe_exp(log_double_gamma(z, tau).log_value - log_pref
+                         - log_double_gamma(z / tau, 1 / tau).log_value) - 1)
 
 
 def check_multiplication(z: complex, tau: complex, p: int, q: int) -> float:

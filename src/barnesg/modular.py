@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 from . import backend
 from ._laurent import Laurent
-from .backend import EULER_GAMMA, LN_2PI, binet_j, psi_tail
+from .backend import _MAX_ARG, EULER_GAMMA, LN_2PI, binet_j, psi_tail
 from .errors import CapacityError, ConsistencyError, DomainError, PreconditionError
 from .kernels import QuadratureSpec, elliptic_ke, integrate_semiaxis, log_gamma, polygamma
 
 _PI2_6 = math.pi * math.pi / 6.0
-_MAX_ARG = 2.356194490192345  # 3*pi/4
 # hard cap on every truncation length: the product length N, the
 # Euler-Maclaurin length m and the rows of a zero-lattice window
 _N_CAP = 1_000_000
@@ -186,7 +185,7 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
 
 
 @functools.lru_cache(maxsize=512)
-def modular_forms_cached(tau: complex, m: int | None = None) -> ModularForms:
+def modular_forms_cached(tau: complex, m: int) -> ModularForms:
     """Memoized modular_forms_em (the engine hits the same tau repeatedly)."""
     return modular_forms_em(tau, m)
 

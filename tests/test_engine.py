@@ -467,27 +467,41 @@ def test_memo_bounds():
     # twenty fresh tau, each summed past the cached m; every other one in
     # the all-direct sector, so both branches fill up to the bound
     rng = random.Random(9)
-    keys = []
+    taus = []
     for i in range(20):
         tau = _fresh_tau(rng)
         if i % 2:
             tau = complex(-tau.real - 1.0, 0.3 * tau.imag)
-        keys.append(backend.tau_key(tau))
+        taus.append(tau)
         backend.gn_sum(0.5 + 0.5j, tau, 1100)
         engine._correction(1.0 + 1.0j, tau, 64, 16)
-        assert backend._gn_pieces.cache_info().currsize <= 8
-        assert engine._p_rows.cache_info().currsize <= 8
-    assert backend._gn_pieces.cache_info().currsize == 8
-    assert engine._p_rows.cache_info().currsize == 8
-    # the tables of the last 8 tau, read back (cache hits, so none evicted)
-    gn = [backend._gn_pieces(k) for k in keys[-8:]]
-    rows = [engine._p_rows(k) for k in keys[-8:]]
-    assert backend._gn_pieces.cache_info().currsize == 8
-    for tables, max_key in (([t[0] for t in gn], backend._MEMO_M),
-                            ([t[1] for t in gn], backend._MEMO_M),
-                            (rows, 16)):
+        assert backend._tau_memo.cache_info().currsize <= 8
+    assert backend._tau_memo.cache_info().currsize == 8
+    # the entries of the last 8 tau, read back (cache hits, so none evicted)
+    memo = [backend.tau_memo(t) for t in taus[-8:]]
+    assert backend._tau_memo.cache_info().currsize == 8
+    for i, max_key in ((0, backend._MEMO_M), (1, backend._MEMO_M), (2, 16)):
+        tables = [entry[i] for entry in memo]
         assert max(max(t, default=0) for t in tables) == max_key
         assert all(1 <= m <= max_key for t in tables for m in t)
+
+
+def test_memo_entry_filled_and_evicted_whole():
+    # one evaluation fills all three tables of its tau's entry; 8 further
+    # tau evict the entry, and with it all three tables at once
+    rng = random.Random(10)
+    tau = _fresh_tau(rng)
+    log_double_gamma(9.0 + 2.0j, tau)   # auto plan: both gn_sum branches
+    direct, stable, p_rows = entry = backend.tau_memo(tau)
+    assert direct and stable and p_rows
+    misses = backend._tau_memo.cache_info().misses
+    assert backend.tau_memo(tau) is entry
+    for _ in range(8):
+        log_double_gamma(9.0 + 2.0j, _fresh_tau(rng))
+    assert backend._tau_memo.cache_info().misses == misses + 8
+    fresh = backend.tau_memo(tau)
+    assert backend._tau_memo.cache_info().misses == misses + 9
+    assert fresh is not entry and fresh == ({}, {}, {})
 
 
 # ----------------------------------------------------------- asymptotics

@@ -71,6 +71,15 @@ def test_functional_equation_near_zero_conditioning():
     assert r1 < 1e-7 and r2 < 1e-7
 
 
+def test_checks_past_the_binary64_range_of_G():
+    # G(z;tau) overflows binary64 at these points; the residuals come from
+    # canonical logs, so they stay finite and small
+    assert check_modular(30, 0.5) <= 1e-9
+    assert check_modular(45, 0.5) <= 1e-9
+    r1, r2 = check_functional_equations(80, 0.5)
+    assert r1 <= 1e-9 and r2 <= 1e-9
+
+
 # ------------------------------------------------------------------ suite
 
 def test_suite_default_passes():
