@@ -55,6 +55,11 @@ _B2K = (
 _BINET = tuple(b / ((2 * j + 1) * (2 * j + 2)) for j, b in enumerate(_B2K))
 # psi tail coefficients B_2j / (2j).
 _PSI_TAIL = tuple(b / (2 * (j + 1)) for j, b in enumerate(_B2K))
+# psi^(k) tail coefficients B_2j (2j+k-1)! / (2j)!, for k = 2..12.
+_POLYGAMMA_TAIL = {
+    k: tuple(b * math.factorial(2 * j + k - 1) / math.factorial(2 * j)
+             for j, b in enumerate(_B2K, start=1))
+    for k in range(2, 13)}
 
 # 15-term rational approximation for Gamma (Godfrey's g = 607/128 set).
 _LANCZOS_G = 607.0 / 128.0
@@ -139,49 +144,36 @@ def loggamma_stirling(z: complex) -> complex:
     return _binet(w) + (w - 0.5) * cmath.log(w) - w + _HALF_LN_2PI - shift
 
 
-def _binet(w: complex) -> complex:
-    # J(w) = sum B_2j / ((2j-1)(2j) w^(2j-1)); caller guarantees |w| >= 8
-    # and |arg w| <= 3pi/4 (or much larger |w| near the angle bound).
-    iw = 1.0 / w
-    iw2 = iw * iw
-    acc = 0j
-    p = iw
-    for c in _BINET:
+def _tail(coeffs, p: complex, iw2: complex, acc: complex) -> complex:
+    # acc + sum_j coeffs[j] p iw2^j, stopped once a term falls below 1e-18 of
+    # the running sum: the one loop behind every Bernoulli tail
+    for c in coeffs:
         term = c * p
         acc += term
         if abs(term) < 1e-18 * (abs(acc) + 1e-30):
             break
         p *= iw2
     return acc
+
+
+def _binet(w: complex) -> complex:
+    # J(w) = sum B_2j / ((2j-1)(2j) w^(2j-1)); caller guarantees |w| >= 8
+    # and |arg w| <= 3pi/4 (or much larger |w| near the angle bound).
+    iw = 1.0 / w
+    return _tail(_BINET, iw, iw * iw, 0j)
 
 
 def _psi_tail(w: complex) -> complex:
     # S(w) = sum B_2j / (2j w^(2j)), the tail of psi(w) ~ log w - 1/(2w) - S.
     iw2 = 1.0 / (w * w)
-    acc = 0j
-    p = iw2
-    for c in _PSI_TAIL:
-        term = c * p
-        acc += term
-        if abs(term) < 1e-18 * (abs(acc) + 1e-30):
-            break
-        p *= iw2
-    return acc
+    return _tail(_PSI_TAIL, iw2, iw2, 0j)
 
 
 def _psi1_tail(w: complex) -> complex:
     # S'(w)-type tail: psi'(w) ~ 1/w + 1/(2w^2) + sum B_2j w^(-2j-1).
     iw = 1.0 / w
     iw2 = iw * iw
-    acc = 0j
-    p = iw2 * iw
-    for c in _B2K:
-        term = c * p
-        acc += term
-        if abs(term) < 1e-18 * (abs(acc) + 1e-30):
-            break
-        p *= iw2
-    return acc
+    return _tail(_B2K, iw2 * iw, iw2, 0j)
 
 
 def _cot_pi(z: complex) -> complex:
@@ -258,16 +250,8 @@ def polygamma(k: int, z: complex) -> complex:
     # psi^(k)(w) = (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1))
     #              + sum_j B_2j (2j+k-1)!/(2j)! w^(-2j-k) ]
     iw = 1.0 / w
-    iw2 = iw * iw
     acc = math.factorial(k - 1) * iw ** k + 0.5 * fact_k * iw ** (k + 1)
-    p = iw ** (k + 2)
-    for j, b in enumerate(_B2K, start=1):
-        coeff = b * math.factorial(2 * j + k - 1) / math.factorial(2 * j)
-        term = coeff * p
-        acc += term
-        if abs(term) < 1e-18 * (abs(acc) + 1e-30):
-            break
-        p *= iw2
+    acc = _tail(_POLYGAMMA_TAIL[k], iw ** (k + 2), iw * iw, acc)
     if k % 2 == 0:
         acc = -acc
     return acc + shift

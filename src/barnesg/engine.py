@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +35,10 @@ from .errors import (
     LatticeZeroError,
     SectorError,
 )
-from .kernels import QuadratureSpec, integrate_semiaxis, log_gamma
-from .modular import (_N_CAP, _cut_distance, check_finite, check_off_cut,
-                      default_m, modular_forms_cached)
+from .kernels import (_N_CAP, QuadratureSpec, check_finite,
+                      integrate_semiaxis, log_gamma)
+from .modular import (_cut_distance, check_off_cut, default_m,
+                      modular_forms_cached)
 from .polys import eval_rational_poly, p_poly, q_poly
 
 # error target of the automatic truncation, per unit of 1 + |z|: the
@@ -212,34 +214,31 @@ def _p_value(p_rows: dict, z: complex, tau: complex, k: int) -> complex:
     return pk
 
 
-def _correction(z: complex, tau: complex, N: int, M: int) -> tuple[complex, float]:
-    """Correction series value and the magnitude of its last term."""
+def _coefficients(z: complex, tau: complex):
+    """Yield the N-free correction coefficients a_k = z^3 (-tau)^(-k-1)
+    P_k(z;-tau) / (k(k+1)(k+2)) for k = 1, 2, ...; the k-th correction term
+    at N is a_k N^(-k). Lazy: no order past the last one read is built."""
     z3 = z * z * z
     inv_neg_tau = -1.0 / tau
     pw = inv_neg_tau * inv_neg_tau      # (-tau)^(-k-1) at k = 1
-    invN = 1.0 / N
-    npow = invN
-    acc = 0j
-    last = 0.0
     p_rows = backend.tau_memo(tau)[2]
-    for k in range(1, M + 1):
-        pk = _p_value(p_rows, z, tau, k)
-        term = z3 * pw * pk / (k * (k + 1) * (k + 2)) * npow
-        acc += term
-        last = abs(term)
+    for k in itertools.count(1):
+        yield z3 * pw * _p_value(p_rows, z, tau, k) / (k * (k + 1) * (k + 2))
         pw *= inv_neg_tau
-        npow *= invN
-    return acc, last
 
 
-def _error_heuristic(z: complex, tau: complex, N: int, last_term: float) -> float:
-    # geometric-tail heuristic scaled by N; the series ratio is ~ |z/(N tau)|
-    r = abs(z) / (N * abs(tau))
-    if r == 0.0:
-        return 0.0
-    if r >= 1.0:
-        return math.inf
-    return last_term * N / (1.0 / r - 1.0)
+def _error_bound(a: list, N: int, M: int, az: float, atau: float) -> float:
+    """Truncation error of the correction after order M at N, a[k - 1] = a_k,
+    az = |z|, atau = |tau|: the geometric tail |a_k| N^(1-k) |z| /
+    (N|tau| - |z|) of the series in z/(N tau) past the term a_k N^(-k), the
+    larger at k = M and M - 1. Order M - 1 counts because a small
+    |P_M(z;-tau)| (a z near one of its zeros, or the odd orders at small
+    |z|, whose terms run far below their neighbours') reads a small last
+    term with a large error. Needs N|tau| > |z|."""
+    last = abs(a[M - 1]) * N ** (1 - M)
+    if M > 1:
+        last = max(last, abs(a[M - 2]) * N ** (2 - M))
+    return last * az / (N * atau - az)
 
 
 def _n_floor(z: complex, tau: complex) -> int:
@@ -259,74 +258,49 @@ def _n_floor(z: complex, tau: complex) -> int:
     return max(math.ceil(floor), math.floor(cut) + 1)
 
 
-def _least_n(b: float, c: float, M: int, n_lo: int, target: float) -> int:
-    """Least N >= n_lo at which the error heuristic at order M,
-    b N^(1-M) / (N c - 1), meets target; _N_CAP + 1 when that N is past
-    the cap. n_lo must miss the target. The heuristic decreases in N, so
-    its root lies in ((b/(target c))^(1/M), (b/(target (c - 1/n_lo)))^(1/M)],
-    a bracket that bisection narrows to the least integer."""
-    if not math.isfinite(b):
-        return _N_CAP + 1
-    lo = max(n_lo, math.floor(min((b / (target * c)) ** (1.0 / M), _N_CAP)))
-    hi = math.ceil(min((b / (target * (c - 1.0 / n_lo))) ** (1.0 / M),
-                       _N_CAP)) + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if b * mid ** (1 - M) <= target * (mid * c - 1.0):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _plan(z: complex, tau: complex, orders) -> ComputeParams:
-    """The least (N, M), M in orders (ascending), at which the error
-    heuristics of both order M and order M - 1 meet the target: N =
-    _n_floor with the first M that passes there, else the least N over all
-    orders (the lower M on a tie). m_cd = default_m(tau). CapacityError
-    when N or m_cd would exceed _N_CAP.
+    """The least (N, M), M in orders (ascending), at which _error_bound
+    meets the target: N = _n_floor with the first M that passes there, else
+    the least N at which any order passes, with the first M that passes
+    there. m_cd = default_m(tau). CapacityError when N or m_cd would exceed
+    _N_CAP.
 
-    With r = |z|/(N|tau|) the heuristic of order k is t_k N / (1/r - 1),
-    and the k-th correction term is t_k = b_k N^(-k) (N-free b_k from one
-    Horner of P_k(z;-tau)), so at fixed k it is explicit in N. Order M - 1
-    is checked too because a small |P_M(z;-tau)| (a z near one of its
-    zeros, or the odd orders at small |z|, whose terms run far below their
-    neighbours') would read a small last term with a large error. No order
-    past the first M that passes at N0 is built.
+    The bound decreases in N at every order, so that least N is bracketed
+    by doubling from N0 and found by bisection. No order past the first M
+    that passes at N0 is built.
     """
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
     n0 = _n_floor(z, tau)
     m_cd = default_m(tau)
-    az = abs(z)
-    if az == 0.0:  # no correction: every order meets the target
-        return ComputeParams(N=n0, M=orders[0], m_cd=m_cd)
-    c = abs(tau) / az
+    az, atau = abs(z), abs(tau)
     target = _TARGET * (1.0 + az)
-    z3 = az * az * az
-    inv_tau = 1.0 / abs(tau)
-    p_rows = backend.tau_memo(tau)[2]
-    at_n0 = target * (n0 * c - 1.0)
-    b, ok = {}, {}
-
-    def at_floor(k: int) -> bool:
-        # whether order k's heuristic meets the target at n0; fills b[k]
-        if k not in ok:
-            b[k] = (z3 * inv_tau ** (k + 1) * abs(_p_value(p_rows, z, tau, k))
-                    / (k * (k + 1) * (k + 2)))
-            ok[k] = b[k] * n0 ** (1 - k) <= at_n0
-        return ok[k]
-
-    def least(k: int) -> int:
-        return n0 if at_floor(k) else _least_n(b[k], c, k, n0, target)
-
+    coeffs = _coefficients(z, tau)
+    a = []
     for M in orders:
-        if at_floor(M) and (M == 1 or at_floor(M - 1)):
+        a.extend(itertools.islice(coeffs, M - len(a)))
+        if _error_bound(a, n0, M, az, atau) <= target:
             return ComputeParams(N=n0, M=M, m_cd=m_cd)
-    N, M = min((max(least(M), least(max(1, M - 1))), M) for M in orders)
-    if N > _N_CAP:
+
+    def first_order(N: int) -> int | None:
+        return next((M for M in orders
+                     if _error_bound(a, N, M, az, atau) <= target), None)
+
+    def passes(N: int) -> bool:  # past the cap, to stop the search there
+        return N > _N_CAP or first_order(N) is not None
+
+    lo, hi = n0, 2 * n0
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    if hi > _N_CAP:
         raise CapacityError(f"product truncation exceeded {_N_CAP}")
-    return ComputeParams(N=N, M=M, m_cd=m_cd)
+    return ComputeParams(N=hi, M=first_order(hi), m_cd=m_cd)
 
 
 def choose_params(z: complex, tau: complex) -> ComputeParams:
@@ -334,8 +308,8 @@ def choose_params(z: complex, tau: complex) -> ComputeParams:
 
     N starts at the floor N0 = ceil(8(2+|z|)/|tau|), raised where needed so
     that the disk |w - N tau| <= 2|z| misses the cut. At N0 the plan takes
-    the least M <= 16 whose error heuristic, and that of order M - 1, meet
-    the target 2^-52 (1 + |z|), the binary64 resolution of the result; only
+    the least M <= 16 whose error bound, over orders M and M - 1, meets the
+    target 2^-52 (1 + |z|), the binary64 resolution of the result; only
     when no M does is N raised, to the least N any M reaches.
     m_cd = default_m(tau). CapacityError when N or m_cd would exceed _N_CAP.
     """
@@ -368,7 +342,13 @@ def log_double_gamma(z: complex, tau: complex,
             " the product needs N |tau| > |z|")
     m_cd = params.m_cd if params.m_cd is not None else default_m(tau)
     mf = modular_forms_cached(tau, m_cd)
-    corr, last = _correction(z, tau, params.N, params.M)
+    a = list(itertools.islice(_coefficients(z, tau), params.M))
+    inv_n = 1.0 / params.N
+    npow = inv_n
+    corr = 0j
+    for ak in a:
+        corr += ak * npow
+        npow *= inv_n
     log_val = (-cmath.log(tau) - log_gamma(z)
                + mf.a_tilde * z / tau
                + mf.b_tilde * z * z / (2.0 * tau * tau)
@@ -377,7 +357,7 @@ def log_double_gamma(z: complex, tau: complex,
     return EvalResult(
         log_value=log_val,
         value=_safe_exp(log_val),
-        error_estimate=_error_heuristic(z, tau, params.N, last),
+        error_estimate=_error_bound(a, params.N, params.M, abs(z), abs(tau)),
         params_used=params,
     )
 

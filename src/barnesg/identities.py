@@ -113,60 +113,57 @@ def check_modular(z: complex, tau: complex) -> float:
 
 def check_multiplication(z: complex, tau: complex, p: int, q: int) -> float:
     """General multiplication identity relating G(z; p tau/q) to a p*q grid
-    of G(.;tau) values."""
+    of G(.;tau) values, from canonical logs."""
     if not (1 <= p <= 4 and 1 <= q <= 4):
         raise DomainError("p, q must lie in 1..4")
     z = complex(z)
     tau = complex(tau)
-    lhs = double_gamma_value(z, p * tau / q)
-    pref = cmath.exp((z - 1) * (q * z - p * tau) / (2 * p * tau) * math.log(q)
-                     - 0.5 * (q - 1) * (z - 1) * LN_2PI)
-    prod = 1 + 0j
-    for i in range(p):
-        for j in range(q):
-            prod *= double_gamma_value((z + i) / p + j * tau / q, tau)
-            prod /= double_gamma_value((1 + i) / p + j * tau / q, tau)
-    return abs(lhs / (pref * prod) - 1)
+    log_pref = ((z - 1) * (q * z - p * tau) / (2 * p * tau) * math.log(q)
+                - 0.5 * (q - 1) * (z - 1) * LN_2PI)
+    log_prod = sum(log_double_gamma((z + i) / p + j * tau / q, tau).log_value
+                   - log_double_gamma((1 + i) / p + j * tau / q, tau).log_value
+                   for i in range(p) for j in range(q))
+    return abs(_safe_exp(log_double_gamma(z, p * tau / q).log_value
+                         - log_pref - log_prod) - 1)
 
 
 def check_multiplication_tau_scaled(z: complex, tau: complex, p: int) -> float:
-    """Corollary G(pz; p tau) = prod_i G(z+i/p;tau)/G((1+i)/p;tau)."""
+    """Corollary G(pz; p tau) = prod_i G(z+i/p;tau)/G((1+i)/p;tau), from
+    canonical logs."""
     z = complex(z)
     tau = complex(tau)
-    lhs = double_gamma_value(p * z, p * tau)
-    prod = 1 + 0j
-    for i in range(p):
-        prod *= double_gamma_value(z + i / p, tau)
-        prod /= double_gamma_value((1 + i) / p, tau)
-    return abs(lhs / prod - 1)
+    log_prod = sum(log_double_gamma(z + i / p, tau).log_value
+                   - log_double_gamma((1 + i) / p, tau).log_value
+                   for i in range(p))
+    return abs(_safe_exp(log_double_gamma(p * z, p * tau).log_value
+                         - log_prod) - 1)
 
 
 def check_multiplication_z_scaled(z: complex, tau: complex, p: int) -> float:
-    """Corollary for G(pz;tau) over the p x p sublattice grid."""
+    """Corollary for G(pz;tau) over the p x p sublattice grid, from
+    canonical logs."""
     z = complex(z)
     tau = complex(tau)
-    lhs = double_gamma_value(p * z, tau)
-    pref = cmath.exp((p * z - 1) * (p * z - tau) / (2 * tau) * math.log(p)
-                     - 0.5 * (p - 1) * (p * z - 1) * LN_2PI)
-    prod = 1 + 0j
-    for i in range(p):
-        for j in range(p):
-            prod *= double_gamma_value(z + (i + j * tau) / p, tau)
-            prod /= double_gamma_value((1 + i + j * tau) / p, tau)
-    return abs(lhs / (pref * prod) - 1)
+    log_pref = ((p * z - 1) * (p * z - tau) / (2 * tau) * math.log(p)
+                - 0.5 * (p - 1) * (p * z - 1) * LN_2PI)
+    log_prod = sum(log_double_gamma(z + (i + j * tau) / p, tau).log_value
+                   - log_double_gamma((1 + i + j * tau) / p, tau).log_value
+                   for i in range(p) for j in range(p))
+    return abs(_safe_exp(log_double_gamma(p * z, tau).log_value
+                         - log_pref - log_prod) - 1)
 
 
 def check_product_identity(z: complex, tau: complex) -> float:
     """G(z;tau) vs ((1+tau)/tau)^(z^2/(2tau)-(1+tau)z/(2tau)+1)
-    (2pi)^(-z/(2tau)) G(z+1;1+tau) G(z/tau;1+1/tau)."""
+    (2pi)^(-z/(2tau)) G(z+1;1+tau) G(z/tau;1+1/tau), from canonical logs."""
     z = complex(z)
     tau = complex(tau)
-    lhs = double_gamma_value(z, tau)
     expo = z * z / (2 * tau) - (1 + tau) * z / (2 * tau) + 1
-    pref = cmath.exp(expo * cmath.log((1 + tau) / tau) - z / (2 * tau) * LN_2PI)
-    rhs = (pref * double_gamma_value(z + 1, 1 + tau)
-           * double_gamma_value(z / tau, 1 + 1 / tau))
-    return abs(lhs / rhs - 1)
+    log_pref = expo * cmath.log((1 + tau) / tau) - z / (2 * tau) * LN_2PI
+    return abs(_safe_exp(log_double_gamma(z, tau).log_value - log_pref
+                         - log_double_gamma(z + 1, 1 + tau).log_value
+                         - log_double_gamma(z / tau, 1 + 1 / tau).log_value)
+               - 1)
 
 
 _TWO_PI_THIRDS = 2.0 * math.pi / 3.0

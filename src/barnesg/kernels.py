@@ -6,14 +6,26 @@ All functions are pure and safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import backend
-from .errors import ConvergenceError, DomainError
+from .errors import CapacityError, ConvergenceError, DomainError
 
 _EPS = 2.220446049250313e-16
+# hard cap on every truncation length: the product length N, the
+# Euler-Maclaurin length m, the rows of a zero-lattice window and the
+# factors of a q-Pochhammer product
+_N_CAP = 1_000_000
+
+
+def check_finite(w: complex, what: str) -> complex:
+    w = complex(w)
+    if not cmath.isfinite(w):
+        raise DomainError(f"{what} must be finite, got {w}")
+    return w
 
 
 def log_gamma(z: complex) -> complex:
@@ -39,14 +51,23 @@ def polygamma(k: int, z: complex) -> complex:
 
 
 def q_pochhammer(a: complex, q: complex) -> complex:
-    """(a; q)_infinity = prod_{n>=0} (1 - a q^n) for |q| < 1."""
-    a = complex(a)
-    q = complex(q)
-    if abs(q) >= 1.0:
+    """(a; q)_infinity = prod_{n>=0} (1 - a q^n) for finite a and |q| < 1;
+    DomainError otherwise. CapacityError, before any factor, when the
+    product needs more than _N_CAP factors."""
+    a = check_finite(a, "a")
+    q = check_finite(q, "q")
+    aq = abs(q)
+    if aq >= 1.0:
         raise DomainError("q-Pochhammer requires |q| < 1")
+    # factors become exactly 1 once |a q^n| drops below the roundoff of 1,
+    # after log(|a|/eps) / -log|q| of them
+    aa = abs(a)
+    if (aa >= _EPS and aq
+            and math.log(aa) - math.log(_EPS) > -math.log(aq) * _N_CAP):
+        raise CapacityError(
+            f"q-Pochhammer product would exceed {_N_CAP} factors")
     prod = 1.0 + 0j
     term = a
-    # factors become exactly 1 once |a q^n| drops below the roundoff of 1
     while abs(term) >= _EPS:
         prod *= (1.0 - term)
         term *= q

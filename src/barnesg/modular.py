@@ -28,12 +28,10 @@ from . import backend
 from ._laurent import Laurent
 from .backend import _MAX_ARG, EULER_GAMMA, LN_2PI, binet_j, psi_tail
 from .errors import CapacityError, ConsistencyError, DomainError, PreconditionError
-from .kernels import QuadratureSpec, elliptic_ke, integrate_semiaxis, log_gamma, polygamma
+from .kernels import (_N_CAP, QuadratureSpec, check_finite, elliptic_ke,
+                      integrate_semiaxis, log_gamma, polygamma)
 
 _PI2_6 = math.pi * math.pi / 6.0
-# hard cap on every truncation length: the product length N, the
-# Euler-Maclaurin length m and the rows of a zero-lattice window
-_N_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -69,13 +67,6 @@ class ModularForms:
             "m_used": self.m_used,
             "error_estimate": self.error_estimate,
         }
-
-
-def check_finite(w: complex, what: str) -> complex:
-    w = complex(w)
-    if not cmath.isfinite(w):
-        raise DomainError(f"{what} must be finite, got {w}")
-    return w
 
 
 def check_off_cut(tau: complex, what: str = "tau") -> complex:

@@ -48,3 +48,19 @@ def test_run_suite_calls_lattice_distance(monkeypatch):
     monkeypatch.setattr(barnesg.identities, "lattice_distance", counting)
     barnesg.identities.run_suite(0)
     assert calls
+
+
+def test_auto_eval_calls_choose_params(monkeypatch):
+    # The traced benchmark measures engine.choose_params.us_per_call from
+    # the calls the automatic path makes through the name engine binds; a
+    # plan reached any other way leaves that layer with no calls.
+    calls = []
+    original = barnesg.engine.choose_params
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(barnesg.engine, "choose_params", counting)
+    barnesg.engine.log_double_gamma(1.5 + 0.5j, 2.0)
+    assert calls

@@ -2,6 +2,8 @@
 asymptotics, b0 identities, the symmetric form, and the integral oracle."""
 
 import cmath
+import functools
+import itertools
 import json
 import math
 import random
@@ -245,13 +247,15 @@ def test_functional_equation_near_cut_tau():
 
 # ------------------------------------------------------------ choose_params
 
-def _heuristic(z, tau, N, M):
-    return engine._error_heuristic(z, tau, N, engine._correction(z, tau, N, M)[1])
+def _bound(z, tau, N, M):
+    # the plan's error bound: orders M and M - 1 at N
+    a = list(itertools.islice(engine._coefficients(z, tau), M))
+    return engine._error_bound(a, N, M, abs(z), abs(tau))
 
 
 def test_choose_params_floor():
     # the plan: N at or past the floor N0 and clear of the cut, the
-    # heuristics of orders M and M - 1 within the target, and M the least
+    # bound over orders M and M - 1 within the target, and M the least
     # order for which both are at that N
     for z, tau in ((1.0, 1.0), (1.5 + 0.5j, 2.0), (SQRT3, SQRT3),
                    (2 + 1j, 1 + 1j), (0.3 + 2j, 0.7 - 0.4j), (5.0, 1.0),
@@ -266,8 +270,7 @@ def test_choose_params_floor():
         target = 2.0 ** -52 * (1 + abs(z))
 
         def meets(N, M):  # orders M and M - 1
-            return all(_heuristic(z, tau, N, k) <= target * (1 + 1e-9)
-                       for k in range(max(1, M - 1), M + 1))
+            return _bound(z, tau, N, M) <= target * (1 + 1e-9)
 
         assert meets(p.N, p.M), (z, tau)
         for M in range(1, p.M):
@@ -282,12 +285,12 @@ def test_choose_params_count():
     assert choose_params(1.5 + 0.5j, 2.0).N <= 32
 
 
-def test_auto_truncation_matches_reference():
-    # the automatic plan against a 2^14-term, order-16 reference, which
-    # shares its first N terms bit for bit, to 8 ulps of max(1, |log G|);
-    # every third |z| is drawn from [0.01, 0.3], where the odd correction
-    # terms run far below the even ones; at (0.0619, 2) a plan on the last
-    # term alone takes M = 7 and is 12 ulps off
+@functools.cache
+def _reference_points():
+    # (z, tau, reference log) with the reference at N = 2^14, M = 16, which
+    # shares its first N terms bit for bit with any smaller N; every third
+    # |z| is drawn from [0.01, 0.3], where the odd correction terms run far
+    # below the even ones
     rng = random.Random(13)
     points = [(0.0619, 2.0)]
     while len(points) < 25:
@@ -296,10 +299,35 @@ def test_auto_truncation_matches_reference():
         tau = cmath.rect(rng.uniform(0.3, 3), rng.uniform(-0.75, 0.75) * math.pi)
         if lattice_distance(z, tau) >= 1e-3:
             points.append((z, tau))
-    for z, tau in points:
+    return [(z, tau, log_double_gamma(z, tau, ComputeParams(N=2 ** 14, M=16)).log_value)
+            for z, tau in points]
+
+
+def test_auto_truncation_matches_reference():
+    # the automatic plan to 8 ulps of max(1, |log G|); at (0.0619, 2) a plan
+    # on the last term alone takes M = 7 and is 12 ulps off
+    for z, tau, ref in _reference_points():
         got = log_double_gamma(z, tau).log_value
-        ref = log_double_gamma(z, tau, ComputeParams(N=2 ** 14, M=16)).log_value
         assert abs(got - ref) <= 8 * 2.0 ** -52 * max(1.0, abs(ref)), (z, tau)
+
+
+def test_error_estimate_covers_the_error():
+    # at (0.0619, 2) order 7's term runs ~1000x below order 6's, so the last
+    # term alone reads 1e-17 against an error of 9e-15
+    z, tau, ref = _reference_points()[0]
+    r = log_double_gamma(z, tau, ComputeParams(N=9, M=7))
+    assert r.error_estimate >= abs(r.log_value - ref)
+    # explicit N in [N0, 3 N0] and any M: where the error is above the
+    # roundoff (8 ulps), the estimate is not more than 4x below it
+    rng = random.Random(14)
+    for z, tau, ref in _reference_points():
+        n0 = engine._n_floor(z, tau)
+        for _ in range(10):
+            p = ComputeParams(N=rng.randint(n0, 3 * n0), M=rng.randint(1, 16))
+            r = log_double_gamma(z, tau, p)
+            err = abs(r.log_value - ref)
+            if err > 8 * 2.0 ** -52 * max(1.0, abs(ref)):
+                assert 4 * r.error_estimate >= err, (z, tau, p)
 
 
 def test_choose_params_scaling():
@@ -424,8 +452,9 @@ def test_gn_sum_memo_interleaved_with_eviction():
             repr(_gn_sum_unmemoized(z, t, 90)), (z, t)
 
 
-def _correction_unmemoized(z, tau, N, M):
-    # the correction series with P_k(z;-tau) by the bivariate Horner
+def _coefficients_unmemoized(z, tau, M):
+    # the correction coefficients a_1..a_M with P_k(z;-tau) by the
+    # bivariate Horner
     def eval_p(coeffs, z, t):
         acc = 0j
         for row in reversed(coeffs):
@@ -438,29 +467,23 @@ def _correction_unmemoized(z, tau, N, M):
     z3 = z * z * z
     inv_neg_tau = -1.0 / tau
     pw = inv_neg_tau * inv_neg_tau
-    invN = 1.0 / N
-    npow = invN
-    acc = 0j
-    last = 0.0
+    a = []
     for k in range(1, M + 1):
         pk = eval_p(engine._p_rounded(k), z, -tau)
-        term = z3 * pw * pk / (k * (k + 1) * (k + 2)) * npow
-        acc += term
-        last = abs(term)
+        a.append(z3 * pw * pk / (k * (k + 1) * (k + 2)))
         pw *= inv_neg_tau
-        npow *= invN
-    return acc, last
+    return a
 
 
 def test_correction_memo_bit_identical():
     rng = random.Random(8)
     for _ in range(12):
         tau = _fresh_tau(rng)
-        for z, N, M in ((1.5 + 0.5j, 64, 12), (-3.0 + 2.0j, 200, 16),
-                        (0.7 - 0.1j, 128, 5)):
-            ref = repr(_correction_unmemoized(z, tau, N, M))
-            assert repr(engine._correction(z, tau, N, M)) == ref
-            assert repr(engine._correction(z, tau, N, M)) == ref
+        for z, M in ((1.5 + 0.5j, 12), (-3.0 + 2.0j, 16), (0.7 - 0.1j, 5)):
+            ref = repr(_coefficients_unmemoized(z, tau, M))
+            for _ in range(2):
+                a = itertools.islice(engine._coefficients(z, tau), M)
+                assert repr(list(a)) == ref
 
 
 def test_memo_bounds():
@@ -474,7 +497,7 @@ def test_memo_bounds():
             tau = complex(-tau.real - 1.0, 0.3 * tau.imag)
         taus.append(tau)
         backend.gn_sum(0.5 + 0.5j, tau, 1100)
-        engine._correction(1.0 + 1.0j, tau, 64, 16)
+        list(itertools.islice(engine._coefficients(1.0 + 1.0j, tau), 16))
         assert backend._tau_memo.cache_info().currsize <= 8
     assert backend._tau_memo.cache_info().currsize == 8
     # the entries of the last 8 tau, read back (cache hits, so none evicted)

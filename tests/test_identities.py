@@ -12,6 +12,8 @@ from barnesg.identities import (
     check_functional_equations,
     check_modular,
     check_multiplication,
+    check_multiplication_tau_scaled,
+    check_multiplication_z_scaled,
     check_product_identity,
     check_reflection,
     run_suite,
@@ -78,6 +80,10 @@ def test_checks_past_the_binary64_range_of_G():
     assert check_modular(45, 0.5) <= 1e-9
     r1, r2 = check_functional_equations(80, 0.5)
     assert r1 <= 1e-9 and r2 <= 1e-9
+    assert check_product_identity(30, 0.5) <= 1e-9
+    assert check_multiplication_z_scaled(20, 0.5, 2) <= 1e-9
+    assert check_multiplication_tau_scaled(30, 0.5, 2) <= 1e-9
+    assert check_multiplication(20, 0.5, 2, 3) <= 1e-9
 
 
 # ------------------------------------------------------------------ suite

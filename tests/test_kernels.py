@@ -4,12 +4,13 @@ integrals, and the semi-axis quadrature engine."""
 import cmath
 import math
 import random
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from barnesg.errors import ConvergenceError, DomainError, PoleError
+from barnesg.errors import CapacityError, ConvergenceError, DomainError, PoleError
 from barnesg.kernels import (
     QuadratureSpec,
     elliptic_ke,
@@ -157,6 +158,24 @@ def test_q_pochhammer_domain():
         q_pochhammer(0.5, 1.0)
     with pytest.raises(DomainError):
         q_pochhammer(0.5, -1.2 + 0.3j)
+    for a, q in ((1.0, math.nan), (math.inf, 0.5), (complex(0.5, math.nan), 0.3)):
+        with pytest.raises(DomainError):
+            q_pochhammer(a, q)
+
+
+def test_q_pochhammer_refuses_over_the_cap_at_once():
+    # about 3.5e8 factors before they round to 1: refused before the first
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        q_pochhammer(0.5, 0.9999999)
+    assert time.perf_counter() - t0 < 0.1
+    # 35 000 factors, well under the cap, still run to the end; the
+    # reference is log (a;q)_inf = -sum_k a^k / (k (1 - q^k))
+    v = q_pochhammer(0.5, 0.999)
+    with mp.workdps(30):
+        a, q = mp.mpf(0.5), mp.mpf(0.999)
+        ref = mp.exp(-mp.fsum(a ** k / (k * (1 - q ** k)) for k in range(1, 120)))
+    assert abs(v - complex(ref)) <= 1e-9 * abs(v)
 
 
 # ----------------------------------------------------------------- elliptic
