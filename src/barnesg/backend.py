@@ -271,16 +271,17 @@ _MEMO_M = 1024
 
 
 @functools.lru_cache(maxsize=8)
-def _tau_memo(tau_bits: bytes) -> tuple[dict, dict, dict]:
-    return {}, {}, {}
+def _tau_memo(tau_bits: bytes) -> tuple[dict, dict, dict, dict]:
+    return {}, {}, {}, {}
 
 
-def tau_memo(tau: complex) -> tuple[dict, dict, dict]:
+def tau_memo(tau: complex) -> tuple[dict, dict, dict, dict]:
     """The z-independent work of the evaluations at tau, kept for the last
-    8 tau as three tables: gn_sum's {m: (lgG(w), psi(w), psi'(w))} for the
+    8 tau as four tables: gn_sum's {m: (lgG(w), psi(w), psi'(w))} for the
     direct branch and {m: (1/w^2, J(w), S(w), S'(w))} for the stable one
     (w = m tau, m <= _MEMO_M; apart because which branch an m takes depends
-    on z), and the engine's p_rows {k: rows of P_k(z;-tau)}, k <= 16.
+    on z), the engine's p_rows {k: rows of P_k(z;-tau)}, k <= 16, and its
+    {len(tail): AsymptoticCoeffs} of the large-z expansion.
 
     Keyed by the bits of tau, since 0.0 and -0.0 compare equal but are
     different inputs. Threads: lru_cache keeps an entry's lookup
@@ -346,7 +347,7 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
         m_switch = int(math.ceil(max(_STABLE_RADIUS, 2.0 * abs(z)) / abs_tau))
     else:
         m_switch = N + 1
-    direct, stable, _ = tau_memo(tau)
+    direct, stable, _, _ = tau_memo(tau)
     sr = cr = si = ci = 0.0
     # the memo lookups are inlined: a helper call per term cost a few percent
     # of the sum

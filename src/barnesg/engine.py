@@ -39,11 +39,26 @@ from .kernels import (_N_CAP, QuadratureSpec, check_finite,
                       integrate_semiaxis, log_gamma)
 from .modular import (_cut_distance, check_off_cut, default_m,
                       modular_forms_cached)
-from .polys import eval_rational_poly, p_poly, q_poly
+from .polys import p_poly, q_poly
 
 # error target of the automatic truncation, per unit of 1 + |z|: the
 # binary64 resolution of a result of that size
 _TARGET = 2.0 ** -52
+# the automatic large-z route (_asymptotic_route): the most tail terms it
+# sums, and the tail it keeps per tau (two more, for the omitted terms)
+_TAIL_MAX = 16
+_TAIL_LEN = _TAIL_MAX + 2
+# margin in rad the expansion keeps from the zero cone
+_CONE_MARGIN = 0.2
+# largest e^(-2 pi s) the route accepts (2 pi s >= ln(1/_TARGET), s >= 5.74);
+# on a seeded grid the error of the terms beyond all orders stayed below
+# 0.03 e^(-2 pi s) |log G|
+_BEYOND_MAX = _TARGET
+# product floor N0 past which building the coefficients for a fresh tau
+# (b0_of_tau's two engine calls, ~2 ms) costs less than the product
+# (~7-10 us a term at a fresh tau); measured, the route wins 18 of 19 fresh
+# points with N0 in [200, 300) and 21 of 29 in [100, 200)
+_N0_CROSSOVER = 200
 
 
 @dataclass(frozen=True)
@@ -66,13 +81,16 @@ class ComputeParams:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Canonical log, value = exp(log), an a-posteriori error estimate, and
-    the truncations actually used."""
+    """Canonical log, value = exp(log), an a-posteriori error estimate, the
+    truncations planned, and the route that ran: "product" (the truncated
+    product, with params_used) or "asymptotic" (the large-z expansion, taken
+    by automatic evaluations only; params_used is then the product's plan)."""
 
     log_value: complex
     value: complex
     error_estimate: float
     params_used: ComputeParams
+    route: str = "product"
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,7 +105,9 @@ class EvalResult:
 @dataclass(frozen=True)
 class AsymptoticCoeffs:
     """Coefficients of the large-z expansion of ln G(z;tau):
-    (a2 z^2 + a1 z + a0) ln z + b2 z^2 + b1 z + b0 + sum tail[n] z^-n."""
+    (a2 z^2 + a1 z + a0) ln z + b2 z^2 + b1 z + b0 + sum tail[n] z^-n,
+    and b0_error, the error estimate of b0 (the only coefficient computed
+    by engine evaluations)."""
 
     a0: complex
     a1: complex
@@ -97,6 +117,7 @@ class AsymptoticCoeffs:
     b2: complex
     tail: tuple[complex, ...]
     tau: complex
+    b0_error: float = 0.0
 
 
 def _safe_exp(w: complex) -> complex:
@@ -319,11 +340,18 @@ def choose_params(z: complex, tau: complex) -> ComputeParams:
 def log_double_gamma(z: complex, tau: complex,
                      params: ComputeParams | None = None) -> EvalResult:
     """Canonical log of G(z;tau); raises LatticeZeroError at zeros of G,
-    whether or not the product with the given N would reach them."""
+    whether or not the product with the given N would reach them.
+
+    With params None the truncation is choose_params's plan, and where
+    _asymptotic_route shows the large-z expansion as accurate as that
+    product, the expansion runs instead (route "asymptotic"). Explicit
+    params always run the product.
+    """
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
+    auto = params is None
     refused = None
-    if params is None:
+    if auto:
         # before the zero test, so an overflowing |z| is refused at once; a
         # refusal for capacity waits for it, since a zero needs no terms
         try:
@@ -335,6 +363,10 @@ def log_double_gamma(z: complex, tau: complex,
             f"G({z};{tau}) = 0 on the zero lattice; no finite logarithm")
     if refused is not None:
         raise refused
+    if auto:
+        result = _asymptotic_route(z, tau, params)
+        if result is not None:
+            return result
     if not abs(z) < params.N * abs(tau):
         # the correction series in z/(N tau) diverges: refuse before summing
         raise CapacityError(
@@ -371,28 +403,63 @@ def double_gamma_value(z: complex, tau: complex,
         return 0j
 
 
+@functools.lru_cache(maxsize=64)
+def _q_rounded(n: int) -> tuple[float, ...]:
+    # q_n's coefficients from the exact table, each rounded to binary64 once
+    # (the rounding eval_rational_poly applies)
+    return tuple(float(c) for c in q_poly(n).coeffs)
+
+
+def _tail(tau: complex, n_tail: int) -> tuple[complex, ...]:
+    """The inverse-power coefficients tail[n - 1] of z^-n, n = 1..n_tail:
+    (-1)^(n+1) q_(n+2)(tau) / (tau n(n+1)(n+2))."""
+    tail = []
+    for n in range(1, n_tail + 1):
+        qv = 0j
+        for c in reversed(_q_rounded(n + 2)):
+            qv = qv * tau + c
+        sign = 1.0 if (n + 1) % 2 == 0 else -1.0
+        tail.append(sign * qv / (tau * n * (n + 1) * (n + 2)))
+    return tuple(tail)
+
+
+def _coeffs(tau: complex, tail: tuple[complex, ...]) -> AsymptoticCoeffs:
+    ln_tau = cmath.log(tau)
+    inv = 1.0 / tau
+    b0, b0_error = _b0(tau)
+    return AsymptoticCoeffs(
+        a0=tau / 12.0 + 0.25 + inv / 12.0,
+        a1=-0.5 * (1.0 + inv),
+        a2=0.5 * inv,
+        b0=b0,
+        b1=0.5 * ((inv + 1.0) * (1.0 + ln_tau) + LN_2PI),
+        b2=-(1.5 + ln_tau) / (2.0 * tau),
+        tail=tail,
+        tau=tau,
+        b0_error=b0_error,
+    )
+
+
 def asymptotic_coeffs(tau: complex, n_tail: int = 0) -> AsymptoticCoeffs:
     """Closed-form a/b coefficients plus n_tail inverse-power tail terms."""
     tau = check_off_cut(tau)
     if n_tail < 0:
         raise DomainError("n_tail must be nonnegative")
-    ln_tau = cmath.log(tau)
-    inv = 1.0 / tau
-    tail = []
-    for n in range(1, n_tail + 1):
-        qv = eval_rational_poly(q_poly(n + 2), tau)
-        sign = 1.0 if (n + 1) % 2 == 0 else -1.0
-        tail.append(sign * qv / (tau * n * (n + 1) * (n + 2)))
-    return AsymptoticCoeffs(
-        a0=tau / 12.0 + 0.25 + inv / 12.0,
-        a1=-0.5 * (1.0 + inv),
-        a2=0.5 * inv,
-        b0=b0_of_tau(tau),
-        b1=0.5 * ((inv + 1.0) * (1.0 + ln_tau) + LN_2PI),
-        b2=-(1.5 + ln_tau) / (2.0 * tau),
-        tail=tuple(tail),
-        tau=tau,
-    )
+    return _coeffs(tau, _tail(tau, n_tail))
+
+
+def _memo_coeffs(tau: complex, tail: tuple[complex, ...] | None = None
+                 ) -> AsymptoticCoeffs:
+    """tau's AsymptoticCoeffs with _TAIL_LEN tail terms (tail, when given,
+    is _tail(tau, _TAIL_LEN)), built once and stored whole in the
+    backend.tau_memo entry of tau."""
+    table = backend.tau_memo(tau)[3]
+    coeffs = table.get(_TAIL_LEN)
+    if coeffs is None:
+        if tail is None:
+            tail = _tail(tau, _TAIL_LEN)
+        coeffs = table[_TAIL_LEN] = _coeffs(tau, tail)
+    return coeffs
 
 
 def _sector_gap(theta: float, cut_angle: float) -> float:
@@ -404,6 +471,102 @@ def _sector_gap(theta: float, cut_angle: float) -> float:
     return abs(d)
 
 
+def _outside_cone(z: complex, tau: complex) -> bool:
+    """Whether arg z lies at least _CONE_MARGIN rad outside the zero cone,
+    the closed sector from arg(-tau) to pi taken the short way, which holds
+    the zeros -m tau - n. False at z = 0."""
+    if z == 0:
+        return False
+    # the cone is the arc of half-width (pi - |a|)/2 about the bisector of
+    # a = arg(-tau) and pi; a != 0 since tau is off the cut
+    a = cmath.phase(-tau)
+    half = 0.5 * (math.pi - abs(a))
+    return (_sector_gap(cmath.phase(z), math.copysign(math.pi - half, a))
+            >= half + _CONE_MARGIN)
+
+
+def _beyond_all_orders(z: complex, tau: complex) -> float:
+    """e^(-2 pi s), the size of the terms the expansion leaves out at every
+    order (those in e^(2 pi i z) and e^(2 pi i z/tau)): s is the least of
+    |Im z| where Re z < 0 and |Im(z/tau)| where Re(z/tau) < 0, and 0 is
+    returned when neither half-plane holds z."""
+    s = math.inf
+    if z.real < 0.0:
+        s = abs(z.imag)
+    w = z / tau
+    if w.real < 0.0:
+        s = min(s, abs(w.imag))
+    return math.exp(-2.0 * math.pi * s)
+
+
+def _tail_order(tail: tuple[complex, ...], az: float,
+                target: float) -> tuple[int, float] | None:
+    """The least n_tail <= _TAIL_MAX at which the first two omitted terms,
+    |tail[n_tail]| |z|^-(n_tail+1) and the next, both meet target, with the
+    larger of the two; None when none does. Two terms, since a tail
+    coefficient can vanish (the odd ones at tau = 1) and read a small
+    omitted term with a large error."""
+    inv = 1.0 / az
+    mags = []
+    p = inv
+    for c in tail:
+        mags.append(abs(c) * p)
+        p *= inv
+    for n in range(_TAIL_MAX + 1):
+        omitted = max(mags[n], mags[n + 1])
+        if omitted <= target:
+            return n, omitted
+    return None
+
+
+def _asymptotic_route(z: complex, tau: complex,
+                      params: ComputeParams) -> EvalResult | None:
+    """The large-z expansion at an automatic evaluation (params is the
+    product's plan) where it is provably as accurate as the product, else
+    None. It runs when all of these hold:
+
+    * |arg tau| <= 3pi/4, where b0_of_tau's engine calls are sound;
+    * |z| > 1 and |z/tau| > 1, so the calls inside b0_of_tau, at (1/2, tau)
+      and (tau, 2 tau), never come here: the route cannot recurse;
+    * the product floor N0 is past _N0_CROSSOVER, where building the
+      coefficients for a fresh tau costs less than the product;
+    * z is _outside_cone;
+    * the terms beyond all orders, e^(-2 pi s), are at most _BEYOND_MAX;
+    * some n_tail <= _TAIL_MAX meets the target _TARGET (1 + |z|).
+
+    The route depends on (z, tau) alone, never on what the memo holds, so
+    a call returns the same bits whatever ran before it. The error estimate
+    is the truncation (the omitted terms of _tail_order), plus
+    e^(-2 pi s) |log G|, plus b0's share of the error estimates of its two
+    engine calls.
+    """
+    az = abs(z)
+    if (abs(cmath.phase(tau)) > backend._MAX_ARG
+            or not min(az, az / abs(tau)) > 1.0
+            or _n_floor(z, tau) <= _N0_CROSSOVER
+            or not _outside_cone(z, tau)):
+        return None
+    beyond = _beyond_all_orders(z, tau)
+    if beyond > _BEYOND_MAX:
+        return None
+    coeffs = backend.tau_memo(tau)[3].get(_TAIL_LEN)
+    tail = coeffs.tail if coeffs is not None else _tail(tau, _TAIL_LEN)
+    order = _tail_order(tail, az, _TARGET * (1.0 + az))
+    if order is None:
+        return None
+    n_tail, omitted = order
+    if coeffs is None:
+        coeffs = _memo_coeffs(tau, tail)
+    log_val = log_double_gamma_asymptotic(z, tau, n_tail, coeffs)
+    return EvalResult(
+        log_value=log_val,
+        value=_safe_exp(log_val),
+        error_estimate=omitted + beyond * abs(log_val) + coeffs.b0_error,
+        params_used=params,
+        route="asymptotic",
+    )
+
+
 def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
                                 coeffs: AsymptoticCoeffs | None = None) -> complex:
     """Large-z expansion of ln G; principal log z, so the result matches the
@@ -411,22 +574,20 @@ def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
 
     z must stay 0.2 rad away from the zero cone, the closed sector from
     arg(-tau) to pi taken the short way, which holds the zeros
-    -m tau - n; violations raise SectorError.
+    -m tau - n; violations raise SectorError. Without usable coeffs, tau's
+    memoized ones are used (built once per tau) when they hold n_tail
+    terms.
     """
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
     if z == 0:
         raise SectorError("z = 0 is outside every admissible sector")
-    theta = cmath.phase(z)
-    # the cone is the arc of half-width (pi - |a|)/2 about the bisector of
-    # a = arg(-tau) and pi; a != 0 since tau is off the cut
-    a = cmath.phase(-tau)
-    half = 0.5 * (math.pi - abs(a))
-    if _sector_gap(theta, math.copysign(math.pi - half, a)) < half + 0.2:
-        raise SectorError(
-            f"arg z = {theta:.3f} is within 0.2 rad of the zero cone")
+    if not _outside_cone(z, tau):
+        raise SectorError(f"arg z = {cmath.phase(z):.3f} is within "
+                          f"{_CONE_MARGIN} rad of the zero cone")
     if coeffs is None or coeffs.tau != tau or len(coeffs.tail) < n_tail:
-        coeffs = asymptotic_coeffs(tau, n_tail)
+        coeffs = (_memo_coeffs(tau) if n_tail <= _TAIL_LEN
+                  else asymptotic_coeffs(tau, n_tail))
     ln_z = cmath.log(z)
     acc = ((coeffs.a2 * z * z + coeffs.a1 * z + coeffs.a0) * ln_z
            + coeffs.b2 * z * z + coeffs.b1 * z + coeffs.b0)
@@ -441,15 +602,20 @@ def b0_of_tau(tau: complex) -> complex:
     """Constant term of the large-z expansion, from the closed form
     b0 = (1/3){ln[G(1/2;tau)^2 G(tau;2tau)] - (1+tau)/2 ln 2pi
                - a0(tau) ln(tau^3/2) - ln 2} with canonical engine logs."""
-    tau = check_off_cut(tau)
-    lg_half = log_double_gamma(0.5, tau).log_value
-    lg_tt = log_double_gamma(tau, 2.0 * tau).log_value
+    return _b0(check_off_cut(tau))[0]
+
+
+def _b0(tau: complex) -> tuple[complex, float]:
+    # b0 and its share of the error estimates of the two engine calls
+    half = log_double_gamma(0.5, tau)
+    tt = log_double_gamma(tau, 2.0 * tau)
     a0 = tau / 12.0 + 0.25 + 1.0 / (12.0 * tau)
     ln2 = math.log(2.0)
-    return (2.0 * lg_half + lg_tt
-            - 0.5 * (1.0 + tau) * LN_2PI
-            - a0 * (3.0 * cmath.log(tau) - ln2)
-            - ln2) / 3.0
+    b0 = (2.0 * half.log_value + tt.log_value
+          - 0.5 * (1.0 + tau) * LN_2PI
+          - a0 * (3.0 * cmath.log(tau) - ln2)
+          - ln2) / 3.0
+    return b0, (2.0 * half.error_estimate + tt.error_estimate) / 3.0
 
 
 def gamma2(z: complex, w1: complex, w2: complex,
@@ -478,6 +644,7 @@ def gamma2(z: complex, w1: complex, w2: complex,
         value=_safe_exp(log_val),
         error_estimate=inner.error_estimate,
         params_used=inner.params_used,
+        route=inner.route,
     )
 
 

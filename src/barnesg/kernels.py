@@ -52,8 +52,9 @@ def polygamma(k: int, z: complex) -> complex:
 
 def q_pochhammer(a: complex, q: complex) -> complex:
     """(a; q)_infinity = prod_{n>=0} (1 - a q^n) for finite a and |q| < 1;
-    DomainError otherwise. CapacityError, before any factor, when the
-    product needs more than _N_CAP factors."""
+    DomainError otherwise, and when the product overflows binary64.
+    CapacityError, before any factor, when the product needs more than
+    _N_CAP factors."""
     a = check_finite(a, "a")
     q = check_finite(q, "q")
     aq = abs(q)
@@ -71,6 +72,8 @@ def q_pochhammer(a: complex, q: complex) -> complex:
     while abs(term) >= _EPS:
         prod *= (1.0 - term)
         term *= q
+    if not cmath.isfinite(prod):
+        raise DomainError(f"q-Pochhammer product ({a}; {q}) overflows binary64")
     return prod
 
 

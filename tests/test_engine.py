@@ -510,12 +510,12 @@ def test_memo_bounds():
 
 
 def test_memo_entry_filled_and_evicted_whole():
-    # one evaluation fills all three tables of its tau's entry; 8 further
-    # tau evict the entry, and with it all three tables at once
+    # one product evaluation fills the three product tables of its tau's
+    # entry; 8 further tau evict the entry, and with it every table at once
     rng = random.Random(10)
     tau = _fresh_tau(rng)
     log_double_gamma(9.0 + 2.0j, tau)   # auto plan: both gn_sum branches
-    direct, stable, p_rows = entry = backend.tau_memo(tau)
+    direct, stable, p_rows, _ = entry = backend.tau_memo(tau)
     assert direct and stable and p_rows
     misses = backend._tau_memo.cache_info().misses
     assert backend.tau_memo(tau) is entry
@@ -524,7 +524,7 @@ def test_memo_entry_filled_and_evicted_whole():
     assert backend._tau_memo.cache_info().misses == misses + 8
     fresh = backend.tau_memo(tau)
     assert backend._tau_memo.cache_info().misses == misses + 9
-    assert fresh is not entry and fresh == ({}, {}, {})
+    assert fresh is not entry and fresh == ({}, {}, {}, {})
 
 
 # ----------------------------------------------------------- asymptotics
@@ -546,13 +546,19 @@ def test_asymptotic_tail_sign_convention():
     assert abs(c.tail[0] - q3 / (6 * tau)) < 1e-14
 
 
+def _product(z, tau):
+    # the product at the automatic plan: independent of the large-z route,
+    # which automatic evaluations may take
+    return log_double_gamma(z, tau, choose_params(z, tau))
+
+
 def test_asymptotic_agreement_large_z():
     co = asymptotic_coeffs(SQRT2, 8)
-    le = log_double_gamma(40.0, SQRT2).log_value
+    le = _product(40.0, SQRT2).log_value
     la = log_double_gamma_asymptotic(40.0, SQRT2, 8, co)
     assert abs(cmath.exp(la - le) - 1) <= 1e-9
     co_t = asymptotic_coeffs(1 + 1j, 8)
-    le = log_double_gamma(30 + 30j, 1 + 1j).log_value
+    le = _product(30 + 30j, 1 + 1j).log_value
     la = log_double_gamma_asymptotic(30 + 30j, 1 + 1j, 8, co_t)
     assert abs(cmath.exp(la - le) - 1) <= 1e-8
 
@@ -567,7 +573,7 @@ def test_asymptotic_agreement_ray_grid():
         prev = None
         for r in (20.0, 40.0, 80.0):
             z = cmath.rect(r, ray)
-            le = log_double_gamma(z, tau).log_value
+            le = _product(z, tau).log_value
             la = log_double_gamma_asymptotic(z, tau, 8, co)
             err = abs(cmath.exp(la - le) - 1)
             assert err <= 1e-8, (ray, r)
@@ -581,7 +587,7 @@ def test_asymptotic_error_order_without_tail():
     # with n_tail = 0 the error is O(1/z): doubling z about halves it
     errs = []
     for z in (50.0, 100.0):
-        le = log_double_gamma(z, 1.0).log_value
+        le = _product(z, 1.0).log_value
         la = log_double_gamma_asymptotic(z, 1.0, 0)
         errs.append(abs(cmath.exp(la - le) - 1))
     ratio = errs[0] / errs[1]
@@ -598,6 +604,122 @@ def test_sector_violation():
     for z, tau in ((-50.5 - 49.7j, 1j), (-60.3 - 20.1j, 1 + 1j)):
         with pytest.raises(SectorError):
             log_double_gamma_asymptotic(z, tau, 8)
+
+
+# ------------------------------------------------- the automatic large-z route
+
+_EPS = 2.0 ** -52
+
+
+def test_asymptotic_route_agrees_with_product():
+    # seeded grid, |z| in [20, 1e4] with every arg (points inside the zero
+    # cone included), |arg tau| <= 3pi/4; the product reference is skipped
+    # past N = 40 000 terms for time, and two fixed points reach |z| = 1e4
+    rng = random.Random(11)
+    pts = [(cmath.rect(1e4, 0.3), 6 + 2j), (cmath.rect(1e4, -2.0), 5 - 3j)]
+    for _ in range(60):
+        tau = cmath.rect(0.5 * 6.0 ** rng.random(),
+                         0.75 * math.pi * (2 * rng.random() - 1))
+        z = cmath.rect(20.0 * 500.0 ** rng.random(),
+                       math.pi * (2 * rng.random() - 1))
+        pts.append((z, tau))
+    routes = []
+    for z, tau in pts:
+        plan = choose_params(z, tau)
+        if plan.N > 40000:
+            continue
+        r = log_double_gamma(z, tau)
+        p = log_double_gamma(z, tau, plan)
+        assert r.params_used == plan and p.route == "product"
+        routes.append(r.route)
+        if r.route == "product":
+            assert repr(r.log_value) == repr(p.log_value), (z, tau)
+            continue
+        # the same branch (no 2 pi i k offset), to 1e-13 relative
+        scale = max(1.0, abs(p.log_value))
+        err = abs(r.log_value - p.log_value)
+        assert err <= 1e-13 * scale, (z, tau, err)
+        # the estimate covers the error past 16 ulps of the log, the
+        # roundoff of the two routes that neither estimate counts
+        assert err <= r.error_estimate + 16 * _EPS * scale, (z, tau)
+        assert r.value == engine._safe_exp(r.log_value)
+    assert routes.count("asymptotic") >= 25 and routes.count("product") >= 8
+
+
+def test_asymptotic_route_falls_back_to_the_product():
+    # each point passes every condition of the route but the one named
+    cases = (
+        ((-50.5 - 49.7j, 1j), "in the zero cone"),
+        ((-60.3 - 20.1j, 1 + 1j), "in the zero cone"),
+        ((-20 + 5j, 0.5 + 0.5j), "e^(-2 pi s) above the target, s = 5"),
+        ((80 + 30j, -1.0 + 0.35j), "|arg tau| > 3pi/4"),
+        ((25 + 5j, 2.0), "N0 at the crossover or below"),
+    )
+    for (z, tau), why in cases:
+        r = log_double_gamma(z, tau)
+        p = log_double_gamma(z, tau, choose_params(z, tau))
+        assert r.route == "product", why
+        assert (repr(r.log_value), repr(r.error_estimate)) == \
+            (repr(p.log_value), repr(p.error_estimate)), why
+    assert not engine._outside_cone(-50.5 - 49.7j, 1j)
+    beyond = engine._beyond_all_orders(-20 + 5j, 0.5 + 0.5j)
+    assert beyond == math.exp(-10 * math.pi) > engine._BEYOND_MAX
+    assert engine._outside_cone(-20 + 5j, 0.5 + 0.5j)
+    assert engine._n_floor(-20 + 5j, 0.5 + 0.5j) > engine._N0_CROSSOVER
+    assert engine._n_floor(25 + 5j, 2.0) <= engine._N0_CROSSOVER
+    assert engine._outside_cone(80 + 30j, -1.0 + 0.35j)
+    assert engine._n_floor(80 + 30j, -1.0 + 0.35j) > engine._N0_CROSSOVER
+    # explicit params always run the product, where the route would not
+    z, tau = 300 + 100j, 1.5
+    assert log_double_gamma(z, tau).route == "asymptotic"
+    r = log_double_gamma(z, tau, ComputeParams(N=4000, M=12))
+    assert r.route == "product" and r.params_used.N == 4000
+
+
+def test_asymptotic_route_speed():
+    # a cold tau: the coefficients are built inside the call
+    backend._tau_memo.cache_clear()
+    t0 = time.perf_counter()
+    r = log_double_gamma(1e4, 1.0)
+    dt = time.perf_counter() - t0
+    assert r.route == "asymptotic" and dt < 0.05, dt
+    assert r.params_used == choose_params(1e4, 1.0)
+
+
+def test_b0_of_tau_never_reaches_the_expansion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("b0_of_tau reached the large-z expansion")
+
+    taus = (1.0, 0.01, 0.02 + 0.03j, 0.05j, 1e-3 + 2e-3j, 3 - 1j, 40 + 10j)
+    for tau in taus:
+        engine._memo_coeffs(tau)    # b0 is built through the product
+    monkeypatch.setattr(engine, "log_double_gamma_asymptotic", refuse)
+    for tau in taus:                # and again with tau's coefficients held
+        b0_of_tau(tau)
+        assert log_double_gamma(0.5, tau).route == "product"
+        assert log_double_gamma(tau, 2 * tau).route == "product"
+
+
+def test_asymptotic_coeffs_memoized_whole(monkeypatch):
+    tau = 1.3 + 0.4j + 1e-9 * _fresh_tau(random.Random(12))
+    z = 400 - 50j
+    first = log_double_gamma(z, tau)
+    assert first.route == "asymptotic"
+    table = backend.tau_memo(tau)[3]
+    coeffs = table[engine._TAIL_LEN]
+    assert list(table) == [engine._TAIL_LEN]
+    assert len(coeffs.tail) == engine._TAIL_LEN and coeffs.tau == tau
+    ref = asymptotic_coeffs(tau, 8)
+    assert repr(coeffs.tail[:8]) == repr(ref.tail)
+    assert repr(coeffs.b0) == repr(ref.b0) == repr(b0_of_tau(tau))
+    assert 0.0 < coeffs.b0_error == ref.b0_error
+    # later calls at tau, through the route or not, reuse the entry: no b0
+    # is built again, and the route returns the same bits
+    monkeypatch.setattr(engine, "_b0", None)
+    assert repr(log_double_gamma(z, tau).log_value) == repr(first.log_value)
+    la = log_double_gamma_asymptotic(-300 + 500j, tau, 8)
+    assert repr(la) == repr(log_double_gamma_asymptotic(-300 + 500j, tau, 8, ref))
+    assert table[engine._TAIL_LEN] is coeffs
 
 
 # ------------------------------------------------------------------- b0

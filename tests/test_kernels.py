@@ -161,6 +161,9 @@ def test_q_pochhammer_domain():
     for a, q in ((1.0, math.nan), (math.inf, 0.5), (complex(0.5, math.nan), 0.3)):
         with pytest.raises(DomainError):
             q_pochhammer(a, q)
+    # finite inputs whose product overflows binary64 (~1 050 factors)
+    with pytest.raises(DomainError):
+        q_pochhammer(1e300, 0.5)
 
 
 def test_q_pochhammer_refuses_over_the_cap_at_once():
