@@ -4,7 +4,8 @@
                       (-inf, 0], via a 15-term rational (Lanczos-type)
                       approximation plus reflection/conjugation.
 * ``digamma``/``trigamma`` - psi and psi' by recurrence shift + Bernoulli
-                      asymptotic series, reflection in the left half-plane.
+                      asymptotic series, reflection in the left half-plane
+                      (its e^{2 pi i z} taken at z - round(Re z)).
 * ``gn_sum``        - the truncated-product log sum
                       sum_{m=1..N} [lgG(m tau) - lgG(z+m tau) + z psi(m tau)
                       + z^2/2 psi'(m tau)],
@@ -13,11 +14,19 @@
                       pieces of each term that depend on m tau alone are
                       memoized per tau (``tau_memo``).
 * ``cd_sums``       - the partial psi/psi' sums feeding the gamma modular
-                      forms, split into a small-k direct part and Bernoulli
-                      tail pieces so that no intermediate grows with m.
+                      forms: a small-k direct part, and for the rest the
+                      Bernoulli tails summed over k by swapping the two sums,
+                      so that each tail order j carries one real power sum
+                      sum_k k^-s; no intermediate grows with m.
+
+Every Bernoulli-type tail (``_tail``) is a Horner polynomial whose length
+is read from a table of limits on its argument, built at import per
+coefficient set: the least count whose first omitted term is below 1e-18 of
+the first kept one. No term is tested as it is summed.
 
 Everything is deterministic: sums run sequentially in index order with
-Neumaier compensation, so repeated calls are bit-identical.
+Neumaier compensation or exactly (``math.fsum``), so repeated calls are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ import cmath
 import functools
 import math
 import struct
+from bisect import bisect_right
+from itertools import repeat
 
 from .errors import DomainError, PoleError
 
@@ -51,15 +62,43 @@ _B2K = (
     8553103.0 / 6.0,
 )
 
+
+class _Series:
+    """A Bernoulli-type tail sum_j c_j x^j with its fixed lengths: horner[i]
+    holds c_0 .. c_i, highest first, and is used where
+    limits[i - 1] <= |x| < limits[i] (see ``_tail``).
+
+    n terms suffice at |x| when the first omitted term is below 1e-18 of the
+    first kept one: |c_n| |x|^n < 1e-18 |c_0|. The least such n is the first
+    whose limit exceeds |x| once the limits are made non-decreasing by a
+    running maximum."""
+
+    __slots__ = ("limits", "horner")
+
+    def __init__(self, coeffs):
+        c = tuple(coeffs)
+        limits, top = [], 0.0
+        for n in range(1, len(c)):
+            top = max(top, (1e-18 * abs(c[0] / c[n])) ** (1.0 / n))
+            limits.append(top)
+        self.limits = tuple(limits)
+        self.horner = tuple(c[n::-1] for n in range(len(c)))
+
+
 # Binet-series coefficients B_2j / ((2j-1)(2j)).
-_BINET = tuple(b / ((2 * j + 1) * (2 * j + 2)) for j, b in enumerate(_B2K))
+_BINET = _Series(b / ((2 * j + 1) * (2 * j + 2)) for j, b in enumerate(_B2K))
 # psi tail coefficients B_2j / (2j).
-_PSI_TAIL = tuple(b / (2 * (j + 1)) for j, b in enumerate(_B2K))
+_PSI_TAIL = _Series(b / (2 * (j + 1)) for j, b in enumerate(_B2K))
+# psi' tail coefficients B_2j.
+_PSI1_TAIL = _Series(_B2K)
 # psi^(k) tail coefficients B_2j (2j+k-1)! / (2j)!, for k = 2..12.
 _POLYGAMMA_TAIL = {
-    k: tuple(b * math.factorial(2 * j + k - 1) / math.factorial(2 * j)
-             for j, b in enumerate(_B2K, start=1))
+    k: _Series(b * math.factorial(2 * j + k - 1) / math.factorial(2 * j)
+               for j, b in enumerate(_B2K, start=1))
     for k in range(2, 13)}
+# log(1+u) - u + u^2/2 coefficients (-1)^(k+1) / k, k = 3..22: enough for
+# |u| <= 0.109, where _log1p_tail switches to clog1p.
+_LOG1P = _Series((-1.0 if k % 2 == 0 else 1.0) / k for k in range(3, 23))
 
 # 15-term rational approximation for Gamma (Godfrey's g = 607/128 set).
 _LANCZOS_G = 607.0 / 128.0
@@ -94,12 +133,22 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
+def _exp2pi(z: complex) -> complex:
+    # e^{2 pi i z} at z - round(Re z): the shift is exact and the value has
+    # period 1, so a large Re z costs no bits of the phase
+    try:
+        z -= round(z.real)
+    except (OverflowError, ValueError):  # Re z infinite or NaN: no shift
+        pass
+    return cmath.exp(2j * math.pi * z)
+
+
 def _logsinpi_upper(z: complex) -> complex:
     # log sin(pi z) branch valid for Im z >= 0: sin(pi z) =
     # (i/2) e^{-i pi z} (1 - e^{2 pi i z}).
     return (complex(-math.log(2.0), 0.5 * math.pi)
             - 1j * math.pi * z
-            + clog1p(-cmath.exp(2j * math.pi * z)))
+            + clog1p(-_exp2pi(z)))
 
 
 def _loggamma_right(z: complex) -> complex:
@@ -144,16 +193,13 @@ def loggamma_stirling(z: complex) -> complex:
     return _binet(w) + (w - 0.5) * cmath.log(w) - w + _HALF_LN_2PI - shift
 
 
-def _tail(coeffs, p: complex, iw2: complex, acc: complex) -> complex:
-    # acc + sum_j coeffs[j] p iw2^j, stopped once a term falls below 1e-18 of
-    # the running sum: the one loop behind every Bernoulli tail
-    for c in coeffs:
-        term = c * p
-        acc += term
-        if abs(term) < 1e-18 * (abs(acc) + 1e-30):
-            break
-        p *= iw2
-    return acc
+def _tail(series: _Series, p: complex, x: complex, acc: complex) -> complex:
+    # acc + p sum_j c_j x^j over the count that |x| selects: the one
+    # loop behind every Bernoulli tail, a Horner of fixed length
+    s = 0j
+    for c in series.horner[bisect_right(series.limits, abs(x))]:
+        s = s * x + c
+    return acc + p * s
 
 
 def _binet(w: complex) -> complex:
@@ -173,12 +219,12 @@ def _psi1_tail(w: complex) -> complex:
     # S'(w)-type tail: psi'(w) ~ 1/w + 1/(2w^2) + sum B_2j w^(-2j-1).
     iw = 1.0 / w
     iw2 = iw * iw
-    return _tail(_B2K, iw2 * iw, iw2, 0j)
+    return _tail(_PSI1_TAIL, iw2 * iw, iw2, 0j)
 
 
 def _cot_pi(z: complex) -> complex:
     # cot(pi z) for Im z >= 0 without overflow: i + 2i / (e^{2 pi i z} - 1).
-    e = cmath.exp(2j * math.pi * z)
+    e = _exp2pi(z)
     return 1j + 2j / (e - 1.0)
 
 
@@ -209,7 +255,7 @@ def trigamma(z: complex) -> complex:
     if z.real < 0.5:
         # psi'(z) + psi'(1-z) = pi^2 / sin^2(pi z); stable sin^2 form for
         # the upper half-plane.
-        e = cmath.exp(2j * math.pi * z)
+        e = _exp2pi(z)
         inv_sin2 = -4.0 * e / ((1.0 - e) * (1.0 - e))
         return math.pi * math.pi * inv_sin2 - trigamma(1.0 - z)
     shift = 0j
@@ -298,20 +344,9 @@ def _r_term_direct(z: complex, z2h: complex, w: complex, pieces) -> complex:
 
 def _log1p_tail(u: complex) -> complex:
     # g(u) = log(1+u) - u + u^2/2 = sum_{k>=3} (-1)^(k+1) u^k / k, |u| <= 1/2.
-    au = abs(u)
-    if au > 0.109:
+    if abs(u) > 0.109:
         return clog1p(u) - u + 0.5 * u * u
-    acc = 0j
-    p = u * u * u
-    k = 3
-    floor = 1e-19 * au * au * au
-    while True:
-        term = p / k
-        acc += term if k % 2 == 1 else -term
-        if abs(term) < floor or k > 40:
-            return acc
-        p *= u
-        k += 1
+    return _tail(_LOG1P, u * u * u, u, 0j)
 
 
 def _r_term_stable(z: complex, z2h: complex, w: complex, pieces) -> complex:
@@ -385,7 +420,7 @@ def cd_sums(tau: complex, m: int, k0: int):
 
     so that sum psi(k tau) = psi_small + (m-k0) log tau + lgG(m) - lgG(k0)
     - h1/(2 tau) - s0_tail, with the lgG terms meant to be cancelled
-    analytically by the caller.
+    analytically by the caller, who keeps |k0 tau| in the Stirling regime.
     """
     tau = complex(tau)
     ps_r = ps_c = ps_i = ps_ci = 0.0
@@ -397,27 +432,29 @@ def cd_sums(tau: complex, m: int, k0: int):
         t = trigamma(k * tau)
         p1_r, p1_c = _neumaier_add(p1_r, p1_c, t.real)
         p1_i, p1_ci = _neumaier_add(p1_i, p1_ci, t.imag)
-    s0r = s0c = s0i = s0ci = 0.0
-    s1r = s1c = s1i = s1ci = 0.0
-    h1s = h1c = 0.0
-    h2s = h2c = 0.0
-    for k in range(k0, m):
-        w = k * tau
-        t = _psi_tail(w)
-        s0r, s0c = _neumaier_add(s0r, s0c, t.real)
-        s0i, s0ci = _neumaier_add(s0i, s0ci, t.imag)
-        t = _psi1_tail(w)
-        s1r, s1c = _neumaier_add(s1r, s1c, t.real)
-        s1i, s1ci = _neumaier_add(s1i, s1ci, t.imag)
-        h1s, h1c = _neumaier_add(h1s, h1c, 1.0 / k)
-        h2s, h2c = _neumaier_add(h2s, h2c, 1.0 / (k * k))
-    s0 = complex(s0r + s0c, s0i + s0ci)
-    s1 = complex(s1r + s1c, s1i + s1ci)
-    h1 = h1s + h1c
-    h2 = h2s + h2c
     psi_small = complex(ps_r + ps_c, ps_i + ps_ci)
     psi1_small = complex(p1_r + p1_c, p1_i + p1_ci)
-    return psi_small, psi1_small, s0, s1, h1, h2
+    if k0 >= m:
+        return psi_small, psi1_small, 0j, 0j, 0.0, 0.0
+    # The sums over k swapped with the tails' sums over j: with the power
+    # sums H_s = sum_{k0<=k<m} k^-s,
+    #   sum S(k tau)  = sum_j (B_2j/2j) tau^-2j H_2j,
+    #   sum S'(k tau) = sum_j B_2j tau^(-2j-1) H_(2j+1).
+    # H_(s+2j) <= k0^-2j H_s, so each j-series falls at least as fast as
+    # the tail at k0 tau, and takes that tail's count.
+    x = 1.0 / (tau * tau)
+    ax = abs(x) / (k0 * k0)
+    c0 = _PSI_TAIL.horner[bisect_right(_PSI_TAIL.limits, ax)]
+    c1 = _PSI1_TAIL.horner[bisect_right(_PSI1_TAIL.limits, ax)]
+    ks = [float(k) for k in range(k0, m)]
+    h = {s: math.fsum(map(pow, ks, repeat(-s)))
+         for s in range(1, 2 * max(len(c0), len(c1)) + 2)}
+    s0 = s1 = 0j
+    for j, c in enumerate(c0):
+        s0 = s0 * x + c * h[2 * (len(c0) - j)]
+    for j, c in enumerate(c1):
+        s1 = s1 * x + c * h[2 * (len(c1) - j) + 1]
+    return psi_small, psi1_small, x * s0, x * s1 / tau, h[1], h[2]
 
 
 def binet_j(w: complex) -> complex:

@@ -1,5 +1,6 @@
-"""Kernel-layer checks: log Gamma routes, polygamma, q-Pochhammer, elliptic
-integrals, and the semi-axis quadrature engine."""
+"""Kernel-layer checks: log Gamma routes, polygamma, the Bernoulli tails and
+the modular-form partial sums, q-Pochhammer, elliptic integrals, and the
+semi-axis quadrature engine."""
 
 import cmath
 import math
@@ -10,6 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from barnesg import backend
 from barnesg.errors import CapacityError, ConvergenceError, DomainError, PoleError
 from barnesg.kernels import (
     QuadratureSpec,
@@ -20,6 +22,7 @@ from barnesg.kernels import (
     polygamma,
     q_pochhammer,
 )
+from barnesg.modular import modular_forms_em
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -127,11 +130,185 @@ def test_polygamma_against_mpmath():
             assert abs(polygamma(k, z) - ref) <= 1e-12 * (1 + abs(ref)), (k, z)
 
 
+def _mp_psi(k, w):
+    # psi^(k)(w) in mpmath, evaluated at Re >= 1/2 only (mpmath shifts a
+    # left-half-plane argument step by step): left of that by the reflection
+    # psi^(k)(w) = (-1)^k psi^(k)(1 - w) - pi^(k+1) cot^(k)(pi w). Its last
+    # term is dropped for k >= 2, where every caller has Im w >= 30 and it
+    # is below 1e-60 of psi^(k)(w).
+    if w.real >= 0.5:
+        return mp.psi(k, w)
+    v = (-1) ** k * mp.psi(k, 1 - w)
+    if k == 0:
+        return v - mp.pi * mp.cot(mp.pi * w)
+    if k == 1:
+        return v + (mp.pi / mp.sin(mp.pi * w)) ** 2
+    assert w.imag >= 30
+    return v
+
+
+def test_reflection_branches_far_left_of_zero():
+    # the reflection branches of digamma and trigamma take e^{2 pi i z} at
+    # z - round(Re z); unreduced, it lost up to 2e-13 at Re z ~ -300
+    rng = random.Random(2024)
+    with mp.workdps(40):
+        n = 0
+        while n < 3000:
+            w = complex(rng.uniform(-300.0, 0.4), rng.uniform(-3.0, 3.0))
+            if abs(w - min(0, round(w.real))) <= 0.3:
+                continue
+            n += 1
+            mw = mp.mpc(w.real, w.imag)
+            for k in (0, 1):
+                ref = complex(_mp_psi(k, mw))
+                assert abs(polygamma(k, w) - ref) <= 4e-15 * max(1.0, abs(ref)), (k, w)
+
+
 def test_polygamma_pole_and_order():
     with pytest.raises(PoleError):
         polygamma(2, -1.0)
     with pytest.raises(DomainError):
         polygamma(13, 1.0)
+
+
+# --------------------------------------------------------- Bernoulli tails
+
+# arguments of the tails' w: every branch that calls a tail keeps
+# |arg w| <= 3pi/4, and past pi/2 it keeps |w| >= 16
+_TAIL_ARGS = (0.0, 1.0, 2.0, 0.75 * math.pi)
+
+
+def _tail_radii(series, r_min):
+    # |w| just below and just above each limit of the tail's counts (the
+    # limits are on |w^-2|), and fixed radii, from r_min up
+    radii = [8.0, 16.0, 1e3, 1e8]
+    for lim in series.limits:
+        r = lim ** -0.5
+        radii += [r * (1 - 1e-9), r * (1 + 1e-9)]
+    return sorted(r for r in radii if r >= r_min)
+
+
+def _tail_points(series, r_min):
+    for th in _TAIL_ARGS:
+        for r in _tail_radii(series, r_min if th <= math.pi / 2 else max(r_min, 16.0)):
+            w = cmath.rect(r, th)
+            yield w, mp.mpc(w.real, w.imag)
+
+
+def test_tails_at_the_limits_of_their_counts():
+    # J(w), S(w) and S'(w) themselves to a few ulp, at 60 digits since the
+    # references cancel ~2 log10|w| digits, and the kernels built on them
+    # within the kernel tolerances
+    def rel(got, ref):
+        ref = complex(ref)
+        return abs(got - ref) / abs(ref)
+
+    with mp.workdps(60):
+        for w, mw in _tail_points(backend._BINET, 8.0):
+            lg = mp.loggamma(mw)
+            j = lg - (mw - 0.5) * mp.log(mw) + mw - mp.log(2 * mp.pi) / 2
+            assert rel(backend._binet(w), j) <= 2e-15, w
+            assert abs(log_gamma_stirling(w) - complex(lg)) <= 1e-13 * (1 + abs(lg)), w
+        for w, mw in _tail_points(backend._PSI_TAIL, 8.0):
+            psi = _mp_psi(0, mw)
+            assert rel(backend._psi_tail(w), mp.log(mw) - 1 / (2 * mw) - psi) <= 2e-15, w
+            assert rel(polygamma(0, w), psi) <= 1e-12, w
+        for w, mw in _tail_points(backend._PSI1_TAIL, 10.0):
+            psi1 = _mp_psi(1, mw)
+            assert rel(backend._psi1_tail(w), psi1 - 1 / mw - 1 / (2 * mw * mw)) <= 2e-15, w
+            assert rel(polygamma(1, w), psi1) <= 1e-12, w
+    with mp.workdps(30):
+        for k, series in backend._POLYGAMMA_TAIL.items():
+            # polygamma's own shift rule: |w| >= 8 + 2k, and four times that
+            # left of Re w = 1/2
+            radius = 8.0 + 2 * k
+            for w, mw in _tail_points(series, radius):
+                if w.real < 0.5 and abs(w) < 4 * radius:
+                    continue
+                assert rel(polygamma(k, w), _mp_psi(k, mw)) <= 1e-12, (k, w)
+
+
+def test_log1p_tail_against_mpmath():
+    # g(u) = log(1+u) - u + u^2/2 by its fixed-length series for |u| <= 0.109
+    rng = random.Random(17)
+    us = [cmath.rect(lim * (1 + s * 1e-9), th)
+          for lim in backend._LOG1P.limits if 1e-4 <= lim <= 0.109
+          for s in (-1, 1) for th in (0.0, 1.0, 2.0, 3.0)]
+    us += [cmath.rect(0.109, th) for th in (0.0, 1.0, 2.0, math.pi)]
+    us += [cmath.rect(10 ** rng.uniform(-4, math.log10(0.109)),
+                      rng.uniform(-math.pi, math.pi)) for _ in range(300)]
+    with mp.workdps(50):
+        for u in us:
+            mu = mp.mpc(u.real, u.imag)
+            ref = complex(mp.log1p(mu) - mu + mu * mu / 2)
+            assert abs(backend._log1p_tail(u) - ref) <= 1e-15 * abs(ref), u
+
+
+def _cd_sums_termwise(tau, m, k0):
+    # cd_sums summed term by term: the psi and psi' tails at every k tau,
+    # Neumaier-compensated in k, and the direct part exactly
+    direct = range(1, min(k0, m))
+    psi = [backend.digamma(k * tau) for k in direct]
+    psi1 = [backend.trigamma(k * tau) for k in direct]
+    s0r = s0c = s0i = s0ci = 0.0
+    s1r = s1c = s1i = s1ci = 0.0
+    h1s = h1c = h2s = h2c = 0.0
+    add = backend._neumaier_add
+    for k in range(k0, m):
+        w = k * tau
+        t = backend._psi_tail(w)
+        s0r, s0c = add(s0r, s0c, t.real)
+        s0i, s0ci = add(s0i, s0ci, t.imag)
+        t = backend._psi1_tail(w)
+        s1r, s1c = add(s1r, s1c, t.real)
+        s1i, s1ci = add(s1i, s1ci, t.imag)
+        h1s, h1c = add(h1s, h1c, 1.0 / k)
+        h2s, h2c = add(h2s, h2c, 1.0 / (k * k))
+    return (complex(math.fsum(t.real for t in psi), math.fsum(t.imag for t in psi)),
+            complex(math.fsum(t.real for t in psi1), math.fsum(t.imag for t in psi1)),
+            complex(s0r + s0c, s0i + s0ci), complex(s1r + s1c, s1i + s1ci),
+            h1s + h1c, h2s + h2c)
+
+
+@pytest.mark.parametrize("k0", [1, 3, 8, 27, 54])
+def test_cd_sums_against_termwise_sums(k0):
+    # |k0 tau| at 1-3 times the radius that modular_forms_em gives k0
+    # (8, or 16 past |arg tau| = pi/2), as its callers keep it
+    for th in (0.0, -0.7, 1.3, -1.9, 0.75 * math.pi):
+        radius = 8.0 if abs(th) <= math.pi / 2 else 16.0
+        for f in (1.0, 1.7, 3.0):
+            tau = cmath.rect(f * radius / k0, th)
+            for m in (k0, k0 + 1, k0 + 7, 300, 2000):
+                got = backend.cd_sums(tau, m, k0)
+                ref = _cd_sums_termwise(tau, m, k0)
+                for i, (g, r) in enumerate(zip(got, ref)):
+                    tol = 2e-15 if i in (2, 3) else 1e-15
+                    assert abs(g - r) <= tol * abs(r), (k0, tau, m, i)
+
+
+# modular_forms_em's (tau, C, D) before the tails were summed from power
+# sums, at seeded tau with |tau| in [0.3, 3] and |arg tau| <= 3pi/4
+_MODULAR_FORMS_BEFORE = (
+    ((1.0868973165518248-1.4965552985455215j), (0.8353495411120337+0.2913632826505657j), (-0.5285476741362974+0.5229445896152732j)),
+    ((0.5227970540802906-0.2567632297867323j), (0.2565883634578731-0.8203624544005167j), (3.1340830220518847+4.228288730867049j)),
+    ((1.6568062551357576+0.10478172513141633j), (0.5972263967892242-0.00523833213448392j), (0.3767734302608778-0.08582848516236403j)),
+    ((0.7222692014099493-0.7522905429419249j), (0.9974147214478812-0.17424455731125837j), (-0.3444785386282031+1.7882568568223163j)),
+    ((-0.1511598364672142+0.7851028283334147j), (2.4475950718065387-0.6760899857893832j), (-3.3858576210172404+0.4404088847441032j)),
+    ((0.3027258700299398-0.14924890837424867j), (-1.1309124510643704-2.1723647493025346j), (9.564407521975147+12.18144960203607j)),
+    ((0.02499893947974855+0.6675739009727123j), (2.5746128695644455+0.083266656301619j), (-4.455326667765425-0.9913611444852258j)),
+    ((-0.6730432252002051+0.8592695316359438j), (1.8163593818976518-1.6985445355156825j), (-1.8407965679540297+1.3446713315699967j)),
+    ((0.290313669284158+0.26931161765053524j), (0.4505699340146598+2.3522178964940097j), (1.0917062898667935-11.399561982601691j)),
+    ((0.24002148875923024-0.231957191878087j), (0.22743191413240982-3.1966026952847764j), (0.9742769482289118+15.91173883703325j)),
+    ((0.7511356308586297+0.4063362948918744j), (0.6524880779979625+0.3571173503571474j), (1.1515894997657523-2.143663051913999j)),
+    ((-0.07675001864248882-0.325150174614159j), (6.0695877234226066-0.9140145529586671j), (-14.417887219743779-4.97499679203968j)),
+)
+
+
+def test_modular_forms_em_unchanged_by_the_power_sums():
+    for tau, C, D in _MODULAR_FORMS_BEFORE:
+        mf = modular_forms_em(tau)
+        assert abs(mf.C - C) <= 1e-15 * abs(C), tau
+        assert abs(mf.D - D) <= 1e-15 * abs(D), tau
 
 
 # ------------------------------------------------------------- q-Pochhammer
