@@ -3,9 +3,10 @@
 * ``loggamma``      - principal branch of log Gamma, analytic on C minus
                       (-inf, 0], via a 15-term rational (Lanczos-type)
                       approximation plus reflection/conjugation.
-* ``digamma``/``trigamma`` - psi and psi' by recurrence shift + Bernoulli
-                      asymptotic series, reflection in the left half-plane
-                      (its e^{2 pi i z} taken at z - round(Re z)).
+* ``psi_pair``      - psi and psi' together, by one recurrence shift +
+                      Bernoulli asymptotic series, and one reflection in the
+                      left half-plane (its e^{2 pi i z} taken at
+                      z - round(Re z)); ``digamma``/``trigamma`` are its halves.
 * ``gn_sum``        - the truncated-product log sum
                       sum_{m=1..N} [lgG(m tau) - lgG(z+m tau) + z psi(m tau)
                       + z^2/2 psi'(m tau)],
@@ -14,10 +15,16 @@
                       pieces of each term that depend on m tau alone are
                       memoized per tau (``tau_memo``).
 * ``cd_sums``       - the partial psi/psi' sums feeding the gamma modular
-                      forms: a small-k direct part, and for the rest the
-                      Bernoulli tails summed over k by swapping the two sums,
-                      so that each tail order j carries one real power sum
-                      sum_k k^-s; no intermediate grows with m.
+                      forms: a small-k direct part, read from and written to
+                      the same per-tau table as gn_sum's direct terms, and
+                      for the rest the Bernoulli tails summed over k by
+                      swapping the two sums, so that each tail order j carries
+                      one real power sum sum_k k^-s; no intermediate grows
+                      with m.
+
+At a fresh tau every z-independent kernel value is computed once: the
+modular forms run first and fill the direct table for k < k0, and gn_sum
+finds those terms warm, since k0 is at most its switch point.
 
 Every Bernoulli-type tail (``_tail``) is a Horner polynomial whose length
 is read from a table of limits on its argument, built at import per
@@ -38,12 +45,16 @@ import struct
 from bisect import bisect_right
 from itertools import repeat
 
-from .errors import DomainError, PoleError
+from .errors import CapacityError, DomainError, PoleError
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 LN_2PI = math.log(2.0 * math.pi)
 _HALF_LN_2PI = 0.5 * LN_2PI
 _MAX_ARG = 2.356194490192345  # 3*pi/4, the widest |arg w| of the series
+# hard cap on every truncation length: the product length N, the
+# Euler-Maclaurin length m, the rows of a zero-lattice window, the factors
+# of a q-Pochhammer product and the recurrence shift of polygamma
+_N_CAP = 1_000_000
 
 # B_2 .. B_26 as floats (exact fractions rounded once).
 _B2K = (
@@ -222,53 +233,74 @@ def _psi1_tail(w: complex) -> complex:
     return _tail(_PSI1_TAIL, iw2 * iw, iw2, 0j)
 
 
-def _cot_pi(z: complex) -> complex:
-    # cot(pi z) for Im z >= 0 without overflow: i + 2i / (e^{2 pi i z} - 1).
-    e = _exp2pi(z)
-    return 1j + 2j / (e - 1.0)
+def _psi_pair_right(w: complex) -> tuple[complex, complex]:
+    # (psi(w), psi'(w)) for Re w >= 1/2 by one recurrence shift: psi's
+    # series is taken at the first |w| >= 8 and psi''s at the first
+    # |w| >= 10 (|w| grows with each step right of Re w = 0)
+    s0 = s1 = 0j
+    a = abs(w)
+    while a < 8.0:
+        s0 += 1.0 / w
+        s1 += 1.0 / (w * w)
+        w += 1.0
+        a = abs(w)
+    ps = cmath.log(w) - 0.5 / w - _psi_tail(w) - s0
+    while a < 10.0:
+        s1 += 1.0 / (w * w)
+        w += 1.0
+        a = abs(w)
+    iw = 1.0 / w
+    return ps, iw + 0.5 * iw * iw + _psi1_tail(w) + s1
+
+
+def psi_pair(z: complex) -> tuple[complex, complex]:
+    """(psi(z), psi'(z)) from one pole test, one conjugation into the upper
+    half-plane and, left of Re z = 1/2, one reflection through e^{2 pi i z}:
+    psi(z) = psi(1-z) - pi cot(pi z), psi'(z) = pi^2/sin^2(pi z) - psi'(1-z)."""
+    z = complex(z)
+    if _is_nonpositive_integer(z):
+        raise PoleError(f"psi pole at {z}")
+    lower = z.imag < 0.0
+    if lower:
+        z = z.conjugate()
+    if z.real < 0.5:
+        # cot(pi z) = i + 2i/(e - 1) and 1/sin^2(pi z) = -4e/(1 - e)^2 with
+        # e = e^{2 pi i z}: neither overflows for Im z >= 0. 1 - z lies in
+        # the lower half-plane when Im z > 0, so its pair is conjugated.
+        e = _exp2pi(z)
+        v = 1.0 - z
+        if v.imag < 0.0:
+            ps, ps1 = _psi_pair_right(v.conjugate())
+            ps, ps1 = ps.conjugate(), ps1.conjugate()
+        else:
+            ps, ps1 = _psi_pair_right(v)
+        inv_sin2 = -4.0 * e / ((1.0 - e) * (1.0 - e))
+        ps = ps - math.pi * (1j + 2j / (e - 1.0))
+        ps1 = math.pi * math.pi * inv_sin2 - ps1
+    else:
+        ps, ps1 = _psi_pair_right(z)
+    if lower:
+        return ps.conjugate(), ps1.conjugate()
+    return ps, ps1
 
 
 def digamma(z: complex) -> complex:
     """psi(z) = Gamma'(z)/Gamma(z)."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"digamma pole at {z}")
-    if z.imag < 0.0:
-        return digamma(z.conjugate()).conjugate()
-    if z.real < 0.5:
-        return digamma(1.0 - z) - math.pi * _cot_pi(z)
-    shift = 0j
-    w = z
-    while abs(w) < 8.0:
-        shift += 1.0 / w
-        w += 1.0
-    return cmath.log(w) - 0.5 / w - _psi_tail(w) - shift
+    return psi_pair(z)[0]
 
 
 def trigamma(z: complex) -> complex:
     """psi'(z)."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"trigamma pole at {z}")
-    if z.imag < 0.0:
-        return trigamma(z.conjugate()).conjugate()
-    if z.real < 0.5:
-        # psi'(z) + psi'(1-z) = pi^2 / sin^2(pi z); stable sin^2 form for
-        # the upper half-plane.
-        e = _exp2pi(z)
-        inv_sin2 = -4.0 * e / ((1.0 - e) * (1.0 - e))
-        return math.pi * math.pi * inv_sin2 - trigamma(1.0 - z)
-    shift = 0j
-    w = z
-    while abs(w) < 10.0:
-        shift += 1.0 / (w * w)
-        w += 1.0
-    iw = 1.0 / w
-    return iw + 0.5 * iw * iw + _psi1_tail(w) + shift
+    return psi_pair(z)[1]
 
 
 def polygamma(k: int, z: complex) -> complex:
-    """psi^(k)(z) for 0 <= k <= 12."""
+    """psi^(k)(z) for 0 <= k <= 12.
+
+    For k >= 2 the series is reached by shifting z right; where that takes
+    more than _N_CAP steps (Re z + Im z < -_N_CAP in the upper half-plane)
+    a finite z raises CapacityError before shifting, and a non-finite one
+    returns NaN."""
     if not 0 <= k <= 12:
         raise DomainError("polygamma order must be in 0..12")
     if k == 0:
@@ -280,6 +312,13 @@ def polygamma(k: int, z: complex) -> complex:
         raise PoleError(f"polygamma pole at {z}")
     if z.imag < 0.0:
         return polygamma(k, z.conjugate()).conjugate()
+    # The shift below runs while Re w < -Im w, so past _N_CAP steps here
+    # (forever at Re z = -inf, or where w + 1 == w): refuse before it.
+    if not -z.real - z.imag <= _N_CAP:
+        if not cmath.isfinite(z):
+            return complex(math.nan, math.nan)
+        raise CapacityError(
+            f"polygamma shift at {z} would exceed {_N_CAP} steps")
     radius = 8.0 + 2.0 * k
     fact_k = math.factorial(k)
     shift = 0j
@@ -323,11 +362,14 @@ def _tau_memo(tau_bits: bytes) -> tuple[dict, dict, dict, dict]:
 
 def tau_memo(tau: complex) -> tuple[dict, dict, dict, dict]:
     """The z-independent work of the evaluations at tau, kept for the last
-    8 tau as four tables: gn_sum's {m: (lgG(w), psi(w), psi'(w))} for the
-    direct branch and {m: (1/w^2, J(w), S(w), S'(w))} for the stable one
-    (w = m tau, m <= _MEMO_M; apart because which branch an m takes depends
-    on z), the engine's p_rows {k: rows of P_k(z;-tau)}, k <= 16, and its
-    {len(tail): AsymptoticCoeffs} of the large-z expansion.
+    8 tau as four tables: the direct table {k: (lgG(w), psi(w), psi'(w))}
+    and the stable one {k: (1/w^2, J(w), S(w), S'(w))}, w = k tau,
+    k <= _MEMO_M (apart because which branch gn_sum takes at k depends on
+    z), the engine's p_rows {k: rows of P_k(z;-tau)}, k <= 16, and its
+    {len(tail): AsymptoticCoeffs} of the large-z expansion. gn_sum fills
+    both tables; cd_sums fills the direct one for its k < k0, which are
+    also direct terms of the product (k0 <= gn_sum's switch point), so the
+    evaluation that builds the modular forms first finds them warm.
 
     Keyed by the bits of tau, since 0.0 and -0.0 compare equal but are
     different inputs. Threads: lru_cache keeps an entry's lookup
@@ -337,9 +379,31 @@ def tau_memo(tau: complex) -> tuple[dict, dict, dict, dict]:
     return _tau_memo(struct.pack("<2d", tau.real, tau.imag))
 
 
-def _r_term_direct(z: complex, z2h: complex, w: complex, pieces) -> complex:
-    lg, ps, ps1 = pieces
-    return lg - loggamma(z + w) + z * ps + z2h * ps1
+def _direct_pieces(direct: dict, k: int, w: complex) -> tuple:
+    # a missing direct-table entry: lgG, psi and psi' at w = k tau
+    p = (loggamma(w), *psi_pair(w))
+    if k <= _MEMO_M:
+        direct[k] = p
+    return p
+
+
+def _stable_pieces(w: complex) -> tuple:
+    # (1/w^2, J(w), S(w), S'(w)): _binet, _psi_tail and _psi1_tail with the
+    # powers of 1/w they share taken once and their Horner tails inline,
+    # by the same operations in the same order, so the same bits (the
+    # 0j + is _tail's acc, which turns a -0.0 part into +0.0)
+    iw = 1.0 / w
+    iw2 = iw * iw
+    inv_w2 = 1.0 / (w * w)
+    a = abs(iw2)
+    j = s = s1 = 0j
+    for c in _BINET.horner[bisect_right(_BINET.limits, a)]:
+        j = j * iw2 + c
+    for c in _PSI_TAIL.horner[bisect_right(_PSI_TAIL.limits, abs(inv_w2))]:
+        s = s * inv_w2 + c
+    for c in _PSI1_TAIL.horner[bisect_right(_PSI1_TAIL.limits, a)]:
+        s1 = s1 * iw2 + c
+    return inv_w2, 0j + iw * j, 0j + inv_w2 * s, 0j + iw2 * iw * s1
 
 
 def _log1p_tail(u: complex) -> complex:
@@ -384,26 +448,37 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
         m_switch = N + 1
     direct, stable, _, _ = tau_memo(tau)
     sr = cr = si = ci = 0.0
-    # the memo lookups are inlined: a helper call per term cost a few percent
-    # of the sum
+    # the memo lookups and the compensated additions (_neumaier_add) are
+    # inlined: a helper call per term cost a few percent of the sum
     for m in range(1, N + 1):
         w = m * tau
         if m < m_switch:
             p = direct.get(m)
             if p is None:
-                p = (loggamma(w), digamma(w), trigamma(w))
-                if m <= _MEMO_M:
-                    direct[m] = p
-            t = _r_term_direct(z, z2h, w, p)
+                p = _direct_pieces(direct, m, w)
+            lg, ps, ps1 = p
+            t = lg - loggamma(z + w) + z * ps + z2h * ps1
         else:
             p = stable.get(m)
             if p is None:
-                p = (1.0 / (w * w), _binet(w), _psi_tail(w), _psi1_tail(w))
+                p = _stable_pieces(w)
                 if m <= _MEMO_M:
                     stable[m] = p
             t = _r_term_stable(z, z2h, w, p)
-        sr, cr = _neumaier_add(sr, cr, t.real)
-        si, ci = _neumaier_add(si, ci, t.imag)
+        x = t.real
+        s = sr + x
+        if abs(sr) >= abs(x):
+            cr += (sr - s) + x
+        else:
+            cr += (x - s) + sr
+        sr = s
+        x = t.imag
+        s = si + x
+        if abs(si) >= abs(x):
+            ci += (si - s) + x
+        else:
+            ci += (x - s) + si
+        si = s
     return complex(sr + cr, si + ci)
 
 
@@ -411,7 +486,8 @@ def cd_sums(tau: complex, m: int, k0: int):
     """Pieces of sum_{k=1}^{m-1} psi(k tau) and psi'(k tau).
 
     Returns (psi_small, psi1_small, s0_tail, s1_tail, h1, h2) where the small
-    sums run over k < k0 (direct kernel calls) and for k0 <= k <= m-1:
+    sums run over k < k0 (tau_memo's direct table, filled where missing)
+    and for k0 <= k <= m-1:
 
         s0_tail = sum S(k tau)     [Bernoulli tail of psi]
         s1_tail = sum S'(k tau)    [Bernoulli tail of psi']
@@ -423,15 +499,18 @@ def cd_sums(tau: complex, m: int, k0: int):
     analytically by the caller, who keeps |k0 tau| in the Stirling regime.
     """
     tau = complex(tau)
+    direct = tau_memo(tau)[0]
     ps_r = ps_c = ps_i = ps_ci = 0.0
     p1_r = p1_c = p1_i = p1_ci = 0.0
     for k in range(1, min(k0, m)):
-        t = digamma(k * tau)
+        p = direct.get(k)
+        if p is None:
+            p = _direct_pieces(direct, k, k * tau)
+        _, t, t1 = p
         ps_r, ps_c = _neumaier_add(ps_r, ps_c, t.real)
         ps_i, ps_ci = _neumaier_add(ps_i, ps_ci, t.imag)
-        t = trigamma(k * tau)
-        p1_r, p1_c = _neumaier_add(p1_r, p1_c, t.real)
-        p1_i, p1_ci = _neumaier_add(p1_i, p1_ci, t.imag)
+        p1_r, p1_c = _neumaier_add(p1_r, p1_c, t1.real)
+        p1_i, p1_ci = _neumaier_add(p1_i, p1_ci, t1.imag)
     psi_small = complex(ps_r + ps_c, ps_i + ps_ci)
     psi1_small = complex(p1_r + p1_c, p1_i + p1_ci)
     if k0 >= m:

@@ -55,9 +55,10 @@ _CONE_MARGIN = 0.2
 # 0.03 e^(-2 pi s) |log G|
 _BEYOND_MAX = _TARGET
 # product floor N0 past which building the coefficients for a fresh tau
-# (b0_of_tau's two engine calls, ~2 ms) costs less than the product
-# (~7-10 us a term at a fresh tau); measured, the route wins 18 of 19 fresh
-# points with N0 in [200, 300) and 21 of 29 in [100, 200)
+# (b0_of_tau's two engine calls, ~1.9 ms) costs less than the product
+# (~12 us a term at a fresh tau with N0 in [200, 300), CPU time on a shared
+# 2-CPU x86-64 machine); measured, the route wins 18 of 19 fresh points
+# with N0 in [200, 300) and 21 of 29 in [100, 200)
 _N0_CROSSOVER = 200
 
 
@@ -345,7 +346,8 @@ def log_double_gamma(z: complex, tau: complex,
     With params None the truncation is choose_params's plan, and where
     _asymptotic_route shows the large-z expansion as accurate as that
     product, the expansion runs instead (route "asymptotic"). Explicit
-    params always run the product.
+    params always run the product. A log that is not finite in binary64
+    raises DomainError.
     """
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
@@ -366,7 +368,7 @@ def log_double_gamma(z: complex, tau: complex,
     if auto:
         result = _asymptotic_route(z, tau, params)
         if result is not None:
-            return result
+            return _finite(result)
     if not abs(z) < params.N * abs(tau):
         # the correction series in z/(N tau) diverges: refuse before summing
         raise CapacityError(
@@ -386,12 +388,20 @@ def log_double_gamma(z: complex, tau: complex,
                + mf.b_tilde * z * z / (2.0 * tau * tau)
                + backend.gn_sum(z, tau, params.N)
                + corr)
-    return EvalResult(
+    return _finite(EvalResult(
         log_value=log_val,
         value=_safe_exp(log_val),
         error_estimate=_error_bound(a, params.N, params.M, abs(z), abs(tau)),
         params_used=params,
-    )
+    ))
+
+
+def _finite(result: EvalResult) -> EvalResult:
+    # a log that left binary64 on the way is refused, not returned as exact
+    if not cmath.isfinite(result.log_value):
+        raise DomainError(
+            f"log G is not finite in binary64: {result.log_value}")
+    return result
 
 
 def double_gamma_value(z: complex, tau: complex,

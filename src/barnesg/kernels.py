@@ -12,13 +12,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import backend
+from .backend import _N_CAP
 from .errors import CapacityError, ConvergenceError, DomainError
 
 _EPS = 2.220446049250313e-16
-# hard cap on every truncation length: the product length N, the
-# Euler-Maclaurin length m, the rows of a zero-lattice window and the
-# factors of a q-Pochhammer product
-_N_CAP = 1_000_000
 
 
 def check_finite(w: complex, what: str) -> complex:

@@ -95,7 +95,8 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
     """C(tau) and D(tau) by the Euler-Maclaurin route with m terms.
 
     Requires tau off (-inf, 0] and m tau at distance >= 1 from the cut;
-    raises CapacityError, before summing, when m exceeds _N_CAP. The
+    raises CapacityError, before summing, when m exceeds _N_CAP, and
+    DomainError, before any kernel call, when tau^7 overflows. The
     error_estimate field is the magnitude of the last included correction
     term (heuristic, not a certified bound).
     """
@@ -116,11 +117,15 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
     ln_tau = cmath.log(tau)
     ln_m = math.log(m)
 
-    psi_w = polygamma(0, w)
-    psi1_w = polygamma(1, w)
-    t3 = tau ** 3
-    t5 = t3 * tau * tau
-    t7 = t5 * tau * tau
+    try:
+        t3 = tau ** 3
+        t5 = t3 * tau * tau
+        t7 = t5 * tau * tau
+        if not cmath.isfinite(t7):
+            raise OverflowError
+    except OverflowError:
+        raise DomainError(f"tau^7 overflows binary64 at tau = {tau}") from None
+    psi_w, psi1_w = backend.psi_pair(w)
     last_c = t7 / 1209600.0 * polygamma(7, w)
     last_d = t7 / 1209600.0 * polygamma(8, w)
     corr_c = (-tau / 12.0 * psi1_w

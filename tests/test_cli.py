@@ -213,6 +213,14 @@ def test_modular_forms_domain_exit(capsys):
     assert code == 2
 
 
+def test_huge_tau_domain_exit(capsys):
+    # tau^7 overflows: a usage error, not a traceback and exit 1
+    for cmd in (("eval", "--z", "1.5"), ("modular-forms",)):
+        code, _, err = run_cli(capsys, *cmd, "--tau", "1e200")
+        assert code == 2, cmd
+        assert "error" in err
+
+
 def test_modular_forms_capacity_exit(capsys):
     # the default Euler-Maclaurin length 64/tau = 6.4e8 is over the cap
     code, _, err = run_cli(capsys, "modular-forms", "--tau", "1e-7")

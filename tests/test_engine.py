@@ -2,6 +2,7 @@
 asymptotics, b0 identities, the symmetric form, and the integral oracle."""
 
 import cmath
+import collections
 import functools
 import itertools
 import json
@@ -450,6 +451,64 @@ def test_gn_sum_memo_interleaved_with_eviction():
     for z, t in jobs:
         assert repr(backend.gn_sum(z, t, 90)) == \
             repr(_gn_sum_unmemoized(z, t, 90)), (z, t)
+
+
+def test_fresh_tau_evaluation_computes_each_k_tau_once(monkeypatch):
+    # cd_sums' direct k < k0 fill the table the product reads, so one
+    # automatic evaluation at a fresh tau takes psi and psi' at each k tau
+    # once; modular_forms_em's own line at m_cd tau is the only repeat
+    calls = collections.Counter()
+    pair = backend.psi_pair
+
+    def counted(w):
+        calls[w] += 1
+        return pair(w)
+
+    monkeypatch.setattr(backend, "psi_pair", counted)
+    rng = random.Random(13)
+    z = 0.7 + 0.3j
+    # a regrouped tau (k0 < gn_sum's switch point) and an all-direct one
+    for tau in (1.1 + 0.4j, -1.2 + 0.5j):
+        tau = tau + 1e-9 * _fresh_tau(rng)
+        calls.clear()
+        r = log_double_gamma(z, tau)
+        N, m_cd = r.params_used.N, r.params_used.m_cd
+        if abs(cmath.phase(tau)) <= backend._MAX_ARG:
+            n_direct = math.ceil(backend._STABLE_RADIUS / abs(tau)) - 1
+        else:
+            n_direct = N
+        per_k = collections.Counter()
+        for w, c in calls.items():
+            k = round((w / tau).real)
+            assert w == k * tau, (tau, w)
+            per_k[k] += c
+        assert set(range(1, n_direct + 1)) <= set(per_k), tau
+        assert per_k[m_cd] <= 2, tau
+        assert all(c == 1 for k, c in per_k.items() if k != m_cd), tau
+
+
+def test_cd_sums_and_gn_sum_share_the_direct_table_in_either_order():
+    # whichever of the two fills the direct table first, both return the
+    # bits of a call on a cold table
+    rng = random.Random(14)
+    for z, tau, N in _MEMO_CASES:
+        tau = tau + 1e-9 * _fresh_tau(rng)
+        m = engine.default_m(tau)
+        if abs(cmath.phase(tau)) <= backend._MAX_ARG:
+            k0 = math.ceil((8.0 if abs(cmath.phase(tau)) <= math.pi / 2 else 16.0)
+                           / abs(tau))
+        else:
+            k0 = m
+        run = {"cd": lambda: repr(backend.cd_sums(tau, m, k0)),
+               "gn": lambda: repr(backend.gn_sum(z, tau, N))}
+        cold = {}
+        for which, f in run.items():
+            backend._tau_memo.cache_clear()
+            cold[which] = f()
+        for order in (("cd", "gn"), ("gn", "cd")):
+            backend._tau_memo.cache_clear()
+            for which in order:
+                assert run[which]() == cold[which], (z, tau, order)
 
 
 def _coefficients_unmemoized(z, tau, M):

@@ -171,6 +171,109 @@ def test_polygamma_pole_and_order():
         polygamma(13, 1.0)
 
 
+def test_polygamma_refuses_long_shifts_at_once():
+    # psi^(k), k >= 2, shifts z right until |arg w| <= 3pi/4, which took
+    # O(-Re z) steps and never ended where w + 1 == w or Re z = -inf: past
+    # _N_CAP steps a finite z is refused and a non-finite one gives NaN
+    finite = (-1e17 + 1j, -1e17 - 1j, -2e6 + 1j, -1e300 + 5j, -1.5e6 - 0.2e6j)
+    infinite = (complex(-math.inf, 1.0), complex(-math.inf, -1.0),
+                complex(-math.inf, math.nan))
+    for k in range(2, 13):
+        for z in finite + infinite:
+            t0 = time.process_time()
+            if cmath.isfinite(z):
+                with pytest.raises(CapacityError):
+                    polygamma(k, z)
+            else:
+                assert cmath.isnan(polygamma(k, z)), (k, z)
+            assert time.process_time() - t0 < 0.01, (k, z)
+
+
+def test_polygamma_far_left_against_mpmath():
+    # a shift of 1e4 steps, still under the cap, at the kernel tolerance
+    z = -1e4 + 1j
+    with mp.workdps(30):
+        for k in range(2, 13):
+            ref = complex(mp.polygamma(k, mp.mpc(z.real, z.imag)))
+            assert abs(polygamma(k, z) - ref) <= 1e-12 * abs(ref), k
+
+
+# ------------------------------------------------------- the psi/psi' pair
+
+def _digamma_reference(z):
+    # digamma as its own kernel computed it before psi_pair: a pole test,
+    # conjugation, reflection through cot(pi z) and a shift to |w| >= 8
+    z = complex(z)
+    if backend._is_nonpositive_integer(z):
+        raise PoleError(f"digamma pole at {z}")
+    if z.imag < 0.0:
+        return _digamma_reference(z.conjugate()).conjugate()
+    if z.real < 0.5:
+        e = backend._exp2pi(z)
+        return _digamma_reference(1.0 - z) - math.pi * (1j + 2j / (e - 1.0))
+    shift = 0j
+    w = z
+    while abs(w) < 8.0:
+        shift += 1.0 / w
+        w += 1.0
+    return cmath.log(w) - 0.5 / w - backend._psi_tail(w) - shift
+
+
+def _trigamma_reference(z):
+    # trigamma as its own kernel computed it before psi_pair: reflection
+    # through 1/sin^2(pi z) and a shift to |w| >= 10
+    z = complex(z)
+    if backend._is_nonpositive_integer(z):
+        raise PoleError(f"trigamma pole at {z}")
+    if z.imag < 0.0:
+        return _trigamma_reference(z.conjugate()).conjugate()
+    if z.real < 0.5:
+        e = backend._exp2pi(z)
+        inv_sin2 = -4.0 * e / ((1.0 - e) * (1.0 - e))
+        return math.pi * math.pi * inv_sin2 - _trigamma_reference(1.0 - z)
+    shift = 0j
+    w = z
+    while abs(w) < 10.0:
+        shift += 1.0 / (w * w)
+        w += 1.0
+    iw = 1.0 / w
+    return iw + 0.5 * iw * iw + backend._psi1_tail(w) + shift
+
+
+def _outcome(f, *args):
+    # the repr of the value, or the type of the exception: PoleError at the
+    # poles, ZeroDivisionError within ~1e-300 of one, where 1 - e^{2 pi i z}
+    # rounds to 0 in the reflection, and OverflowError from the pole test
+    # at Re z = -inf on the real axis
+    try:
+        return repr(f(*args))
+    except (PoleError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def test_psi_pair_bit_identical_to_the_separate_kernels():
+    rng = random.Random(31)
+    pts = [complex(rng.uniform(-300.0, 20.0), rng.uniform(-30.0, 30.0))
+           for _ in range(2000)]
+    pts += [complex(rng.uniform(-6.0, 6.0), rng.uniform(-1.0, 1.0))
+            for _ in range(1000)]
+    pts += [complex(rng.uniform(-6.0, 6.0), y) for y in (0.0, -0.0)
+            for _ in range(100)]
+    # poles and the points around them, the half-plane edge, non-finite
+    pts += [complex(-n, y) for n in range(4) for y in (0.0, -0.0, 1e-300, -1e-300)]
+    pts += [complex(x, y) for x in (0.5, 0.5 - 2 ** -53, 1e300, -1e300)
+            for y in (0.0, -0.0, 2.0, -2.0)]
+    nf = (math.inf, -math.inf, math.nan)
+    pts += [complex(x, y) for x in nf + (1.0, -1.5) for y in nf + (1.0, 0.0)]
+    for z in pts:
+        ps, ps1 = _outcome(_digamma_reference, z), _outcome(_trigamma_reference, z)
+        failed = ps in ("PoleError", "ZeroDivisionError", "OverflowError")
+        pair = _outcome(backend.psi_pair, z)
+        assert pair == (ps if failed else f"({ps}, {ps1})"), z
+        assert (_outcome(backend.digamma, z), _outcome(backend.trigamma, z)) == (ps, ps1), z
+        assert (_outcome(polygamma, 0, z), _outcome(polygamma, 1, z)) == (ps, ps1), z
+
+
 # --------------------------------------------------------- Bernoulli tails
 
 # arguments of the tails' w: every branch that calls a tail keeps
@@ -226,6 +329,23 @@ def test_tails_at_the_limits_of_their_counts():
                 if w.real < 0.5 and abs(w) < 4 * radius:
                     continue
                 assert rel(polygamma(k, w), _mp_psi(k, mw)) <= 1e-12, (k, w)
+
+
+def test_stable_pieces_bit_identical_to_the_separate_tails():
+    # gn_sum's fused (1/w^2, J, S, S') against the three tails it inlines,
+    # at |w| >= 16 and |arg w| <= 3pi/4, including either side of every
+    # limit of the three counts
+    rng = random.Random(32)
+    ws = [cmath.rect(16.0 * 10 ** rng.uniform(0.0, 7.0),
+                     rng.uniform(-backend._MAX_ARG, backend._MAX_ARG))
+          for _ in range(3000)]
+    for series in (backend._BINET, backend._PSI_TAIL, backend._PSI1_TAIL):
+        ws += [w for w, _ in _tail_points(series, 16.0)]
+    ws += [complex(r, y) for r in (16.0, 1e3) for y in (0.0, -0.0)]
+    for w in ws:
+        ref = (1.0 / (w * w), backend._binet(w), backend._psi_tail(w),
+               backend._psi1_tail(w))
+        assert repr(backend._stable_pieces(w)) == repr(ref), w
 
 
 def test_log1p_tail_against_mpmath():

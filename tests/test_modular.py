@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+from barnesg import backend
+from barnesg.engine import log_double_gamma
 from barnesg.errors import CapacityError, DomainError, PreconditionError
 from barnesg.kernels import QuadratureSpec, integrate_semiaxis
 from barnesg.modular import (
@@ -214,3 +216,36 @@ def test_modular_forms_json_round_trip():
     for key in ("C", "D", "a", "b", "a_tilde", "b_tilde", "tau"):
         assert set(back[key]) == {"re", "im"}
     assert back["C"]["re"] == mf.C.real
+
+
+# tau whose tau^7 (the last Euler-Maclaurin correction) overflows binary64:
+# from |tau| ~ 1.8e44, and past ~6e102 tau ** 3 itself raises OverflowError
+_HUGE_TAUS = (2e44, 1e45, 1e103, 1e200, -1e200 + 1j, 1e300j, -1e45 + 1j)
+
+
+def test_huge_tau_refused_at_once():
+    # once NaN reported with error_estimate ~1e-135, or a raw OverflowError;
+    # -1e45 + 1j also sent polygamma's shift into an endless loop
+    for tau in _HUGE_TAUS:
+        for f in (modular_forms_em, lambda t: log_double_gamma(1.5 + 0.5j, t)):
+            t0 = time.process_time()
+            with pytest.raises(DomainError):
+                f(tau)
+            assert time.process_time() - t0 < 0.1, tau
+
+
+def test_tau_1e40_unchanged():
+    # below the overflow the same bits as before the refusal existed
+    r = log_double_gamma(1.5 + 0.5j, 1e40)
+    assert repr(r.log_value) == "(46.28588820735129+46.01703289860553j)"
+    assert repr(r.error_estimate) == "1.0416666666666664e-120"
+    mf = modular_forms_em(1e40)
+    assert (repr(mf.C), repr(mf.D)) == ("(-45.13276332667626+0j)",
+                                        "(-9.15261880548603e-39+0j)")
+
+
+def test_non_finite_log_refused(monkeypatch):
+    # a log that leaves binary64 is refused, never returned as exact
+    monkeypatch.setattr(backend, "gn_sum", lambda z, tau, N: complex(math.inf, 0.0))
+    with pytest.raises(DomainError):
+        log_double_gamma(1.5 + 0.5j, 1.3 + 0.2j)
