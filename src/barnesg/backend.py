@@ -141,7 +141,8 @@ def clog1p(u: complex) -> complex:
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
+    # is_integer is False, not an error, at +-inf and NaN: no poles there
+    return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
 
 
 def _exp2pi(z: complex) -> complex:
@@ -157,9 +158,11 @@ def _exp2pi(z: complex) -> complex:
 def _logsinpi_upper(z: complex) -> complex:
     # log sin(pi z) branch valid for Im z >= 0: sin(pi z) =
     # (i/2) e^{-i pi z} (1 - e^{2 pi i z}).
-    return (complex(-math.log(2.0), 0.5 * math.pi)
-            - 1j * math.pi * z
-            + clog1p(-_exp2pi(z)))
+    try:
+        log1m = clog1p(-_exp2pi(z))
+    except ValueError:  # 1 - e^{2 pi i z} rounded to 0 or below
+        raise PoleError(f"sin(pi z) rounds to 0 at {z}") from None
+    return complex(-math.log(2.0), 0.5 * math.pi) - 1j * math.pi * z + log1m
 
 
 def _loggamma_right(z: complex) -> complex:
@@ -172,7 +175,11 @@ def _loggamma_right(z: complex) -> complex:
 
 
 def loggamma(z: complex) -> complex:
-    """Principal log Gamma: analytic on C minus (-inf, 0], real on (0, inf)."""
+    """Principal log Gamma: analytic on C minus (-inf, 0], real on (0, inf).
+
+    PoleError at the poles 0, -1, -2, ..., and also near one (|Im z| below
+    about 1.2e-9 at Re z = -n), where the reflection's |1 - e^{2 pi i z}|^2,
+    taken as 1 + (2x + x^2 + y^2) with x + iy = -e^{2 pi i z}, rounds to 0."""
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"log Gamma pole at {z}")
@@ -186,7 +193,8 @@ def loggamma(z: complex) -> complex:
 def loggamma_stirling(z: complex) -> complex:
     """Independent log Gamma route: recurrence shift + Binet series.
 
-    Same branch convention as ``loggamma``; used as an internal cross-check.
+    Same branch convention and PoleError band as ``loggamma``; used as an
+    internal cross-check.
     """
     z = complex(z)
     if _is_nonpositive_integer(z):
@@ -256,7 +264,12 @@ def _psi_pair_right(w: complex) -> tuple[complex, complex]:
 def psi_pair(z: complex) -> tuple[complex, complex]:
     """(psi(z), psi'(z)) from one pole test, one conjugation into the upper
     half-plane and, left of Re z = 1/2, one reflection through e^{2 pi i z}:
-    psi(z) = psi(1-z) - pi cot(pi z), psi'(z) = pi^2/sin^2(pi z) - psi'(1-z)."""
+    psi(z) = psi(1-z) - pi cot(pi z), psi'(z) = pi^2/sin^2(pi z) - psi'(1-z).
+
+    PoleError at the poles 0, -1, -2, ..., and also within rounding of one
+    (|Im z| below about 6e-18 at Re z = -n), where e^{2 pi i z} rounds to 1
+    and the reflection would divide by 0. Nearer a pole than about 1e-154
+    off that line, psi' exceeds binary64 and comes back infinite."""
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"psi pole at {z}")
@@ -274,8 +287,11 @@ def psi_pair(z: complex) -> tuple[complex, complex]:
             ps, ps1 = ps.conjugate(), ps1.conjugate()
         else:
             ps, ps1 = _psi_pair_right(v)
-        inv_sin2 = -4.0 * e / ((1.0 - e) * (1.0 - e))
-        ps = ps - math.pi * (1j + 2j / (e - 1.0))
+        try:
+            inv_sin2 = -4.0 * e / ((1.0 - e) * (1.0 - e))
+            ps = ps - math.pi * (1j + 2j / (e - 1.0))
+        except ZeroDivisionError:
+            raise PoleError(f"psi: sin(pi z) rounds to 0 at {z}") from None
         ps1 = math.pi * math.pi * inv_sin2 - ps1
     else:
         ps, ps1 = _psi_pair_right(z)
@@ -300,7 +316,10 @@ def polygamma(k: int, z: complex) -> complex:
     For k >= 2 the series is reached by shifting z right; where that takes
     more than _N_CAP steps (Re z + Im z < -_N_CAP in the upper half-plane)
     a finite z raises CapacityError before shifting, and a non-finite one
-    returns NaN."""
+    returns NaN. PoleError at the poles 0, -1, -2, ..., and also where a
+    step of the shift lands so near 0 that w^-(k+1) overflows (|Im z|
+    below about 1e-308^(1/(k+1)) at Re z = -n); just outside that band the
+    value itself exceeds binary64 and comes back infinite."""
     if not 0 <= k <= 12:
         raise DomainError("polygamma order must be in 0..12")
     if k == 0:
@@ -325,11 +344,14 @@ def polygamma(k: int, z: complex) -> complex:
     w = z
     # Shift right until the Bernoulli series is safe: |w| past the radius and
     # the argument not too close to the cut (wide-angle use needs larger |w|).
-    while abs(w) < radius or (w.real < 0.5 and
-                              not (abs(w) >= 4.0 * radius and
-                                   abs(cmath.phase(w)) <= _MAX_ARG)):
-        shift += fact_k * w ** (-k - 1)
-        w += 1.0
+    try:
+        while abs(w) < radius or (w.real < 0.5 and
+                                  not (abs(w) >= 4.0 * radius and
+                                       abs(cmath.phase(w)) <= _MAX_ARG)):
+            shift += fact_k * w ** (-k - 1)
+            w += 1.0
+    except (ZeroDivisionError, OverflowError):  # w rounded onto the pole at 0
+        raise PoleError(f"polygamma: shift reaches the pole at {z}") from None
     if k % 2 == 0:
         shift = -shift
     # psi^(k)(w) = (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1))

@@ -4,8 +4,11 @@ Subcommands: eval, table, polys, modular-forms, verify, bench.
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 capacity or non-convergence.
 
-All floating output is printed with 17 significant digits so JSON and CSV
-payloads round-trip exactly at binary64.
+eval and modular-forms print their record's own to_json_dict(), table a
+list of rows built from those records, and the CSV rows of these three are
+read off the JSON records through their headers. JSON prints each float as
+its shortest round-trip repr and CSV with 17 significant digits; both read
+back bit-exactly at binary64.
 """
 
 from __future__ import annotations
@@ -37,24 +40,17 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex literal: {text!r}")
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _json_default(obj):
-    raise TypeError(f"not JSON-serializable: {obj!r}")
-
-
-def _emit(args, payload_json, csv_header, csv_rows) -> None:
+def _emit(args, payload, csv_header, csv_rows) -> None:
     """Write either the JSON payload or the equivalent CSV rows."""
     if args.format == "json":
-        text = json.dumps(payload_json, indent=2, default=_json_default)
+        text = json.dumps(payload, indent=2)
     else:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(csv_header)
         for row in csv_rows:
-            w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            w.writerow([format(v, ".17g") if isinstance(v, float) else v
+                        for v in row])
         text = buf.getvalue().rstrip("\n")
     if args.out:
         with open(args.out, "w") as fh:
@@ -63,13 +59,15 @@ def _emit(args, payload_json, csv_header, csv_rows) -> None:
         print(text)
 
 
-def _round17(x: float) -> float:
-    # canonical 17-significant-digit value (identical in JSON and CSV)
-    return float(_fmt(x))
-
-
-def _c17(v: complex) -> dict:
-    return {"re": _round17(v.real), "im": _round17(v.imag)}
+def _csv_rows(header, records) -> list:
+    # column "x_re" is record["x"]["re"] and a null x gives an empty cell;
+    # every other column is a key of the record
+    def cell(record, column):
+        if column in record:
+            return record[column]
+        key, _, part = column.rpartition("_")
+        return "" if record[key] is None else record[key][part]
+    return [[cell(r, c) for c in header] for r in records]
 
 
 def _params_from_args(z, tau, args) -> engine.ComputeParams:
@@ -90,6 +88,11 @@ def _params_from_args(z, tau, args) -> engine.ComputeParams:
 
 # ---------------------------------------------------------------- commands
 
+def _lattice_zero() -> dict:
+    # the record of G = 0, in the key order of EvalResult.to_json_dict
+    return {"log": None, "value": {"re": 0.0, "im": 0.0}, "err_est": 0.0}
+
+
 def _cmd_eval(args) -> int:
     z, tau = args.z, args.tau
     # with no override the library picks the truncations, so a zero it finds
@@ -97,24 +100,14 @@ def _cmd_eval(args) -> int:
     params = None
     if (args.N, args.M, args.m) != (None, None, None):
         params = _params_from_args(z, tau, args)
+    header = ["log_re", "log_im", "value_re", "value_im", "err_est", "N", "M"]
     try:
-        result = engine.log_double_gamma(z, tau, params)
+        record = engine.log_double_gamma(z, tau, params).to_json_dict()
     except LatticeZeroError:
         N, M = (None, None) if params is None else (params.N, params.M)
-        payload = {"log": None, "value": {"re": 0.0, "im": 0.0},
-                   "err_est": 0.0, "N": N, "M": M, "note": "lattice zero"}
-        _emit(args, payload,
-              ["log_re", "log_im", "value_re", "value_im", "err_est", "N", "M", "note"],
-              [["", "", 0.0, 0.0, 0.0, N, M, "lattice zero"]])
-        return EXIT_OK
-    d = result.to_json_dict()
-    payload = {"log": _c17(result.log_value), "value": _c17(result.value),
-               "err_est": _round17(d["err_est"]), "N": d["N"], "M": d["M"]}
-    _emit(args, payload,
-          ["log_re", "log_im", "value_re", "value_im", "err_est", "N", "M"],
-          [[result.log_value.real, result.log_value.imag,
-            result.value.real, result.value.imag,
-            result.error_estimate, d["N"], d["M"]]])
+        record = {**_lattice_zero(), "N": N, "M": M, "note": "lattice zero"}
+        header.append("note")
+    _emit(args, record, header, _csv_rows(header, [record]))
     return EXIT_OK
 
 
@@ -140,31 +133,26 @@ def _cmd_table(args) -> int:
     zs = [start] if count == 1 else [
         start + (stop - start) * (k / (count - 1)) for k in range(count)]
     params = _params_from_args(max(zs, key=abs), tau, args)
-    rows_json, rows_csv = [], []
+    rows = []
     for idx, z in enumerate(zs):
         try:
-            r = engine.log_double_gamma(z, tau, params)
-            log_d, val, err = _c17(r.log_value), _c17(r.value), _round17(r.error_estimate)
-            note = ""
+            r, note = engine.log_double_gamma(z, tau, params).to_json_dict(), ""
         except LatticeZeroError:
-            log_d, val, err, note = None, {"re": 0.0, "im": 0.0}, 0.0, "lattice zero"
-        rows_json.append({"index": idx, "z": _c17(z), "value": val,
-                          "log": log_d, "err_est": err, "note": note})
-        rows_csv.append([idx, z.real, z.imag, val["re"], val["im"],
-                         log_d["re"] if log_d else "",
-                         log_d["im"] if log_d else "", err, note])
-    _emit(args, rows_json,
-          ["index", "z_re", "z_im", "value_re", "value_im",
-           "log_re", "log_im", "err_est", "note"],
-          rows_csv)
+            r, note = _lattice_zero(), "lattice zero"
+        rows.append({"index": idx, "z": {"re": z.real, "im": z.imag},
+                     "value": r["value"], "log": r["log"],
+                     "err_est": r["err_est"], "note": note})
+    header = ["index", "z_re", "z_im", "value_re", "value_im",
+              "log_re", "log_im", "err_est", "note"]
+    _emit(args, rows, header, _csv_rows(header, rows))
     return EXIT_OK
 
 
 def _cmd_polys(args) -> int:
+    if args.n < 0:
+        raise DomainError("n must be >= 0")
     if args.n > 200:
-        print("error: n is capped at 200 (coefficients grow combinatorially)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("n is capped at 200 (coefficients grow combinatorially)")
     payload = {}
     rows = []
     if args.family == "q":
@@ -187,19 +175,11 @@ def _cmd_polys(args) -> int:
 
 
 def _cmd_modular_forms(args) -> int:
-    mf = modular.modular_forms_em(args.tau, args.m)
-    d = mf.to_json_dict()
-    payload = {k: (_c17(complex(v["re"], v["im"])) if isinstance(v, dict) else
-                   (_round17(v) if isinstance(v, float) else v))
-               for k, v in d.items()}
-    row = []
-    header = []
-    for key in ("tau", "C", "D", "a", "b", "a_tilde", "b_tilde"):
-        header += [f"{key}_re", f"{key}_im"]
-        row += [d[key]["re"], d[key]["im"]]
-    header += ["m_used", "error_estimate"]
-    row += [d["m_used"], d["error_estimate"]]
-    _emit(args, payload, header, [row])
+    record = modular.modular_forms_em(args.tau, args.m).to_json_dict()
+    header = [f"{key}_{part}"
+              for key in ("tau", "C", "D", "a", "b", "a_tilde", "b_tilde")
+              for part in ("re", "im")] + ["m_used", "error_estimate"]
+    _emit(args, record, header, _csv_rows(header, [record]))
     return EXIT_OK
 
 
@@ -267,23 +247,18 @@ def _bench_order_asym():
     return rows, slopes
 
 
+# mode: (runner, the two columns beside "error", the slope rows' label)
+_BENCH_MODES = {"order-N": (_bench_order_n, ("M", "N"), "slope_M"),
+                "order-asym": (_bench_order_asym, ("abs_z", "n_tail"), "slope_ntail")}
+
+
 def _cmd_bench(args) -> int:
-    if args.mode == "order-N":
-        rows, slopes = _bench_order_n()
-        payload = {"rows": [{"M": m, "N": n, "error": _round17(e)}
-                            for m, n, e in rows],
-                   "slopes": {str(k): _round17(v) for k, v in slopes.items()}}
-        csv_rows = [[m, n, e] for m, n, e in rows]
-        csv_rows += [[f"slope_M{k}", "", v] for k, v in slopes.items()]
-        _emit(args, payload, ["M", "N", "error"], csv_rows)
-    else:
-        rows, slopes = _bench_order_asym()
-        payload = {"rows": [{"abs_z": a, "n_tail": n, "error": _round17(e)}
-                            for a, n, e in rows],
-                   "slopes": {str(k): _round17(v) for k, v in slopes.items()}}
-        csv_rows = [[a, n, e] for a, n, e in rows]
-        csv_rows += [[f"slope_ntail{k}", "", v] for k, v in slopes.items()]
-        _emit(args, payload, ["abs_z", "n_tail", "error"], csv_rows)
+    run, (kx, ky), label = _BENCH_MODES[args.mode]
+    rows, slopes = run()
+    payload = {"rows": [{kx: x, ky: y, "error": e} for x, y, e in rows],
+               "slopes": {str(k): v for k, v in slopes.items()}}
+    csv_rows = rows + [[f"{label}{k}", "", v] for k, v in slopes.items()]
+    _emit(args, payload, [kx, ky, "error"], csv_rows)
     return EXIT_OK
 
 
@@ -311,30 +286,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common, truncation], help="evaluate G(z;tau)")
     p.add_argument("--z", type=parse_complex, required=True)
     p.add_argument("--tau", type=parse_complex, required=True)
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("table", parents=[common, truncation],
                        help="evaluate G on a line segment of z values")
     p.add_argument("--grid", type=_parse_grid, required=True,
                    metavar="START:STOP:COUNT")
     p.add_argument("--tau", type=parse_complex, required=True)
+    p.set_defaults(run=_cmd_table)
 
     p = sub.add_parser("polys", parents=[common],
                        help="emit exact polynomial coefficients")
     p.add_argument("--family", choices=("q", "P"), required=True)
     p.add_argument("--n", type=int, required=True, help="maximum index")
+    p.set_defaults(run=_cmd_polys)
 
     p = sub.add_parser("modular-forms", parents=[common, em],
                        help="gamma modular forms at tau")
     p.add_argument("--tau", type=parse_complex, required=True)
+    p.set_defaults(run=_cmd_modular_forms)
 
     p = sub.add_parser("verify", parents=[common], help="run the identity suite")
     p.add_argument("--seed", type=int, default=0, help="verification seed")
     p.add_argument("--profile", choices=("default", "strict"), default="default")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("bench", parents=[common],
                        help="convergence-order benchmarks")
-    p.add_argument("--mode", choices=("order-N", "order-asym"),
-                   default="order-N")
+    p.add_argument("--mode", choices=tuple(_BENCH_MODES), default="order-N")
+    p.set_defaults(run=_cmd_bench)
     return ap
 
 
@@ -342,19 +322,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "polys":
-            return _cmd_polys(args)
-        if args.command == "modular-forms":
-            return _cmd_modular_forms(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        raise AssertionError("unreachable")
+        return args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

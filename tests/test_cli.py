@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from barnesg import engine
 from barnesg.cli import main, parse_complex
 
 
@@ -119,6 +124,65 @@ def test_eval_csv_json_payload_match(capsys):
     assert int(rec["N"]) == pj["N"]
 
 
+def test_eval_json_is_the_record(capsys):
+    # eval prints EvalResult.to_json_dict() itself, with and without overrides
+    _, out, _ = run_cli(capsys, "eval", "--z", "1.5+0.5i", "--tau", "2")
+    assert json.loads(out) == engine.log_double_gamma(1.5 + 0.5j, 2).to_json_dict()
+    _, out, _ = run_cli(capsys, "eval", "--z", "1.5+0.5i", "--tau", "2",
+                        "--N", "300", "--M", "8", "--m", "200")
+    params = engine.ComputeParams(N=300, M=8, m_cd=200)
+    assert json.loads(out) == engine.log_double_gamma(
+        1.5 + 0.5j, 2, params).to_json_dict()
+
+
+def _csv_cells_match_json(capsys, *argv):
+    # every CSV cell parses to the JSON value under its column: "x_re" is
+    # record["x"]["re"], empty where x is null; other columns are keys
+    _, out_j, _ = run_cli(capsys, *argv)
+    _, out_c, _ = run_cli(capsys, *argv, "--format", "csv")
+    records = json.loads(out_j)
+    records = records if isinstance(records, list) else [records]
+    rows = list(csv.reader(io.StringIO(out_c)))
+    header = rows[0]
+    assert len(rows) == len(records) + 1
+    for record, row in zip(records, rows[1:]):
+        assert len(row) == len(header)
+        for column, cell in zip(header, row):
+            if column in record:
+                value = record[column]
+            else:
+                key, _, part = column.rpartition("_")
+                value = None if record[key] is None else record[key][part]
+            if value is None:
+                assert cell == "", column
+            elif isinstance(value, float):
+                assert repr(float(cell)) == repr(value), column
+            else:
+                assert cell == str(value), column
+    return records
+
+
+def test_csv_cells_are_the_json_values(capsys):
+    _csv_cells_match_json(capsys, "eval", "--z", "1.3+0.2i", "--tau", "1.1")
+    zero = _csv_cells_match_json(capsys, "eval", "--z", "-1", "--tau", "1")
+    assert zero[0]["note"] == "lattice zero"
+    rows = _csv_cells_match_json(capsys, "table", "--grid=-2:-0.5:7", "--tau", "1")
+    assert [r["note"] for r in rows].count("lattice zero") == 2
+    _csv_cells_match_json(capsys, "modular-forms", "--tau", "1+1i", "--m", "400")
+
+
+def test_module_entry_point(capsys):
+    # python -m barnesg.cli prints what an in-process main prints
+    argv = ["eval", "--z", "1.5+0.5i", "--tau", "2"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "barnesg.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    _, out, _ = run_cli(capsys, *argv)
+    assert proc.stdout == out
+
+
 def test_eval_leading_minus_equals_form(capsys):
     # values with a leading minus sign use the --opt=value form
     code, out, _ = run_cli(capsys, "eval", "--z=-0.5-0.5i", "--tau", "1+1i")
@@ -192,6 +256,9 @@ def test_polys_cap(capsys):
     code, _, err = run_cli(capsys, "polys", "--family", "q", "--n", "201")
     assert code == 2
     assert "cap" in err
+    # a negative maximum index is an error too, not an empty payload
+    code, out, err = run_cli(capsys, "polys", "--family", "q", "--n", "-3")
+    assert code == 2 and "error" in err and out == ""
     # a flag the subcommand does not read is a usage error
     with pytest.raises(SystemExit) as exc:
         main(["polys", "--family", "q", "--n", "3", "--N", "5"])
