@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import io
 import json
 import math
 import sys
-from dataclasses import replace
 
 from . import engine, identities, modular, polys
 from .errors import CapacityError, ConvergenceError, DomainError, LatticeZeroError
@@ -45,6 +43,7 @@ def _emit(args, payload, csv_header, csv_rows) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2)
     else:
+        import csv  # only here: the JSON path never loads it
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(csv_header)
@@ -82,7 +81,7 @@ def _params_from_args(z, tau, args) -> engine.ComputeParams:
     else:
         raise DomainError("M must be in 1..16")
     if args.m is not None:
-        params = replace(params, m_cd=args.m)
+        params = engine.ComputeParams(params.N, params.M, args.m)
     return params
 
 

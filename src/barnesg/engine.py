@@ -11,9 +11,10 @@ plus the order-M correction
 
     z^3 sum_{k=1}^{M} (-tau)^(-k-1) P_k(z;-tau) / (k(k+1)(k+2)) N^(-k),
 
-with P_k evaluated from the exact polynomial tables. The term-wise sum fixes
-a specific branch ("canonical logarithm"); it is never reduced mod 2 pi i,
-and identity tests always compare multiplicatively or modulo 2 pi i.
+with P_k's coefficients built from the exact Bernoulli numbers in integer
+arithmetic, each rounded to binary64 once. The term-wise sum fixes a
+specific branch ("canonical logarithm"); it is never reduced mod 2 pi i, and
+identity tests always compare multiplicatively or modulo 2 pi i.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import backend
 from ._laurent import Laurent
+from ._record import Record, set_field
 from .backend import LN_2PI
 from .errors import (
     ArgumentConditionError,
@@ -39,7 +40,7 @@ from .kernels import (_N_CAP, QuadratureSpec, check_finite,
                       integrate_semiaxis, log_gamma)
 from .modular import (_cut_distance, check_off_cut, default_m,
                       modular_forms_cached)
-from .polys import p_poly, q_poly
+from .polys import bernoulli_number
 
 # error target of the automatic truncation, per unit of 1 + |z|: the
 # binary64 resolution of a result of that size
@@ -62,36 +63,41 @@ _BEYOND_MAX = _TARGET
 _N0_CROSSOVER = 200
 
 
-@dataclass(frozen=True)
-class ComputeParams:
+class ComputeParams(Record):
     """Truncation controls: product length N, correction order M, and the
     Euler-Maclaurin length m_cd behind a_tilde / b_tilde."""
 
-    N: int
-    M: int = 12
-    m_cd: int | None = None
+    __slots__ = ("N", "M", "m_cd")
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __init__(self, N: int, M: int = 12, m_cd: int | None = None):
+        if N < 1:
             raise DomainError("N must be positive")
-        if not 1 <= self.M <= 16:
+        if not 1 <= M <= 16:
             raise DomainError("M must be in 1..16")
-        if self.m_cd is not None and self.m_cd < 1:
+        if m_cd is not None and m_cd < 1:
             raise DomainError("m_cd must be positive")
+        set_field(self, "N", N)
+        set_field(self, "M", M)
+        set_field(self, "m_cd", m_cd)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     """Canonical log, value = exp(log), an a-posteriori error estimate, the
     truncations planned, and the route that ran: "product" (the truncated
     product, with params_used) or "asymptotic" (the large-z expansion, taken
     by automatic evaluations only; params_used is then the product's plan)."""
 
-    log_value: complex
-    value: complex
-    error_estimate: float
-    params_used: ComputeParams
-    route: str = "product"
+    __slots__ = ("log_value", "value", "error_estimate", "params_used",
+                 "route")
+
+    def __init__(self, log_value: complex, value: complex,
+                 error_estimate: float, params_used: ComputeParams,
+                 route: str = "product"):
+        set_field(self, "log_value", log_value)
+        set_field(self, "value", value)
+        set_field(self, "error_estimate", error_estimate)
+        set_field(self, "params_used", params_used)
+        set_field(self, "route", route)
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,22 +109,27 @@ class EvalResult:
         }
 
 
-@dataclass(frozen=True)
-class AsymptoticCoeffs:
+class AsymptoticCoeffs(Record):
     """Coefficients of the large-z expansion of ln G(z;tau):
     (a2 z^2 + a1 z + a0) ln z + b2 z^2 + b1 z + b0 + sum tail[n] z^-n,
     and b0_error, the error estimate of b0 (the only coefficient computed
     by engine evaluations)."""
 
-    a0: complex
-    a1: complex
-    a2: complex
-    b0: complex
-    b1: complex
-    b2: complex
-    tail: tuple[complex, ...]
-    tau: complex
-    b0_error: float = 0.0
+    __slots__ = ("a0", "a1", "a2", "b0", "b1", "b2", "tail", "tau",
+                 "b0_error")
+
+    def __init__(self, a0: complex, a1: complex, a2: complex, b0: complex,
+                 b1: complex, b2: complex, tail: tuple[complex, ...],
+                 tau: complex, b0_error: float = 0.0):
+        set_field(self, "a0", a0)
+        set_field(self, "a1", a1)
+        set_field(self, "a2", a2)
+        set_field(self, "b0", b0)
+        set_field(self, "b1", b1)
+        set_field(self, "b2", b2)
+        set_field(self, "tail", tail)
+        set_field(self, "tau", tau)
+        set_field(self, "b0_error", b0_error)
 
 
 def _safe_exp(w: complex) -> complex:
@@ -206,15 +217,30 @@ def _zero_within(z: complex, tau: complex, tol: float) -> bool:
     return False
 
 
+def _q_row(n: int, scale: int = 1) -> tuple[float, ...]:
+    # scale q_n(tau)'s coefficients, each rounded to binary64 once, from
+    # q_n = sum_i C(n,i) B_i B_(n-i) tau^i and trimmed as q_poly(n) is: each
+    # is one quotient of integers, which rounds correctly, so it has the
+    # bits of float() of the exact rational
+    row = []
+    for i in range(n + 1):
+        a, b = bernoulli_number(i), bernoulli_number(n - i)
+        row.append(scale * math.comb(n, i) * a.numerator * b.numerator
+                   / (a.denominator * b.denominator))
+    while not row[-1]:
+        row.pop()
+    return tuple(row)
+
+
 # An lru_cache function rather than a plain table: the benchmark reports its
 # cache_info().
 @functools.lru_cache(maxsize=64)
 def _p_rounded(k: int) -> tuple[tuple[float, ...], ...]:
-    # z-major coefficient matrix of P_k from the exact tables, each rational
-    # rounded to binary64 once (same rounding eval_bivariate would apply).
-    # The direct convolution is the cheapest exact route to build cold.
-    return tuple(tuple(float(c) for c in row.coeffs)
-                 for row in p_poly(k).coeffs)
+    # z-major coefficient matrix of P_k = sum_j C(k+2,j+2) q_(k-j) z^(j-1),
+    # j = 1..k, each coefficient rounded to binary64 once (the rounding
+    # eval_bivariate applies to p_poly(k))
+    return tuple(_q_row(k - j, math.comb(k + 2, j + 2))
+                 for j in range(1, k + 1))
 
 
 def _p_value(p_rows: dict, z: complex, tau: complex, k: int) -> complex:
@@ -415,9 +441,9 @@ def double_gamma_value(z: complex, tau: complex,
 
 @functools.lru_cache(maxsize=64)
 def _q_rounded(n: int) -> tuple[float, ...]:
-    # q_n's coefficients from the exact table, each rounded to binary64 once
-    # (the rounding eval_rational_poly applies)
-    return tuple(float(c) for c in q_poly(n).coeffs)
+    # q_n's coefficients, each rounded to binary64 once (the rounding
+    # eval_rational_poly applies to q_poly(n))
+    return _q_row(n)
 
 
 def _tail(tau: complex, n_tail: int) -> tuple[complex, ...]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 
 from .engine import (
     _safe_exp,
@@ -23,6 +22,7 @@ from .engine import (
     lattice_distance,
     log_double_gamma,
 )
+from ._record import Record
 from .backend import LN_2PI
 from .errors import DomainError
 from .kernels import log_gamma, q_pochhammer
@@ -31,15 +31,23 @@ from .modular import d_reflection_residual
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass
-class IdentityReport:
-    """Outcome of one identity over its sample points."""
+class IdentityReport(Record):
+    """Outcome of one identity over its sample points; mutable, unlike the
+    other records, so compared by value but not hashable."""
 
-    identity_id: str
-    points: list
-    residuals: list[float]
-    tolerance: float
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("identity_id", "points", "residuals", "tolerance", "notes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, identity_id: str, points: list,
+                 residuals: list[float], tolerance: float,
+                 notes: list[str] | None = None):
+        self.identity_id = identity_id
+        self.points = points
+        self.residuals = residuals
+        self.tolerance = tolerance
+        self.notes = [] if notes is None else notes
 
     @property
     def max_residual(self) -> float:

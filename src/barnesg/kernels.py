@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import backend
+from ._record import Record, set_field
 from .backend import _N_CAP
 from .errors import CapacityError, ConvergenceError, DomainError
 
@@ -110,19 +110,19 @@ def elliptic_ke(k: float) -> EllipticKE:
     return EllipticKE(K, E, Kp)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Target absolute error and refinement cap for integrate_semiaxis."""
 
-    target: float = 1e-11
-    max_level: int = 11
+    __slots__ = ("target", "max_level")
 
-    def __post_init__(self):
-        if self.target < 10.0 * _EPS:
+    def __init__(self, target: float = 1e-11, max_level: int = 11):
+        if target < 10.0 * _EPS:
             raise DomainError(
                 "quadrature target below 10x unit roundoff is not attainable")
-        if self.max_level < 1:
+        if max_level < 1:
             raise DomainError("max_level must be positive")
+        set_field(self, "target", target)
+        set_field(self, "max_level", max_level)
 
 
 # x = exp(c sinh t) maps R onto (0, inf); |c sinh t| is capped so x stays

@@ -22,10 +22,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-
 from . import backend
 from ._laurent import Laurent
+from ._record import Record, set_field
 from .backend import _MAX_ARG, EULER_GAMMA, LN_2PI, binet_j, psi_tail
 from .errors import CapacityError, ConsistencyError, DomainError, PreconditionError
 from .kernels import (_N_CAP, QuadratureSpec, check_finite, elliptic_ke,
@@ -34,8 +33,7 @@ from .kernels import (_N_CAP, QuadratureSpec, check_finite, elliptic_ke,
 _PI2_6 = math.pi * math.pi / 6.0
 
 
-@dataclass(frozen=True)
-class ModularForms:
+class ModularForms(Record):
     """C, D and the exponent constants at a fixed tau.
 
     a, b, a_tilde, b_tilde are filled from C and D by construction:
@@ -44,15 +42,21 @@ class ModularForms:
     a_tilde = a + gamma tau, b_tilde = b + pi^2 tau^2/6.
     """
 
-    C: complex
-    D: complex
-    a: complex
-    b: complex
-    a_tilde: complex
-    b_tilde: complex
-    tau: complex
-    m_used: int
-    error_estimate: float
+    __slots__ = ("C", "D", "a", "b", "a_tilde", "b_tilde", "tau", "m_used",
+                 "error_estimate")
+
+    def __init__(self, C: complex, D: complex, a: complex, b: complex,
+                 a_tilde: complex, b_tilde: complex, tau: complex,
+                 m_used: int, error_estimate: float):
+        set_field(self, "C", C)
+        set_field(self, "D", D)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "a_tilde", a_tilde)
+        set_field(self, "b_tilde", b_tilde)
+        set_field(self, "tau", tau)
+        set_field(self, "m_used", m_used)
+        set_field(self, "error_estimate", error_estimate)
 
     def to_json_dict(self) -> dict:
         c = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731

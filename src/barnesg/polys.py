@@ -359,8 +359,10 @@ _P_RECURSIVE = _MemoList(_next_p_recursive)
 def p_poly_recursive(n: int) -> BivariatePolynomial:
     """P_n(z;tau) by the recursion starting from P_1 = 1 (exact tau-division).
 
-    The engine builds from ``p_poly``; this route stays as the independent
-    reference the tests compare it against, and the benchmark traces it.
+    The engine builds its rounded tables from the Bernoulli numbers in
+    integer arithmetic, not from either route; ``p_poly`` is what the tests
+    check those tables against, this route is the independent reference for
+    ``p_poly``, and the benchmark traces it.
     """
     if n < 1:
         raise ValueError("n must be positive")

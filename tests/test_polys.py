@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from barnesg import engine
 from barnesg.errors import ConsistencyError
 from barnesg.polys import (
     BivariatePolynomial,
@@ -268,3 +269,17 @@ def test_serialization_round_trip():
     p2 = p_poly(2)
     assert p2.to_strings() == [["-2", "-2"], ["1"]]
     assert BivariatePolynomial.from_strings(p2.to_strings()) == p2
+
+
+def test_rounded_tables_match_the_exact_polynomials():
+    # the integer closed forms behind _p_rounded and _q_rounded, built
+    # afresh (past the lru_cache), round each rational coefficient of
+    # p_poly / q_poly exactly as float() does, bit for bit and with the
+    # same trimmed lengths
+    for k in range(1, 17):
+        ref = [[float(c) for c in row.coeffs] for row in p_poly(k).coeffs]
+        got = engine._p_rounded.__wrapped__(k)
+        assert repr(got) == repr(tuple(tuple(row) for row in ref)), k
+    for n in range(engine._TAIL_LEN + 3):
+        ref = tuple(float(c) for c in q_poly(n).coeffs)
+        assert repr(engine._q_rounded.__wrapped__(n)) == repr(ref), n
