@@ -155,14 +155,27 @@ def _exp2pi(z: complex) -> complex:
     return cmath.exp(2j * math.pi * z)
 
 
-def _logsinpi_upper(z: complex) -> complex:
-    # log sin(pi z) branch valid for Im z >= 0: sin(pi z) =
-    # (i/2) e^{-i pi z} (1 - e^{2 pi i z}).
+def _one_minus_exp2pi(z: complex) -> complex:
+    # 1 - e^{2 pi i z} for Im z >= 0, with x = Re z - round(Re z), y = Im z:
+    # 2 sin^2(pi x) - expm1(-2 pi y) cos(2 pi x) - i e^{-2 pi y} sin(2 pi x).
+    # The real part is a sum of two nonnegative terms where cos(2 pi x) >= 0
+    # and at least 1 elsewhere, so nothing cancels near a pole; it is 0
+    # only at x = y = 0, a pole. NaN when Re z is not finite.
     try:
-        log1m = clog1p(-_exp2pi(z))
-    except ValueError:  # 1 - e^{2 pi i z} rounded to 0 or below
-        raise PoleError(f"sin(pi z) rounds to 0 at {z}") from None
-    return complex(-math.log(2.0), 0.5 * math.pi) - 1j * math.pi * z + log1m
+        x = z.real - round(z.real)
+    except (OverflowError, ValueError):
+        return complex(math.nan, math.nan)
+    y = -2.0 * math.pi * z.imag
+    s = math.sin(math.pi * x)
+    return complex(2.0 * s * s - math.expm1(y) * math.cos(2.0 * math.pi * x),
+                   -math.exp(y) * math.sin(2.0 * math.pi * x))
+
+
+def _logsinpi_upper(z: complex) -> complex:
+    # log sin(pi z) branch valid for Im z >= 0 (off the poles): sin(pi z) =
+    # (i/2) e^{-i pi z} (1 - e^{2 pi i z}).
+    return (complex(-math.log(2.0), 0.5 * math.pi) - 1j * math.pi * z
+            + cmath.log(_one_minus_exp2pi(z)))
 
 
 def _loggamma_right(z: complex) -> complex:
@@ -177,9 +190,9 @@ def _loggamma_right(z: complex) -> complex:
 def loggamma(z: complex) -> complex:
     """Principal log Gamma: analytic on C minus (-inf, 0], real on (0, inf).
 
-    PoleError at the poles 0, -1, -2, ..., and also near one (|Im z| below
-    about 1.2e-9 at Re z = -n), where the reflection's |1 - e^{2 pi i z}|^2,
-    taken as 1 + (2x + x^2 + y^2) with x + iy = -e^{2 pi i z}, rounds to 0."""
+    PoleError at the poles 0, -1, -2, ... alone: left of Re z = 1/2 the
+    reflection takes log(1 - e^{2 pi i z}) from a form that keeps its
+    digits however near a pole z lies (``_one_minus_exp2pi``)."""
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"log Gamma pole at {z}")
@@ -193,8 +206,8 @@ def loggamma(z: complex) -> complex:
 def loggamma_stirling(z: complex) -> complex:
     """Independent log Gamma route: recurrence shift + Binet series.
 
-    Same branch convention and PoleError band as ``loggamma``; used as an
-    internal cross-check.
+    Same branch convention, poles and reflection as ``loggamma``; used as an
+    internal cross-check of the rest.
     """
     z = complex(z)
     if _is_nonpositive_integer(z):
