@@ -3,9 +3,9 @@ types.
 
 A subclass lists its fields in ``__slots__``, in the order its ``__init__``
 takes them, and writes each one there through ``set_field``
-(``object.__setattr__``).
-Equality and hash go by the field values, ``repr`` names the fields, and
-any later assignment raises ``AttributeError``.
+(``object.__setattr__``). Equality and hash go by the field values,
+``repr`` names the fields, and any later assignment or deletion raises
+``AttributeError``.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ class Record:
         return tuple(getattr(self, f) for f in self.__slots__)
 
     def __setattr__(self, name, value):
-        raise AttributeError(
-            f"cannot assign to field {name!r} of {type(self).__qualname__}")
+        raise AttributeError(f"{type(self).__qualname__} is immutable")
 
     def __delattr__(self, name):
-        self.__setattr__(name, None)
+        raise AttributeError(f"{type(self).__qualname__} is immutable")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
