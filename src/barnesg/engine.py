@@ -14,7 +14,10 @@ plus the order-M correction
 with P_k's coefficients built from the exact Bernoulli numbers in integer
 arithmetic, each rounded to binary64 once. The term-wise sum fixes a
 specific branch ("canonical logarithm"); it is never reduced mod 2 pi i, and
-identity tests always compare multiplicatively or modulo 2 pi i.
+identity tests always compare multiplicatively or modulo 2 pi i. Automatic
+evaluations may take one of two other routes, the large-z expansion or, at
+|arg tau| > 3pi/4, the reflection identity; their logs match the canonical
+one only modulo 2 pi i.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     LatticeZeroError,
     SectorError,
 )
-from .kernels import (_N_CAP, QuadratureSpec, check_finite,
+from .kernels import (_N_CAP, QuadratureSpec, _log_q_product, check_finite,
                       integrate_semiaxis, log_gamma)
 from .modular import (_cut_distance, check_off_cut, default_m,
                       modular_forms_cached)
@@ -61,6 +64,13 @@ _BEYOND_MAX = _TARGET
 # 2-CPU x86-64 machine); measured, the route wins 18 of 19 fresh points
 # with N0 in [200, 300) and 21 of 29 in [100, 200)
 _N0_CROSSOVER = 200
+# the reflection route (_reflection_route) leaves to the product every z
+# whose 1 - z lies within this of a zero of the inner G. Measured on a
+# seeded grid (Im tau/|tau| in [1e-3, 0.6]): at distance d from such a point
+# the route is off by at most about 1.1e-16/d, the product by 1e-13 to 1e-8
+# whatever d; at d = 1e-4 the route's worst (1.2e-12) is below the
+# product's worst where Im tau/|tau| >= 0.03 (3.6e-12)
+_REFLECT_RADIUS = 1e-4
 
 
 class ComputeParams(Record):
@@ -84,8 +94,11 @@ class ComputeParams(Record):
 class EvalResult(Record):
     """Canonical log, value = exp(log), an a-posteriori error estimate, the
     truncations planned, and the route that ran: "product" (the truncated
-    product, with params_used) or "asymptotic" (the large-z expansion, taken
-    by automatic evaluations only; params_used is then the product's plan)."""
+    product, with params_used), "asymptotic" (the large-z expansion) or
+    "reflection" (the paper's reflection identity, at |arg tau| > 3pi/4).
+    The last two are taken by automatic evaluations only; params_used is
+    then the product's plan, and log_value matches the canonical log only
+    modulo 2 pi i."""
 
     __slots__ = ("log_value", "value", "error_estimate", "params_used",
                  "route")
@@ -293,13 +306,18 @@ def _n_floor(z: complex, tau: complex) -> int:
     """Least N a plan may use: N0 = ceil(8(2+|z|)/|tau|), which is never below
     gn_sum's direct-branch end ceil(max(16, 2|z|)/|tau|), and the least N
     whose disk |w - N tau| <= 2|z| misses the cut (-inf, 0]: N|tau| > 2|z|
-    when Re tau >= 0, N|Im tau| > 2|z| otherwise. DomainError when the
-    floor overflows binary64, CapacityError past _N_CAP."""
+    when Re tau >= 0, N|Im tau| > 2|z| otherwise. At Re tau < 0 also
+    N |Im tau| >= 6.5, so the terms in |q|^N = e^(-2 pi N |Im tau|), which
+    lie beyond every order of the correction, stay below 2^-52.
+    DomainError when the floor overflows binary64, CapacityError past
+    _N_CAP."""
     az = abs(z)
     scale = 8.0 * (2.0 + az)
     if math.isinf(scale):
         raise DomainError(f"|z| = {az} overflows binary64 in the N floor")
     floor = scale / abs(tau)
+    if tau.real < 0.0:
+        floor = max(floor, 6.5 / abs(tau.imag))
     cut = 2.0 * az / _cut_distance(tau)
     if not max(floor, cut) <= _N_CAP:
         raise CapacityError(f"product truncation exceeded {_N_CAP}")
@@ -355,7 +373,8 @@ def choose_params(z: complex, tau: complex) -> ComputeParams:
     """Plan (N, M, m_cd) in closed form, with no trial evaluation.
 
     N starts at the floor N0 = ceil(8(2+|z|)/|tau|), raised where needed so
-    that the disk |w - N tau| <= 2|z| misses the cut. At N0 the plan takes
+    that the disk |w - N tau| <= 2|z| misses the cut, and at Re tau < 0 to
+    at least 6.5/|Im tau| (_n_floor). At N0 the plan takes
     the least M <= 16 whose error bound, over orders M and M - 1, meets the
     target 2^-52 (1 + |z|), the binary64 resolution of the result; only
     when no M does is N raised, to the least N any M reaches.
@@ -369,15 +388,20 @@ def log_double_gamma(z: complex, tau: complex,
     """Canonical log of G(z;tau); raises LatticeZeroError at zeros of G,
     whether or not the product with the given N would reach them.
 
-    With params None the truncation is choose_params's plan, and where
-    _asymptotic_route shows the large-z expansion as accurate as that
-    product, the expansion runs instead (route "asymptotic"). Explicit
-    params always run the product. A log that is not finite in binary64
-    raises DomainError.
+    With params None the truncation is choose_params's plan. At
+    |arg tau| > 3pi/4, where gn_sum never regroups, the reflection identity
+    runs instead (route "reflection", _reflection_route), except where
+    1 - z lies within _REFLECT_RADIUS of a zero of its inner G. Elsewhere,
+    where _asymptotic_route shows the large-z expansion as accurate as that
+    product, the expansion runs instead (route "asymptotic"). On both routes
+    the log matches the canonical log only modulo 2 pi i. Explicit params
+    always run the product. A log that is not finite in binary64 raises
+    DomainError.
     """
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
     auto = params is None
+    far = abs(cmath.phase(tau)) > backend._MAX_ARG  # gn_sum never regroups
     refused = None
     if auto:
         # before the zero test, so an overflowing |z| is refused at once; a
@@ -392,7 +416,10 @@ def log_double_gamma(z: complex, tau: complex,
     if refused is not None:
         raise refused
     if auto:
-        result = _asymptotic_route(z, tau, params)
+        if far:
+            result = _reflection_route(z, tau, params)
+        else:
+            result = _asymptotic_route(z, tau, params)
         if result is not None:
             return _finite(result)
     if not abs(z) < params.N * abs(tau):
@@ -414,10 +441,18 @@ def log_double_gamma(z: complex, tau: complex,
                + mf.b_tilde * z * z / (2.0 * tau * tau)
                + backend.gn_sum(z, tau, params.N)
                + corr)
+    error = _error_bound(a, params.N, params.M, abs(z), abs(tau))
+    if far:
+        # gn_sum and cd_sums never regroup here, and the roundoff of their
+        # n direct terms, each about |n tau| in size, grows as n^2: on a
+        # seeded grid of automatic and doubled plans it stayed below
+        # 1.7 2^-52 N^2 |tau|
+        n = max(params.N, m_cd)
+        error += 4.0 * _TARGET * n * n * abs(tau)
     return _finite(EvalResult(
         log_value=log_val,
         value=_safe_exp(log_val),
-        error_estimate=_error_bound(a, params.N, params.M, abs(z), abs(tau)),
+        error_estimate=error,
         params_used=params,
     ))
 
@@ -558,10 +593,10 @@ def _tail_order(tail: tuple[complex, ...], az: float,
 def _asymptotic_route(z: complex, tau: complex,
                       params: ComputeParams) -> EvalResult | None:
     """The large-z expansion at an automatic evaluation (params is the
-    product's plan) where it is provably as accurate as the product, else
-    None. It runs when all of these hold:
+    product's plan) at |arg tau| <= 3pi/4, where b0_of_tau's engine calls
+    are sound (the reflection route takes the rest), where it is provably as
+    accurate as the product; else None. It runs when all of these hold:
 
-    * |arg tau| <= 3pi/4, where b0_of_tau's engine calls are sound;
     * |z| > 1 and |z/tau| > 1, so the calls inside b0_of_tau, at (1/2, tau)
       and (tau, 2 tau), never come here: the route cannot recurse;
     * the product floor N0 is past _N0_CROSSOVER, where building the
@@ -577,8 +612,7 @@ def _asymptotic_route(z: complex, tau: complex,
     engine calls.
     """
     az = abs(z)
-    if (abs(cmath.phase(tau)) > backend._MAX_ARG
-            or not min(az, az / abs(tau)) > 1.0
+    if (not min(az, az / abs(tau)) > 1.0
             or _n_floor(z, tau) <= _N0_CROSSOVER
             or not _outside_cone(z, tau)):
         return None
@@ -600,6 +634,54 @@ def _asymptotic_route(z: complex, tau: complex,
         error_estimate=omitted + beyond * abs(log_val) + coeffs.b0_error,
         params_used=params,
         route="asymptotic",
+    )
+
+
+def _reflection_route(z: complex, tau: complex,
+                      params: ComputeParams) -> EvalResult | None:
+    """G at |arg tau| > 3pi/4 by the reflection identity
+    -2 pi i t G(1/2+u;t) G(1/2-u;-t) = (-e^(2 pi i u);q)_inf / (q;q)_inf,
+    q = e^(2 pi i t), at an automatic evaluation (params is the product's
+    plan); None, for the product, where it is 0/0.
+
+    With t = -tau (Im tau < 0) and y = 1 - z,
+        log G(z;tau) = L(y) - L(t) - log(-2 pi i t) - log G(y;t),
+    where L(a) = log (e^(2 pi i a); q)_inf; at Im tau > 0 the same runs at
+    (conj z, conj tau), since G(z;tau) = conj G(conj z; conj tau). Re t > 0
+    and |arg t| < pi/4, so the inner automatic evaluation never comes here:
+    the route cannot recurse. Where y lies within _REFLECT_RADIUS of a zero
+    of G(.;t), both sides of the identity vanish (every positive integer z
+    is such a point), and the product answers.
+
+    The route depends on (z, tau) alone. Its log matches the canonical log
+    only modulo 2 pi i. The error estimate is the inner evaluation's plus
+    the roundoff bounds of the two q-products.
+    """
+    upper = tau.imag > 0.0
+    if upper:
+        z, tau = z.conjugate(), tau.conjugate()
+    t = -tau
+    y = 1.0 - z
+    if _zero_within(y, t, _REFLECT_RADIUS):
+        return None
+    inner = log_double_gamma(y, t)
+    lp, err_p = _log_q_product(y, t)
+    lq, err_q = _log_q_product(t, t)
+    lt = cmath.log(-2j * math.pi * t)
+    log_val = lp - lq - lt - inner.log_value
+    # the roundoff of the inner product (measured below 5.7 2^-52 N at
+    # tau = 1; its estimate counts truncation only) and of the three sums
+    roundoff = _TARGET * (8.0 * inner.params_used.N
+                          + 1.5 * (abs(lp) + abs(lq) + abs(lt)
+                                   + abs(inner.log_value)))
+    if upper:
+        log_val = log_val.conjugate()
+    return EvalResult(
+        log_value=log_val,
+        value=_safe_exp(log_val),
+        error_estimate=inner.error_estimate + err_p + err_q + roundoff,
+        params_used=params,
+        route="reflection",
     )
 
 

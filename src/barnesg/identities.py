@@ -17,6 +17,7 @@ import random
 from .engine import (
     _safe_exp,
     b0_of_tau,
+    choose_params,
     double_gamma_value,
     gamma2,
     lattice_distance,
@@ -101,9 +102,13 @@ def check_reflection(z: complex, tau: complex) -> float:
     if tau.imag <= 0:
         raise DomainError("the reflection identity needs Im tau > 0")
     q = cmath.exp(2j * math.pi * tau)
+    # the -tau side at choose_params' plan runs the product: an automatic
+    # evaluation there, at |arg tau| > 3pi/4, would take the reflection
+    # route and check the identity against itself
+    w = 0.5 - z
     lhs = (-2j * math.pi * tau
            * double_gamma_value(0.5 + z, tau)
-           * double_gamma_value(0.5 - z, -tau))
+           * double_gamma_value(w, -tau, choose_params(w, -tau)))
     rhs = q_pochhammer(-cmath.exp(2j * math.pi * z), q) / q_pochhammer(q, q)
     return abs(lhs / rhs - 1)
 

@@ -74,6 +74,80 @@ def q_pochhammer(a: complex, q: complex) -> complex:
     return prod
 
 
+# factors of _log_q_product with |e^(2 pi i u)| >= e^_BIG are summed in
+# closed form (the neglected log(1 - e^(-2 pi i u)) is below 2^-60 a
+# factor); factors with |e^(2 pi i u)| < e^-_SMALL (< 2^-53) are left out
+_BIG = 42.0
+_SMALL = 37.0
+_TWO_PI = 2.0 * math.pi
+
+
+def _turns(num: int, den: int) -> float:
+    # num/den mod 1 in [-1/2, 1/2), den a power of two: exact integer
+    # arithmetic, one rounding
+    r = num % den
+    if 2 * r >= den:
+        r -= den
+    return r / den
+
+
+def _log_q_product(alpha: complex, beta: complex) -> tuple[complex, float]:
+    """sum_{n>=0} log(1 - e^(2 pi i (alpha + n beta))) modulo 2 pi i, the log
+    of (e^(2 pi i alpha); e^(2 pi i beta))_infinity, for finite alpha and
+    Im beta > 0; and a bound on its roundoff and truncation.
+
+    The product is never formed, so |e^(2 pi i alpha)| = e^(-2 pi Im alpha)
+    may be far past binary64. The factors that large are summed in closed
+    form, sum (2 pi i u_n + i pi), and the phase of every factor is reduced
+    mod 1 in integer arithmetic, so a large n |Re beta| costs no bits of it.
+    CapacityError, before any factor, past _N_CAP factors.
+    """
+    ya, yb = alpha.imag, beta.imag
+    # u_n = alpha + n beta has |e^(2 pi i u_n)| = e^(-2 pi (ya + n yb)):
+    # factors n < k are large, factors n >= end are left out
+    last = (_SMALL / _TWO_PI - ya) / yb
+    if not last < _N_CAP:
+        raise CapacityError(
+            f"q-Pochhammer product would exceed {_N_CAP} factors")
+    end = max(0, math.floor(last) + 1)
+    k = min(end, max(0, math.floor((-_BIG / _TWO_PI - ya) / yb) + 1))
+    pa, da = alpha.real.as_integer_ratio()
+    pb, db = beta.real.as_integer_ratio()
+    den = max(da, db, 2)
+    pa *= den // da
+    pb *= den // db
+    tri = k * (k - 1) // 2
+    # closed form: sum_{n<k} 2 pi i u_n + i pi, with the phase mod 2 pi
+    big = _TWO_PI * (k * ya + tri * yb)
+    re = [-big]
+    im = [_TWO_PI * _turns(k * pa + tri * pb + k * (den // 2), den)]
+    # five roundings, in units of 2^-52: a half unit of each product
+    # (times 2 pi), and of the sum, 2 pi and big
+    err = math.pi * (abs(k * ya) + tri * yb) + 1.5 * abs(big)
+    for n in range(k, end):
+        x = _turns(pa + n * pb, den)
+        y = ya + n * yb
+        if y >= 0.0:
+            d = backend._one_minus_exp2pi(complex(x, y))
+            t = cmath.log(d)
+        else:  # 1 - e = -e (1 - 1/e)
+            d = backend._one_minus_exp2pi(complex(-x, -y))
+            t = cmath.log(d) + complex(-_TWO_PI * y, _TWO_PI * x + math.pi)
+        re.append(t.real)
+        im.append(t.imag)
+        # the term's own rounding, and that of u_n (2 ulps of |y|, one of
+        # the unit phase) times |d term/du|: 2 pi |e|/|d| at y >= 0,
+        # 2 pi/|d| past it
+        err += abs(t) + (_TWO_PI * (2.0 * abs(y) + 1.0) / abs(d)
+                         * (math.exp(-_TWO_PI * y) if y >= 0.0 else 1.0))
+    # left-out terms: below 2 e^-_BIG at n = k - 1 and 2 e^-_SMALL at end,
+    # each run geometric in |q| = e^(-2 pi yb)
+    left_out = (2.0 * (math.exp(-_BIG) + math.exp(-_SMALL))
+                / -math.expm1(-_TWO_PI * yb))
+    return (complex(math.fsum(re), math.fsum(im)),
+            _EPS * err + left_out)
+
+
 class EllipticKE(NamedTuple):
     K: float
     E: float

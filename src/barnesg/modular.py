@@ -81,9 +81,12 @@ def check_off_cut(tau: complex, what: str = "tau") -> complex:
 
 
 def default_m(tau: complex) -> int:
-    """Euler-Maclaurin length keeping |m tau| >= 64; CapacityError when that
-    takes more than _N_CAP terms."""
+    """Euler-Maclaurin length keeping |m tau| >= 64, and at Re tau < 0 also
+    m |Im tau| >= 8, where the error of the sums grows as Im tau shrinks;
+    CapacityError when that takes more than _N_CAP terms."""
     m = 64.0 / abs(tau)
+    if tau.real < 0.0 and tau.imag:
+        m = max(m, 8.0 / abs(tau.imag))
     if m > _N_CAP:
         raise CapacityError(f"Euler-Maclaurin length exceeded {_N_CAP}")
     return max(64, math.ceil(m))

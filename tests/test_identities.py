@@ -1,11 +1,13 @@
 """Identity-suite behaviour: individual residual checks, determinism,
 profiles, and coverage of the expected identity set."""
 
+import cmath
 import json
 import math
 
 import pytest
 
+from barnesg import engine
 from barnesg.errors import DomainError
 from barnesg.identities import (
     EXPECTED_IDENTITY_IDS,
@@ -29,6 +31,25 @@ def test_reflection_examples():
     assert check_reflection(0.1, 1.2j) < 1e-9
     assert check_reflection(0.3 + 0.1j, 0.5 + 0.9j) < 1e-8
     assert check_reflection(0.0, 2j) < 1e-9
+
+
+def test_reflection_minus_tau_side_runs_the_product(monkeypatch):
+    # at -tau = -2 - 0.5i (|arg| = 0.92 pi) an automatic evaluation takes the
+    # reflection route, which would check the identity against itself
+    routes = {}
+    inner = engine.log_double_gamma
+
+    def recorded(z, tau, params=None):
+        r = inner(z, tau, params)
+        routes[complex(tau)] = r.route
+        return r
+
+    monkeypatch.setattr(engine, "log_double_gamma", recorded)
+    z, tau = 0.2 - 0.1j, 2 + 0.5j
+    assert abs(cmath.phase(-tau)) > 0.75 * math.pi
+    assert inner(0.5 - z, -tau).route == "reflection"
+    assert check_reflection(z, tau) < 1e-9
+    assert routes == {tau: "product", -tau: "product"}
 
 
 def test_reflection_domain():

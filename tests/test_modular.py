@@ -74,6 +74,10 @@ def test_em_domain_and_precondition():
 def test_default_m():
     assert default_m(1.0) == 64
     assert default_m(0.25) == 256
+    # at Re tau < 0 also m |Im tau| >= 8
+    assert default_m(-1 + 0.01j) == 800
+    assert default_m(-1 - 0.003j) == 2667
+    assert default_m(-0.5 + 1.2j) == 64
 
 
 def test_em_length_cap():
