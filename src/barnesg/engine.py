@@ -65,7 +65,8 @@ _BEYOND_MAX = _TARGET
 # with N0 in [200, 300) and 21 of 29 in [100, 200)
 _N0_CROSSOVER = 200
 # the reflection route (_reflection_route) leaves to the product every z
-# whose 1 - z lies within this of a zero of the inner G. Measured on a
+# whose 1 - z (1 - conj z at Im tau > 0) lies within this of a zero of the
+# inner G. Measured on a
 # seeded grid (Im tau/|tau| in [1e-3, 0.6]): at distance d from such a point
 # the route is off by at most about 1.1e-16/d, the product by 1e-13 to 1e-8
 # whatever d; at d = 1e-4 the route's worst (1.2e-12) is below the
@@ -391,7 +392,8 @@ def log_double_gamma(z: complex, tau: complex,
     With params None the truncation is choose_params's plan. At
     |arg tau| > 3pi/4, where gn_sum never regroups, the reflection identity
     runs instead (route "reflection", _reflection_route), except where
-    1 - z lies within _REFLECT_RADIUS of a zero of its inner G. Elsewhere,
+    1 - z (1 - conj z at Im tau > 0) lies within _REFLECT_RADIUS of a zero
+    of its inner G. Elsewhere,
     where _asymptotic_route shows the large-z expansion as accurate as that
     product, the expansion runs instead (route "asymptotic"). On both routes
     the log matches the canonical log only modulo 2 pi i. Explicit params
@@ -654,8 +656,9 @@ def _reflection_route(z: complex, tau: complex,
     is such a point), and the product answers.
 
     The route depends on (z, tau) alone. Its log matches the canonical log
-    only modulo 2 pi i. The error estimate is the inner evaluation's plus
-    the roundoff bounds of the two q-products.
+    only modulo 2 pi i. The error estimate is the inner evaluation's, plus
+    the bounds of the two q-products, plus the roundoff of the inner
+    product and of the sum of the four logs.
     """
     upper = tau.imag > 0.0
     if upper:
