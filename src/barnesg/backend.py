@@ -571,20 +571,6 @@ def cd_sums(tau: complex, m: int, k0: int):
     return psi_small, psi1_small, x * s0, x * s1 / tau, h[1], h[2]
 
 
-def binet_j(w: complex) -> complex:
-    """Binet correction J(w) = lgG(w) - (w-1/2)log w + w - log(2 pi)/2.
-
-    Valid in the Stirling regime (|w| >= 8 away from the cut); exposed for the
-    regrouped gamma-modular-form assembly.
-    """
-    return _binet(complex(w))
-
-
-def psi_tail(w: complex) -> complex:
-    """Bernoulli tail S(w) with psi(w) = log w - 1/(2w) - S(w)."""
-    return _psi_tail(complex(w))
-
-
 def backend_name() -> str:
     """Name of the kernel implementation: always "pure", the only one there is.
 

@@ -397,7 +397,12 @@ def log_double_gamma(z: complex, tau: complex,
     where _asymptotic_route shows the large-z expansion as accurate as that
     product, the expansion runs instead (route "asymptotic"). On both routes
     the log matches the canonical log only modulo 2 pi i. Explicit params
-    always run the product. A log that is not finite in binary64 raises
+    always run the product, and raise CapacityError before summing when N
+    exceeds _N_CAP or N |tau| <= |z|.
+
+    Every route yields a log and its error estimate, and _result builds the
+    EvalResult from them, with choose_params' plan as params_used on an
+    automatic route; a log that is not finite in binary64 raises
     DomainError.
     """
     tau = check_off_cut(tau)
@@ -418,17 +423,17 @@ def log_double_gamma(z: complex, tau: complex,
     if refused is not None:
         raise refused
     if auto:
-        if far:
-            result = _reflection_route(z, tau, params)
-        else:
-            result = _asymptotic_route(z, tau, params)
-        if result is not None:
-            return _finite(result)
+        found = _reflection_route(z, tau) if far else _asymptotic_route(z, tau)
+        if found is not None:
+            route = "reflection" if far else "asymptotic"
+            return _result(*found, params, route)
     if not abs(z) < params.N * abs(tau):
         # the correction series in z/(N tau) diverges: refuse before summing
         raise CapacityError(
             f"N = {params.N} is too small for |z|/|tau| = {abs(z) / abs(tau):.6g};"
             " the product needs N |tau| > |z|")
+    if params.N > _N_CAP:
+        raise CapacityError(f"product truncation N = {params.N} exceeds {_N_CAP}")
     m_cd = params.m_cd if params.m_cd is not None else default_m(tau)
     mf = modular_forms_cached(tau, m_cd)
     a = list(itertools.islice(_coefficients(z, tau), params.M))
@@ -451,20 +456,17 @@ def log_double_gamma(z: complex, tau: complex,
         # 1.7 2^-52 N^2 |tau|
         n = max(params.N, m_cd)
         error += 4.0 * _TARGET * n * n * abs(tau)
-    return _finite(EvalResult(
-        log_value=log_val,
-        value=_safe_exp(log_val),
-        error_estimate=error,
-        params_used=params,
-    ))
+    return _result(log_val, error, params)
 
 
-def _finite(result: EvalResult) -> EvalResult:
-    # a log that left binary64 on the way is refused, not returned as exact
-    if not cmath.isfinite(result.log_value):
-        raise DomainError(
-            f"log G is not finite in binary64: {result.log_value}")
-    return result
+def _result(log_val: complex, error: float, params: ComputeParams,
+            route: str = "product") -> EvalResult:
+    """The EvalResult of every evaluation, whatever its route: a log that
+    left binary64 on the way is refused with DomainError, not returned as
+    exact; value is its exponential."""
+    if not cmath.isfinite(log_val):
+        raise DomainError(f"log G is not finite in binary64: {log_val}")
+    return EvalResult(log_val, _safe_exp(log_val), error, params, route)
 
 
 def double_gamma_value(z: complex, tau: complex,
@@ -592,10 +594,10 @@ def _tail_order(tail: tuple[complex, ...], az: float,
     return None
 
 
-def _asymptotic_route(z: complex, tau: complex,
-                      params: ComputeParams) -> EvalResult | None:
-    """The large-z expansion at an automatic evaluation (params is the
-    product's plan) at |arg tau| <= 3pi/4, where b0_of_tau's engine calls
+def _asymptotic_route(z: complex,
+                      tau: complex) -> tuple[complex, float] | None:
+    """(log G, error estimate) by the large-z expansion at an automatic
+    evaluation at |arg tau| <= 3pi/4, where b0_of_tau's engine calls
     are sound (the reflection route takes the rest), where it is provably as
     accurate as the product; else None. It runs when all of these hold:
 
@@ -611,7 +613,7 @@ def _asymptotic_route(z: complex, tau: complex,
     a call returns the same bits whatever ran before it. The error estimate
     is the truncation (the omitted terms of _tail_order), plus
     e^(-2 pi s) |log G|, plus b0's share of the error estimates of its two
-    engine calls.
+    engine calls. log_double_gamma's _result builds the EvalResult.
     """
     az = abs(z)
     if (not min(az, az / abs(tau)) > 1.0
@@ -630,21 +632,16 @@ def _asymptotic_route(z: complex, tau: complex,
     if coeffs is None:
         coeffs = _memo_coeffs(tau, tail)
     log_val = log_double_gamma_asymptotic(z, tau, n_tail, coeffs)
-    return EvalResult(
-        log_value=log_val,
-        value=_safe_exp(log_val),
-        error_estimate=omitted + beyond * abs(log_val) + coeffs.b0_error,
-        params_used=params,
-        route="asymptotic",
-    )
+    return log_val, omitted + beyond * abs(log_val) + coeffs.b0_error
 
 
-def _reflection_route(z: complex, tau: complex,
-                      params: ComputeParams) -> EvalResult | None:
-    """G at |arg tau| > 3pi/4 by the reflection identity
+def _reflection_route(z: complex,
+                      tau: complex) -> tuple[complex, float] | None:
+    """(log G, error estimate) at |arg tau| > 3pi/4 by the reflection
+    identity
     -2 pi i t G(1/2+u;t) G(1/2-u;-t) = (-e^(2 pi i u);q)_inf / (q;q)_inf,
-    q = e^(2 pi i t), at an automatic evaluation (params is the product's
-    plan); None, for the product, where it is 0/0.
+    q = e^(2 pi i t), at an automatic evaluation; None, for the product,
+    where it is 0/0.
 
     With t = -tau (Im tau < 0) and y = 1 - z,
         log G(z;tau) = L(y) - L(t) - log(-2 pi i t) - log G(y;t),
@@ -658,7 +655,8 @@ def _reflection_route(z: complex, tau: complex,
     The route depends on (z, tau) alone. Its log matches the canonical log
     only modulo 2 pi i. The error estimate is the inner evaluation's, plus
     the bounds of the two q-products, plus the roundoff of the inner
-    product and of the sum of the four logs.
+    product and of the sum of the four logs. log_double_gamma's _result
+    builds the EvalResult.
     """
     upper = tau.imag > 0.0
     if upper:
@@ -679,13 +677,7 @@ def _reflection_route(z: complex, tau: complex,
                                    + abs(inner.log_value)))
     if upper:
         log_val = log_val.conjugate()
-    return EvalResult(
-        log_value=log_val,
-        value=_safe_exp(log_val),
-        error_estimate=inner.error_estimate + err_p + err_q + roundoff,
-        params_used=params,
-        route="reflection",
-    )
+    return log_val, inner.error_estimate + err_p + err_q + roundoff
 
 
 def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
@@ -760,13 +752,8 @@ def gamma2(z: complex, w1: complex, w2: complex,
     inner = log_double_gamma(z / w1, w2 / w1, params)
     p = -z * z / (2.0 * w1 * w2) + z * (w1 + w2) / (2.0 * w1 * w2) - 1.0
     log_val = (z / (2.0 * w1) * LN_2PI + p * cmath.log(w2) - inner.log_value)
-    return EvalResult(
-        log_value=log_val,
-        value=_safe_exp(log_val),
-        error_estimate=inner.error_estimate,
-        params_used=inner.params_used,
-        route=inner.route,
-    )
+    return _result(log_val, inner.error_estimate, inner.params_used,
+                   inner.route)
 
 
 def log_G_integrand(z: complex, tau: complex):
@@ -811,8 +798,8 @@ def log_G_via_integral(z: complex, tau: complex,
     Returns a real-analytic branch; it agrees with the canonical engine log
     modulo 2 pi i, so comparisons belong on exp.
     """
-    z = complex(z)
-    tau = complex(tau)
+    z = check_finite(z, "z")
+    tau = check_finite(tau, "tau")
     if z.real <= 0.0 or tau.real <= 0.0:
         raise DomainError("the integral form requires Re z > 0 and Re tau > 0")
     return integrate_semiaxis(log_G_integrand(z, tau), spec)

@@ -25,7 +25,7 @@ import math
 from . import backend
 from ._laurent import Laurent
 from ._record import Record, set_field
-from .backend import _MAX_ARG, EULER_GAMMA, LN_2PI, binet_j, psi_tail
+from .backend import _MAX_ARG, EULER_GAMMA, LN_2PI, _binet, _psi_tail
 from .errors import CapacityError, ConsistencyError, DomainError, PreconditionError
 from .kernels import (_N_CAP, QuadratureSpec, check_finite, elliptic_ke,
                       integrate_semiaxis, log_gamma, polygamma)
@@ -154,7 +154,7 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
         # cancelled symbolically; lgamma(k0) is the only explicit factorial.
         C = (psi_small - math.lgamma(k0) - k0 * ln_tau
              - 0.5 * ln_m + 0.5 * LN_2PI
-             + binet_j(m) - binet_j(w) / tau
+             + _binet(complex(m)) - _binet(w) / tau
              + (ln_m + ln_tau) / (2.0 * tau)
              - h1 / (2.0 * tau) - s0
              + 0.5 * psi_w + corr_c)
@@ -162,7 +162,7 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
         D = (psi1_small + h1 / tau + h2 / (2.0 * tau * tau) + s1
              + 0.5 * psi1_w
              - (ln_m + ln_tau) / tau + 1.0 / (2.0 * m * tau * tau)
-             + psi_tail(w) / tau
+             + _psi_tail(w) / tau
              + corr_d)
     else:
         psi_small, psi1_small, _, _, _, _ = backend.cd_sums(tau, m, m)
@@ -252,7 +252,7 @@ def d_integrand(tau: complex):
 
 def C_via_integral(tau: complex, spec: QuadratureSpec = QuadratureSpec()) -> complex:
     """C(tau) from its semi-axis integral representation (Re tau > 0)."""
-    tau = complex(tau)
+    tau = check_finite(tau, "tau")
     if tau.real <= 0.0:
         raise DomainError("the C integral requires Re tau > 0")
     return LN_2PI / (2.0 * tau) - integrate_semiaxis(c_integrand(tau), spec)
@@ -260,7 +260,7 @@ def C_via_integral(tau: complex, spec: QuadratureSpec = QuadratureSpec()) -> com
 
 def D_via_integral(tau: complex, spec: QuadratureSpec = QuadratureSpec()) -> complex:
     """D(tau) from its semi-axis integral representation (Re tau > 0)."""
-    tau = complex(tau)
+    tau = check_finite(tau, "tau")
     if tau.real <= 0.0:
         raise DomainError("the D integral requires Re tau > 0")
     return integrate_semiaxis(d_integrand(tau), spec)

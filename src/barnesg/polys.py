@@ -15,7 +15,7 @@ import threading
 from fractions import Fraction
 from math import comb
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 
 # Exact signed rational: always lowest terms, denominator > 0.
 Rational = Fraction
@@ -259,14 +259,14 @@ _BERNOULLI = _MemoList(_next_bernoulli)
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2 convention), exact."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     return _BERNOULLI.get(n)
 
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_{n-k} x^k, exact."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     return RationalPolynomial(
         [comb(n, k) * bernoulli_number(n - k) for k in range(n + 1)])
 
@@ -284,7 +284,7 @@ _Q_DIRECT = _MemoList(_next_q)
 def q_poly(n: int) -> RationalPolynomial:
     """q_n(tau) by the direct Bernoulli convolution."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     return _Q_DIRECT.get(n)
 
 
@@ -319,7 +319,7 @@ def q_poly_recursive(n: int) -> RationalPolynomial:
     remainder raises ConsistencyError.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     return _Q_RECURSIVE.get(n)
 
 
@@ -336,7 +336,7 @@ _P_DIRECT = _MemoList(_next_p)
 def p_poly(n: int) -> BivariatePolynomial:
     """P_n(z;tau) = sum_{k=1}^{n} C(n+2,k+2) q_{n-k}(tau) z^(k-1)."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     return _P_DIRECT.get(n - 1)
 
 
@@ -365,7 +365,7 @@ def p_poly_recursive(n: int) -> BivariatePolynomial:
     ``p_poly``, and the benchmark traces it.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     return _P_RECURSIVE.get(n - 1)
 
 
@@ -373,14 +373,14 @@ def _b_tilde(k: int) -> RationalPolynomial:
     # z^-3 (B_k(z) - B_k(0) - B_k'(0) z - B_k''(0) z^2/2): drop the three
     # lowest Bernoulli-polynomial coefficients and shift down.
     if k < 3:
-        raise ValueError("defined for k >= 3")
+        raise DomainError("defined for k >= 3")
     return RationalPolynomial(bernoulli_polynomial(k).coeffs[3:])
 
 
 def p_poly_alt(n: int) -> BivariatePolynomial:
     """P_n(z;tau) via the truncated-Bernoulli-polynomial form."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     out = BivariatePolynomial()
     for k in range(1, n + 1):
         scale = comb(n + 2, k + 2) * bernoulli_number(n - k)

@@ -1,4 +1,6 @@
-"""The library names that the benchmark under perfbench/ binds still resolve.
+"""The library names that the benchmark under perfbench/ binds still resolve,
+and the library keeps the behaviour the benchmark relies on: every automatic
+route records choose_params' plan, and refusals come before any work.
 
 perfbench/ is read here, never changed: a rename in the library that the
 benchmark depends on fails this test instead of the benchmark run.
@@ -6,9 +8,14 @@ benchmark depends on fails this test instead of the benchmark run.
 
 import importlib
 import importlib.util
+import math
 import pathlib
 
+import pytest
+
 import barnesg
+from barnesg.engine import ComputeParams
+from barnesg.errors import CapacityError, DomainError
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,3 +71,70 @@ def test_auto_eval_calls_choose_params(monkeypatch):
     monkeypatch.setattr(barnesg.engine, "choose_params", counting)
     barnesg.engine.log_double_gamma(1.5 + 0.5j, 2.0)
     assert calls
+
+
+@pytest.mark.parametrize("z, tau, route", [
+    (1.5 + 0.5j, 2.0, "product"),
+    (60 - 45j, 1.5, "asymptotic"),
+    (0.3 + 0.2j, -1 + 0.1j, "reflection"),
+])
+def test_every_automatic_route_records_the_plan(z, tau, route):
+    # the scatter workload reads rec.params_used.N on every route, to decide
+    # whether its reference value can be trusted
+    rec = barnesg.engine.log_double_gamma(z, tau)
+    assert rec.route == route
+    assert rec.params_used == barnesg.engine.choose_params(z, tau)
+
+
+def test_untraced_run_bound_names():
+    # the scatter warm-up clears the modular-forms cache, and the verify
+    # workload checks each suite run's identity ids against this tuple
+    assert callable(barnesg.modular.modular_forms_cached.cache_clear)
+    ids = tuple(r.identity_id for r in barnesg.identities.run_suite(0))
+    assert ids == barnesg.identities.EXPECTED_IDENTITY_IDS
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work ran before the refusal")
+
+
+_INTEGRAL_WORK = ("barnesg.engine.integrate_semiaxis",
+                  "barnesg.engine.log_G_integrand",
+                  "barnesg.modular.integrate_semiaxis",
+                  "barnesg.modular.c_integrand",
+                  "barnesg.modular.d_integrand")
+_EN, _MO, _PO = "barnesg.engine", "barnesg.modular", "barnesg.polys"
+
+
+@pytest.mark.parametrize("module, name, args, error, work", [
+    # an explicit N past the cap: refused before the product is summed
+    (_EN, "log_double_gamma", (1, 1, ComputeParams(N=10 ** 7)),
+     CapacityError, ("barnesg.backend.gn_sum",
+                     "barnesg.modular.modular_forms_cached")),
+    # a log that leaves binary64 (here z^2 overflows in gamma2's prefactor)
+    (_EN, "gamma2", (1e160, 1e160, 1e160), DomainError, ()),
+    # non-finite input to the integral routes: refused before quadrature
+    (_EN, "log_G_via_integral", (math.inf, 1), DomainError, _INTEGRAL_WORK),
+    (_EN, "log_G_via_integral", (1, math.nan), DomainError, _INTEGRAL_WORK),
+    (_EN, "log_G_via_integral", (1, math.inf), DomainError, _INTEGRAL_WORK),
+    (_MO, "C_via_integral", (math.nan,), DomainError, _INTEGRAL_WORK),
+    (_MO, "D_via_integral", (math.nan,), DomainError, _INTEGRAL_WORK),
+    (_MO, "D_via_integral", (complex(1, math.inf),), DomainError,
+     _INTEGRAL_WORK),
+    # the index checks of the exact families raise the package's error
+    (_PO, "bernoulli_number", (-1,), DomainError, ()),
+    (_PO, "bernoulli_polynomial", (-1,), DomainError, ()),
+    (_PO, "q_poly", (-1,), DomainError, ()),
+    (_PO, "q_poly_recursive", (-1,), DomainError, ()),
+    (_PO, "p_poly", (0,), DomainError, ()),
+    (_PO, "p_poly_recursive", (0,), DomainError, ()),
+    (_PO, "p_poly_alt", (0,), DomainError, ()),
+    (_PO, "_b_tilde", (2,), DomainError, ()),
+])
+def test_refusals_come_before_any_work(monkeypatch, module, name, args,
+                                       error, work):
+    # a refusal that costs seconds would stall a benchmark op that reaches it
+    for target in work:
+        monkeypatch.setattr(target, _never)
+    with pytest.raises(error):
+        getattr(importlib.import_module(module), name)(*args)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from barnesg import engine
+from barnesg import backend, engine
 from barnesg.cli import main, parse_complex
 
 
@@ -87,6 +87,18 @@ def test_eval_capacity_exit(capsys):
     code, _, err = run_cli(capsys, "eval", "--z", "50000", "--tau", "0.01")
     assert code == 3
     assert "error" in err
+
+
+def test_explicit_n_over_cap_exit(capsys, monkeypatch):
+    # an explicit N past the cap is refused before the product is summed
+    def never(*args):
+        raise AssertionError("gn_sum ran before the refusal")
+
+    monkeypatch.setattr(backend, "gn_sum", never)
+    for cmd in (("eval", "--z", "1"), ("table", "--grid", "1:2:2")):
+        code, _, err = run_cli(capsys, *cmd, "--tau", "1", "--N", "10000000")
+        assert code == 3, cmd
+        assert "exceeds" in err
 
 
 def test_eval_order_override_meets_target(capsys):
