@@ -20,7 +20,10 @@
                       for the rest the Bernoulli tails summed over k by
                       swapping the two sums, so that each tail order j carries
                       one real power sum sum_k k^-s; no intermediate grows
-                      with m.
+                      with m. The power sums do not involve tau and are
+                      memoized by (k0, m) (``_power_sums``): both are
+                      integers rounded up from |tau|, so a stream of fresh
+                      tau keeps meeting the same few hundred keys.
 
 At a fresh tau every z-independent kernel value is computed once: the
 modular forms run first and fill the direct table for k < k0, and gn_sum
@@ -517,6 +520,16 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
     return complex(sr + cr, si + ci)
 
 
+@functools.lru_cache(maxsize=512)
+def _power_sums(k0: int, m: int) -> tuple[float, ...]:
+    # (H_1, ..., H_27), H_s = sum_{k0<=k<m} k^-s exactly rounded: every
+    # order cd_sums' tails can take (see cd_sums for why tau is not in the
+    # key). Threads: deterministic values stored whole, as for tau_memo.
+    ks = [float(k) for k in range(k0, m)]
+    return tuple(math.fsum(map(pow, ks, repeat(-s)))
+                 for s in range(1, 2 * len(_B2K) + 2))
+
+
 def cd_sums(tau: complex, m: int, k0: int):
     """Pieces of sum_{k=1}^{m-1} psi(k tau) and psi'(k tau).
 
@@ -532,26 +545,59 @@ def cd_sums(tau: complex, m: int, k0: int):
     so that sum psi(k tau) = psi_small + (m-k0) log tau + lgG(m) - lgG(k0)
     - h1/(2 tau) - s0_tail, with the lgG terms meant to be cancelled
     analytically by the caller, who keeps |k0 tau| in the Stirling regime.
+
+    The tails come from the power sums H_s = sum_{k0<=k<m} k^-s, which are
+    memoized by (k0, m) in ``_power_sums`` (512 keys). tau is not in the
+    key because the H_s do not involve it. modular_forms_em rounds k0 up
+    from |tau| and its sector, and the default m from |tau| (and |Im tau|
+    at Re tau < 0), so a stream of tau that never repeats still repeats
+    (k0, m), and each repeat pays no power sum. A warm memo changes no
+    bit: the stored values are those a cold call computes.
     """
     tau = complex(tau)
     direct = tau_memo(tau)[0]
     ps_r = ps_c = ps_i = ps_ci = 0.0
     p1_r = p1_c = p1_i = p1_ci = 0.0
+    # the compensated additions (_neumaier_add) inlined, as in gn_sum
     for k in range(1, min(k0, m)):
         p = direct.get(k)
         if p is None:
             p = _direct_pieces(direct, k, k * tau)
         _, t, t1 = p
-        ps_r, ps_c = _neumaier_add(ps_r, ps_c, t.real)
-        ps_i, ps_ci = _neumaier_add(ps_i, ps_ci, t.imag)
-        p1_r, p1_c = _neumaier_add(p1_r, p1_c, t1.real)
-        p1_i, p1_ci = _neumaier_add(p1_i, p1_ci, t1.imag)
+        x = t.real
+        s = ps_r + x
+        if abs(ps_r) >= abs(x):
+            ps_c += (ps_r - s) + x
+        else:
+            ps_c += (x - s) + ps_r
+        ps_r = s
+        x = t.imag
+        s = ps_i + x
+        if abs(ps_i) >= abs(x):
+            ps_ci += (ps_i - s) + x
+        else:
+            ps_ci += (x - s) + ps_i
+        ps_i = s
+        x = t1.real
+        s = p1_r + x
+        if abs(p1_r) >= abs(x):
+            p1_c += (p1_r - s) + x
+        else:
+            p1_c += (x - s) + p1_r
+        p1_r = s
+        x = t1.imag
+        s = p1_i + x
+        if abs(p1_i) >= abs(x):
+            p1_ci += (p1_i - s) + x
+        else:
+            p1_ci += (x - s) + p1_i
+        p1_i = s
     psi_small = complex(ps_r + ps_c, ps_i + ps_ci)
     psi1_small = complex(p1_r + p1_c, p1_i + p1_ci)
     if k0 >= m:
         return psi_small, psi1_small, 0j, 0j, 0.0, 0.0
     # The sums over k swapped with the tails' sums over j: with the power
-    # sums H_s = sum_{k0<=k<m} k^-s,
+    # sums H_s = sum_{k0<=k<m} k^-s (h[s - 1]),
     #   sum S(k tau)  = sum_j (B_2j/2j) tau^-2j H_2j,
     #   sum S'(k tau) = sum_j B_2j tau^(-2j-1) H_(2j+1).
     # H_(s+2j) <= k0^-2j H_s, so each j-series falls at least as fast as
@@ -560,15 +606,13 @@ def cd_sums(tau: complex, m: int, k0: int):
     ax = abs(x) / (k0 * k0)
     c0 = _PSI_TAIL.horner[bisect_right(_PSI_TAIL.limits, ax)]
     c1 = _PSI1_TAIL.horner[bisect_right(_PSI1_TAIL.limits, ax)]
-    ks = [float(k) for k in range(k0, m)]
-    h = {s: math.fsum(map(pow, ks, repeat(-s)))
-         for s in range(1, 2 * max(len(c0), len(c1)) + 2)}
+    h = _power_sums(k0, m)
     s0 = s1 = 0j
     for j, c in enumerate(c0):
-        s0 = s0 * x + c * h[2 * (len(c0) - j)]
+        s0 = s0 * x + c * h[2 * (len(c0) - j) - 1]
     for j, c in enumerate(c1):
-        s1 = s1 * x + c * h[2 * (len(c1) - j) + 1]
-    return psi_small, psi1_small, x * s0, x * s1 / tau, h[1], h[2]
+        s1 = s1 * x + c * h[2 * (len(c1) - j)]
+    return psi_small, psi1_small, x * s0, x * s1 / tau, h[0], h[1]
 
 
 def backend_name() -> str:

@@ -24,7 +24,7 @@ from barnesg.kernels import (
     polygamma,
     q_pochhammer,
 )
-from barnesg.modular import modular_forms_em
+from barnesg.modular import default_m, modular_forms_em
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -448,6 +448,46 @@ def test_cd_sums_against_termwise_sums(k0):
                 for i, (g, r) in enumerate(zip(got, ref)):
                     tol = 2e-15 if i in (2, 3) else 1e-15
                     assert abs(g - r) <= tol * abs(r), (k0, tau, m, i)
+
+
+@pytest.mark.parametrize("k0, m", [(1, 2), (1, 64), (3, 300), (7, 1024),
+                                   (27, 2000), (1, 2000)])
+def test_power_sums_memo_holds_the_exact_sums(k0, m):
+    backend._power_sums.cache_clear()
+    ks = [float(k) for k in range(k0, m)]
+    for _ in range(2):  # cold, then warm
+        h = backend._power_sums(k0, m)
+        assert len(h) == 2 * len(backend._B2K) + 1
+        for s, got in enumerate(h, start=1):
+            assert repr(got) == repr(math.fsum(k ** -s for k in ks)), (k0, m, s)
+    assert backend._power_sums.cache_info().hits == 1
+
+
+def test_cd_sums_same_bits_with_the_power_sums_memo_cold_or_warm():
+    # a tau and its conjugate share the (k0, m) that modular_forms_em sets;
+    # cd_sums at either returns the bits of a cold call whichever runs first
+    rng = random.Random(18)
+    for _ in range(12):
+        r = 0.3 * 10 ** rng.uniform(0.0, 1.0)
+        th = rng.uniform(-0.75, 0.75) * math.pi
+        taus = (cmath.rect(r, th), cmath.rect(r, -th))
+        k0 = math.ceil((8.0 if abs(th) <= math.pi / 2 else 16.0) / r)
+        m = default_m(taus[0])
+        assert default_m(taus[1]) == m
+        cold = {}
+        for tau in taus:
+            backend._tau_memo.cache_clear()
+            backend._power_sums.cache_clear()
+            cold[tau] = repr(backend.cd_sums(tau, m, k0))
+        for first, second in (taus, taus[::-1]):
+            backend._power_sums.cache_clear()
+            assert repr(backend.cd_sums(first, m, k0)) == cold[first]
+            assert repr(backend.cd_sums(first, m, k0)) == cold[first]
+            assert repr(backend.cd_sums(second, m, k0)) == cold[second]
+            info = backend._power_sums.cache_info()
+            # one entry for both tau: the first call missed, two hit
+            assert (info.currsize, info.misses, info.hits) == (1, 1, 2), (
+                first, second, m, k0)
 
 
 # modular_forms_em's (tau, C, D) before the tails were summed from power
