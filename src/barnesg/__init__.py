@@ -62,13 +62,8 @@ from .modular import (
     modular_forms_em,
 )
 from .polys import (
-    BivariatePolynomial,
-    Rational,
-    RationalPolynomial,
     bernoulli_number,
     bernoulli_polynomial,
-    eval_bivariate,
-    eval_rational_poly,
     p_poly,
     p_poly_alt,
     p_poly_recursive,
@@ -79,17 +74,17 @@ from .polys import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgumentConditionError", "AsymptoticCoeffs", "BivariatePolynomial",
+    "ArgumentConditionError", "AsymptoticCoeffs",
     "C_via_integral", "C_via_logG_derivative", "CapacityError",
     "ComputeParams", "ConsistencyError", "ConvergenceError",
     "D_via_integral", "D_via_logG_derivative", "DomainError", "EllipticKE",
     "EvalResult", "IdentityReport", "LatticeZeroError", "ModularForms",
-    "PoleError", "PreconditionError", "QuadratureSpec", "Rational",
-    "RationalPolynomial", "SectorError", "asymptotic_coeffs",
+    "PoleError", "PreconditionError", "QuadratureSpec",
+    "SectorError", "asymptotic_coeffs",
     "b0_of_tau", "backend_name", "bernoulli_number",
     "bernoulli_polynomial", "choose_params", "d_reflection_residual",
-    "double_gamma_value", "elliptic_ke", "eval_bivariate",
-    "eval_rational_poly", "gamma2", "integrate_semiaxis", "lattice_distance",
+    "double_gamma_value", "elliptic_ke",
+    "gamma2", "integrate_semiaxis", "lattice_distance",
     "log_G_via_integral", "log_double_gamma", "log_double_gamma_asymptotic",
     "log_gamma", "log_gamma_stirling", "modular_forms_em", "p_poly",
     "p_poly_alt", "p_poly_recursive", "polygamma", "q_pochhammer", "q_poly",

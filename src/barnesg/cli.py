@@ -156,14 +156,14 @@ def _cmd_polys(args) -> int:
     rows = []
     if args.family == "q":
         for n in range(args.n + 1):
-            strs = polys.q_poly(n).to_strings()
+            strs = [str(c) for c in polys.q_poly(n)]
             payload[f"q{n}"] = strs
             for k, c in enumerate(strs):
                 rows.append([f"q{n}", k, c])
         header = ["name", "power", "coefficient"]
     else:
         for n in range(1, args.n + 1):
-            strs = polys.p_poly(n).to_strings()
+            strs = [[str(c) for c in row] for row in polys.p_poly(n)]
             payload[f"P{n}"] = strs
             for zp, taus in enumerate(strs):
                 for k, c in enumerate(taus):

@@ -38,12 +38,13 @@ from .errors import (
     DomainError,
     LatticeZeroError,
     SectorError,
+    check_index,
 )
 from .kernels import (_N_CAP, QuadratureSpec, _log_q_product, check_finite,
                       integrate_semiaxis, log_gamma)
 from .modular import (_cut_distance, check_off_cut, default_m,
                       modular_forms_cached)
-from .polys import bernoulli_number
+from .polys import q_terms
 
 # error target of the automatic truncation, per unit of 1 + |z|: the
 # binary64 resolution of a result of that size
@@ -81,6 +82,9 @@ class ComputeParams(Record):
     __slots__ = ("N", "M", "m_cd")
 
     def __init__(self, N: int, M: int = 12, m_cd: int | None = None):
+        N, M = check_index(N, "N"), check_index(M, "M")
+        if m_cd is not None:
+            m_cd = check_index(m_cd, "m_cd")
         if N < 1:
             raise DomainError("N must be positive")
         if not 1 <= M <= 16:
@@ -231,29 +235,14 @@ def _zero_within(z: complex, tau: complex, tol: float) -> bool:
     return False
 
 
-def _q_row(n: int, scale: int = 1) -> tuple[float, ...]:
-    # scale q_n(tau)'s coefficients, each rounded to binary64 once, from
-    # q_n = sum_i C(n,i) B_i B_(n-i) tau^i and trimmed as q_poly(n) is: each
-    # is one quotient of integers, which rounds correctly, so it has the
-    # bits of float() of the exact rational
-    row = []
-    for i in range(n + 1):
-        a, b = bernoulli_number(i), bernoulli_number(n - i)
-        row.append(scale * math.comb(n, i) * a.numerator * b.numerator
-                   / (a.denominator * b.denominator))
-    while not row[-1]:
-        row.pop()
-    return tuple(row)
-
-
 # An lru_cache function rather than a plain table: the benchmark reports its
 # cache_info().
 @functools.lru_cache(maxsize=64)
 def _p_rounded(k: int) -> tuple[tuple[float, ...], ...]:
     # z-major coefficient matrix of P_k = sum_j C(k+2,j+2) q_(k-j) z^(j-1),
-    # j = 1..k, each coefficient rounded to binary64 once (the rounding
-    # eval_bivariate applies to p_poly(k))
-    return tuple(_q_row(k - j, math.comb(k + 2, j + 2))
+    # j = 1..k: float() of each coefficient of p_poly(k), with its length
+    return tuple(tuple(num / den
+                       for num, den in q_terms(k - j, math.comb(k + 2, j + 2)))
                  for j in range(1, k + 1))
 
 
@@ -480,9 +469,8 @@ def double_gamma_value(z: complex, tau: complex,
 
 @functools.lru_cache(maxsize=64)
 def _q_rounded(n: int) -> tuple[float, ...]:
-    # q_n's coefficients, each rounded to binary64 once (the rounding
-    # eval_rational_poly applies to q_poly(n))
-    return _q_row(n)
+    # float() of each coefficient of q_poly(n), with its length
+    return tuple(num / den for num, den in q_terms(n))
 
 
 def _tail(tau: complex, n_tail: int) -> tuple[complex, ...]:
@@ -518,6 +506,7 @@ def _coeffs(tau: complex, tail: tuple[complex, ...]) -> AsymptoticCoeffs:
 def asymptotic_coeffs(tau: complex, n_tail: int = 0) -> AsymptoticCoeffs:
     """Closed-form a/b coefficients plus n_tail inverse-power tail terms."""
     tau = check_off_cut(tau)
+    n_tail = check_index(n_tail, "n_tail")
     if n_tail < 0:
         raise DomainError("n_tail must be nonnegative")
     return _coeffs(tau, _tail(tau, n_tail))
@@ -693,6 +682,9 @@ def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
     """
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
+    n_tail = check_index(n_tail, "n_tail")
+    if n_tail < 0:
+        raise DomainError("n_tail must be nonnegative")
     if z == 0:
         raise SectorError("z = 0 is outside every admissible sector")
     if not _outside_cone(z, tau):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -35,3 +38,12 @@ class ConvergenceError(RuntimeError):
 
 class CapacityError(RuntimeError):
     """A truncation parameter exceeded its hard cap."""
+
+
+def check_index(value, what: str) -> int:
+    """value as a Python int, or DomainError when it is no integer (a float
+    included); Python and numpy integers pass, through operator.index."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

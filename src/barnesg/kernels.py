@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 from . import backend
 from ._record import Record, set_field
 from .backend import _N_CAP
-from .errors import CapacityError, ConvergenceError, DomainError
+from .errors import CapacityError, ConvergenceError, DomainError, check_index
 
 _EPS = 2.220446049250313e-16
 
@@ -44,7 +44,7 @@ def log_gamma_stirling(z: complex) -> complex:
 
 def polygamma(k: int, z: complex) -> complex:
     """psi^(k)(z) for k = 0..12 (k = 0 is the digamma function)."""
-    return backend.polygamma(k, z)
+    return backend.polygamma(check_index(k, "polygamma order"), z)
 
 
 def q_pochhammer(a: complex, q: complex) -> complex:
@@ -193,6 +193,7 @@ class QuadratureSpec(Record):
         if target < 10.0 * _EPS:
             raise DomainError(
                 "quadrature target below 10x unit roundoff is not attainable")
+        max_level = check_index(max_level, "max_level")
         if max_level < 1:
             raise DomainError("max_level must be positive")
         set_field(self, "target", target)

@@ -26,7 +26,8 @@ from . import backend
 from ._laurent import Laurent
 from ._record import Record, set_field
 from .backend import _MAX_ARG, EULER_GAMMA, LN_2PI, _binet, _psi_tail
-from .errors import CapacityError, ConsistencyError, DomainError, PreconditionError
+from .errors import (CapacityError, ConsistencyError, DomainError,
+                     PreconditionError, check_index)
 from .kernels import (_N_CAP, QuadratureSpec, check_finite, elliptic_ke,
                       integrate_semiaxis, log_gamma, polygamma)
 
@@ -108,8 +109,7 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
     term (heuristic, not a certified bound).
     """
     tau = check_off_cut(tau)
-    if m is None:
-        m = default_m(tau)
+    m = default_m(tau) if m is None else check_index(m, "m")
     if m < 1:
         raise PreconditionError("m must be a positive integer")
     if m > _N_CAP:

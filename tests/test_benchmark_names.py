@@ -130,6 +130,28 @@ _EN, _MO, _PO = "barnesg.engine", "barnesg.modular", "barnesg.polys"
     (_PO, "p_poly_recursive", (0,), DomainError, ()),
     (_PO, "p_poly_alt", (0,), DomainError, ()),
     (_PO, "_b_tilde", (2,), DomainError, ()),
+    # an integer control given as a float: the package's error, not the
+    # TypeError or ValueError of the first use of the value
+    (_EN, "ComputeParams", (64, 2.5), DomainError, ()),
+    (_EN, "ComputeParams", (100.5,), DomainError, ()),
+    (_EN, "ComputeParams", (64, 12, 64.5), DomainError, ()),
+    (_MO, "modular_forms_em", (1.5, 64.5), DomainError,
+     ("barnesg.backend.cd_sums", "barnesg.modular.polygamma")),
+    (_EN, "asymptotic_coeffs", (1.5, 2.5), DomainError,
+     ("barnesg.engine._tail",)),
+    (_EN, "log_double_gamma_asymptotic", (50, 1.5, 2.5), DomainError,
+     ("barnesg.engine._memo_coeffs", "barnesg.engine.asymptotic_coeffs")),
+    (_EN, "log_double_gamma_asymptotic", (50, 1.5, -3), DomainError,
+     ("barnesg.engine._memo_coeffs", "barnesg.engine.asymptotic_coeffs")),
+    ("barnesg.kernels", "polygamma", (2.0, 1 + 1j), DomainError,
+     ("barnesg.backend.polygamma",)),
+    ("barnesg.kernels", "QuadratureSpec", (1e-11, 2.5), DomainError, ()),
+    (_PO, "q_poly", (2.5,), DomainError, ("barnesg.polys._MemoList.get",)),
+    (_PO, "p_poly", (2.0,), DomainError, ("barnesg.polys._MemoList.get",)),
+    (_PO, "bernoulli_number", (3.0,), DomainError,
+     ("barnesg.polys._MemoList.get",)),
+    (_PO, "q_terms", (-1,), DomainError, ("barnesg.polys._MemoList.get",)),
+    (_PO, "q_terms", (2.5,), DomainError, ("barnesg.polys._MemoList.get",)),
 ])
 def test_refusals_come_before_any_work(monkeypatch, module, name, args,
                                        error, work):
@@ -138,3 +160,23 @@ def test_refusals_come_before_any_work(monkeypatch, module, name, args,
         monkeypatch.setattr(target, _never)
     with pytest.raises(error):
         getattr(importlib.import_module(module), name)(*args)
+
+
+def test_integer_controls_accept_numpy_integers():
+    # the integer checks above refuse floats, not integer types other than int
+    import numpy as np
+
+    from barnesg import kernels, modular, polys
+    assert ComputeParams(np.int64(64), np.int32(3), np.uint16(9)) == \
+        ComputeParams(64, 3, 9)
+    assert kernels.QuadratureSpec(max_level=np.int8(4)).max_level == 4
+    assert modular.modular_forms_em(1.5, np.int64(64)) == \
+        modular.modular_forms_em(1.5, 64)
+    assert kernels.polygamma(np.int8(2), 1 + 1j) == kernels.polygamma(2, 1 + 1j)
+    assert barnesg.asymptotic_coeffs(1.5, np.int64(2)) == \
+        barnesg.asymptotic_coeffs(1.5, 2)
+    assert barnesg.log_double_gamma_asymptotic(50, 1.5, np.int64(2)) == \
+        barnesg.log_double_gamma_asymptotic(50, 1.5, 2)
+    assert polys.q_poly(np.int64(5)) is polys.q_poly(5)
+    assert polys.p_poly(np.uint8(3)) is polys.p_poly(3)
+    assert polys.bernoulli_number(np.int16(4)) == polys.bernoulli_number(4)

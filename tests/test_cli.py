@@ -1,6 +1,7 @@
 """CLI behaviour: argument parsing, payload round-trips, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -262,6 +263,26 @@ def test_polys_p2(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["P2"] == [["-2", "-2"], ["1"]]
+
+
+@pytest.mark.parametrize("family, n, fmt, digest", [
+    ("q", "200", "json",
+     "09ea604c7bdd5ba98a8256cff6d053b98edaabc686ebd1799df542b982cb4946"),
+    ("q", "200", "csv",
+     "482b80d2c4b00f4c5a4775e7d245b8c01626d28f7e2f78b2bc9284aab1dca94c"),
+    ("P", "60", "json",
+     "1771b1ee63fa427e2c942125b8a9833d6e3118215d2592b9c717620e0e550f99"),
+    ("P", "60", "csv",
+     "bdfb122485bd685c029113d740a95d8863178adc36e9575002728ca2267cf625"),
+])
+def test_polys_output_pinned(capsys, family, n, fmt, digest):
+    # the whole exact output over the command's range (q to its cap), byte
+    # for byte, against digests of the output of the polynomial classes that
+    # the one closed-form builder replaced
+    code, out, _ = run_cli(capsys, "polys", "--family", family, "--n", n,
+                           "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_polys_cap(capsys):

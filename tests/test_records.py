@@ -153,3 +153,18 @@ def test_cli_import_graph():
         assert name not in loaded, name
     for name in ("barnesg.polys", "barnesg.identities"):
         assert name in loaded, name
+
+
+def test_package_exports():
+    # __all__ and the names bound in barnesg agree both ways, so a name
+    # removed from a module cannot stay listed, or imported, in __init__
+    import types
+
+    import barnesg
+    assert len(set(barnesg.__all__)) == len(barnesg.__all__)
+    for name in barnesg.__all__:
+        assert hasattr(barnesg, name), name
+    public = {name for name, value in vars(barnesg).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public <= set(barnesg.__all__), public - set(barnesg.__all__)
