@@ -133,6 +133,10 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+# (k, c_k), k = 1..14, and g - 1/2: the loop of _loggamma_right reads them
+# with no indexing or constant arithmetic per call
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C[1:], start=1))
+_LANCZOS_SHIFT = _LANCZOS_G - 0.5
 
 
 def clog1p(u: complex) -> complex:
@@ -182,11 +186,13 @@ def _logsinpi_upper(z: complex) -> complex:
 
 
 def _loggamma_right(z: complex) -> complex:
-    # Re z >= 0.5 only.
+    # Re z >= 0.5 only. z - 1.0 is taken once: (z - 1.0) + k is the same
+    # operation, so the same bits, as the series' z - 1.0 + k
+    zm1 = z - 1.0
     a = _LANCZOS_C[0]
-    for k in range(1, 15):
-        a += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
+    for k, c in _LANCZOS_TERMS:
+        a += c / (zm1 + k)
+    t = z + _LANCZOS_SHIFT
     return (_HALF_LN_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(a))
 
 
@@ -394,26 +400,33 @@ _MEMO_M = 1024
 
 
 @functools.lru_cache(maxsize=8)
-def _tau_memo(tau_bits: bytes) -> tuple[dict, dict, dict, dict]:
-    return {}, {}, {}, {}
+def _tau_memo(tau_bits: bytes) -> tuple[dict, dict, dict, dict, list]:
+    return {}, {}, {}, {}, [None]
 
 
-def tau_memo(tau: complex) -> tuple[dict, dict, dict, dict]:
+def tau_memo(tau: complex) -> tuple[dict, dict, dict, dict, list]:
     """The z-independent work of the evaluations at tau, kept for the last
-    8 tau as four tables: the direct table {k: (lgG(w), psi(w), psi'(w))}
-    and the stable one {k: (1/w^2, J(w), S(w), S'(w))}, w = k tau,
-    k <= _MEMO_M (apart because which branch gn_sum takes at k depends on
-    z), the engine's p_rows {k: rows of P_k(z;-tau)}, k <= 16, and its
-    {len(tail): AsymptoticCoeffs} of the large-z expansion. gn_sum fills
-    both tables; cd_sums fills the direct one for its k < k0, which are
-    also direct terms of the product (k0 <= gn_sum's switch point), so the
-    evaluation that builds the modular forms first finds them warm.
+    8 tau as four tables and a slot: the direct table
+    {k: (lgG(w), psi(w), psi'(w))} and the stable one
+    {k: (1/w^2, J(w), S(w), S'(w))}, w = k tau, k <= _MEMO_M (apart
+    because which branch gn_sum takes at k depends on z), the engine's
+    p_rows {k: rows of P_k(z;-tau)}, k <= 16, its
+    {len(tail): AsymptoticCoeffs} of the large-z expansion, and a
+    one-item list holding the engine's correction slot: the last (N, M)
+    and the correction at (tau, N, M) as a polynomial in z, replaced whole
+    at another (N, M), so the entry never grows. gn_sum fills both tables;
+    cd_sums fills the direct one for its k < k0, which are also direct
+    terms of the product (k0 <= gn_sum's switch point), so the evaluation
+    that builds the modular forms first finds them warm.
 
     Keyed by the bits of tau, since 0.0 and -0.0 compare equal but are
     different inputs. Threads: lru_cache keeps an entry's lookup
-    consistent; the tables are filled without a lock, with deterministic
-    values stored whole and never modified, so a race stores the same bits
-    (a concurrent miss may build an entry twice; one is kept)."""
+    consistent; the tables and the slot are filled without a lock, with
+    deterministic values stored whole and never modified, so a race stores
+    the same bits (a concurrent miss may build an entry twice; one is
+    kept). Two threads at one tau and different (N, M) may replace each
+    other's slot; each reads the slot it built, so neither sees the
+    other's values."""
     return _tau_memo(struct.pack("<2d", tau.real, tau.imag))
 
 
@@ -451,22 +464,6 @@ def _log1p_tail(u: complex) -> complex:
     return _tail(_LOG1P, u * u * u, u, 0j)
 
 
-def _r_term_stable(z: complex, z2h: complex, w: complex, pieces) -> complex:
-    # Regrouped r_m with the first two log1p orders cancelled analytically:
-    #   r_m = z^3/(2 w^2) - (z+w-1/2) g(z/w) - [J(z+w) - J(w)]
-    #         - z S(w) + (z^2/2) S'(w),
-    # so every intermediate is O(|z|^3/|w|^2), the size of r_m itself, and
-    # the term evaluates to near-relative accuracy. Requires |w| >= 16,
-    # |z/w| <= 1/2, |arg w| <= 3pi/4.
-    iw2, jw, s, s1 = pieces
-    u = z / w
-    return (0.5 * z * z * z * iw2
-            - (z + w - 0.5) * _log1p_tail(u)
-            - (_binet(z + w) - jw)
-            - z * s
-            + z2h * s1)
-
-
 def gn_sum(z: complex, tau: complex, N: int) -> complex:
     """sum_{m=1}^{N} [lgG(m tau) - lgG(z + m tau) + z psi(m tau)
     + (z^2/2) psi'(m tau)], sequentially compensated.
@@ -479,15 +476,20 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
     z = complex(z)
     tau = complex(tau)
     z2h = 0.5 * z * z
+    z3h = 0.5 * z * z * z
     abs_tau = abs(tau)
     if abs(cmath.phase(tau)) <= _MAX_ARG:
         m_switch = int(math.ceil(max(_STABLE_RADIUS, 2.0 * abs(z)) / abs_tau))
     else:
         m_switch = N + 1
-    direct, stable, _, _ = tau_memo(tau)
+    direct, stable = tau_memo(tau)[:2]
+    log1p_limits, log1p_horner = _LOG1P.limits, _LOG1P.horner
+    binet_limits, binet_horner = _BINET.limits, _BINET.horner
     sr = cr = si = ci = 0.0
-    # the memo lookups and the compensated additions (_neumaier_add) are
-    # inlined: a helper call per term cost a few percent of the sum
+    # the memo lookups, the compensated additions (_neumaier_add) and the
+    # stable term with its _log1p_tail and _binet Horners are inlined, by
+    # the same operations in the same order, so the same bits: a helper
+    # call per term cost a few percent of the sum each
     for m in range(1, N + 1):
         w = m * tau
         if m < m_switch:
@@ -502,7 +504,31 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
                 p = _stable_pieces(w)
                 if m <= _MEMO_M:
                     stable[m] = p
-            t = _r_term_stable(z, z2h, w, p)
+            # the regrouped r_m with the first two log1p orders cancelled
+            # analytically, every intermediate O(|z|^3/|w|^2), the size of
+            # r_m itself (|w| >= 16, |z/w| <= 1/2, |arg w| <= 3pi/4):
+            #   r_m = z^3/(2 w^2) - (z+w-1/2) g(z/w) - [J(z+w) - J(w)]
+            #         - z S(w) + (z^2/2) S'(w),  g(u) = log(1+u) - u + u^2/2
+            iw2, jw, sw, s1w = p
+            u = z / w
+            if abs(u) > 0.109:
+                g = clog1p(u) - u + 0.5 * u * u
+            else:
+                h = 0j
+                for c in log1p_horner[bisect_right(log1p_limits, abs(u))]:
+                    h = h * u + c
+                g = 0j + u * u * u * h
+            v = z + w
+            iv = 1.0 / v
+            x = iv * iv
+            h = 0j
+            for c in binet_horner[bisect_right(binet_limits, abs(x))]:
+                h = h * x + c
+            t = (z3h * iw2
+                 - (v - 0.5) * g
+                 - ((0j + iv * h) - jw)
+                 - z * sw
+                 + z2h * s1w)
         x = t.real
         s = sr + x
         if abs(sr) >= abs(x):

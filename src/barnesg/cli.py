@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 
 eval and modular-forms print their record's own to_json_dict(), table a
 list of rows built from those records, and the CSV rows of these three are
-read off the JSON records through their headers. JSON prints each float as
-its shortest round-trip repr and CSV with 17 significant digits; both read
-back bit-exactly at binary64.
+read off the JSON records through their headers, only under --format csv.
+JSON prints each float as its shortest round-trip repr and CSV with 17
+significant digits; both read back bit-exactly at binary64. main builds the
+argument parser once per process.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def parse_complex(text: str) -> complex:
 
 
 def _emit(args, payload, csv_header, csv_rows) -> None:
-    """Write either the JSON payload or the equivalent CSV rows."""
+    """Write either the JSON payload or the equivalent CSV rows; csv_rows
+    is a function returning the rows, called only under --format csv."""
     if args.format == "json":
         text = json.dumps(payload, indent=2)
     else:
@@ -47,7 +49,7 @@ def _emit(args, payload, csv_header, csv_rows) -> None:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(csv_header)
-        for row in csv_rows:
+        for row in csv_rows():
             w.writerow([format(v, ".17g") if isinstance(v, float) else v
                         for v in row])
         text = buf.getvalue().rstrip("\n")
@@ -106,7 +108,7 @@ def _cmd_eval(args) -> int:
         N, M = (None, None) if params is None else (params.N, params.M)
         record = {**_lattice_zero(), "N": N, "M": M, "note": "lattice zero"}
         header.append("note")
-    _emit(args, record, header, _csv_rows(header, [record]))
+    _emit(args, record, header, lambda: _csv_rows(header, [record]))
     return EXIT_OK
 
 
@@ -143,7 +145,7 @@ def _cmd_table(args) -> int:
                      "err_est": r["err_est"], "note": note})
     header = ["index", "z_re", "z_im", "value_re", "value_im",
               "log_re", "log_im", "err_est", "note"]
-    _emit(args, rows, header, _csv_rows(header, rows))
+    _emit(args, rows, header, lambda: _csv_rows(header, rows))
     return EXIT_OK
 
 
@@ -152,23 +154,22 @@ def _cmd_polys(args) -> int:
         raise DomainError("n must be >= 0")
     if args.n > 200:
         raise DomainError("n is capped at 200 (coefficients grow combinatorially)")
-    payload = {}
-    rows = []
     if args.family == "q":
-        for n in range(args.n + 1):
-            strs = [str(c) for c in polys.q_poly(n)]
-            payload[f"q{n}"] = strs
-            for k, c in enumerate(strs):
-                rows.append([f"q{n}", k, c])
+        payload = {f"q{n}": [str(c) for c in polys.q_poly(n)]
+                   for n in range(args.n + 1)}
         header = ["name", "power", "coefficient"]
+
+        def rows():
+            return [[name, k, c] for name, strs in payload.items()
+                    for k, c in enumerate(strs)]
     else:
-        for n in range(1, args.n + 1):
-            strs = [[str(c) for c in row] for row in polys.p_poly(n)]
-            payload[f"P{n}"] = strs
-            for zp, taus in enumerate(strs):
-                for k, c in enumerate(taus):
-                    rows.append([f"P{n}", zp, k, c])
+        payload = {f"P{n}": [[str(c) for c in row] for row in polys.p_poly(n)]
+                   for n in range(1, args.n + 1)}
         header = ["name", "z_power", "tau_power", "coefficient"]
+
+        def rows():
+            return [[name, zp, k, c] for name, strs in payload.items()
+                    for zp, taus in enumerate(strs) for k, c in enumerate(taus)]
     _emit(args, payload, header, rows)
     return EXIT_OK
 
@@ -178,17 +179,17 @@ def _cmd_modular_forms(args) -> int:
     header = [f"{key}_{part}"
               for key in ("tau", "C", "D", "a", "b", "a_tilde", "b_tilde")
               for part in ("re", "im")] + ["m_used", "error_estimate"]
-    _emit(args, record, header, _csv_rows(header, [record]))
+    _emit(args, record, header, lambda: _csv_rows(header, [record]))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     reports = identities.run_suite(args.seed, args.profile)
     payload = [r.to_json_dict() for r in reports]
-    rows = [[r.identity_id, len(r.residuals), r.max_residual, r.tolerance,
-             int(r.passed)] for r in reports]
     _emit(args, payload,
-          ["id", "n_points", "max_residual", "tolerance", "passed"], rows)
+          ["id", "n_points", "max_residual", "tolerance", "passed"],
+          lambda: [[r.identity_id, len(r.residuals), r.max_residual,
+                    r.tolerance, int(r.passed)] for r in reports])
     failed = [r.identity_id for r in reports if not r.passed]
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
@@ -256,8 +257,8 @@ def _cmd_bench(args) -> int:
     rows, slopes = run()
     payload = {"rows": [{kx: x, ky: y, "error": e} for x, y, e in rows],
                "slopes": {str(k): v for k, v in slopes.items()}}
-    csv_rows = rows + [[f"{label}{k}", "", v] for k, v in slopes.items()]
-    _emit(args, payload, [kx, ky, "error"], csv_rows)
+    _emit(args, payload, [kx, ky, "error"],
+          lambda: rows + [[f"{label}{k}", "", v] for k, v in slopes.items()])
     return EXIT_OK
 
 
@@ -317,9 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built by the first main call and reused: parse_args leaves a parser as it
+# found it, so every call reads only its own argv
+_parser = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.run(args)
     except DomainError as exc:

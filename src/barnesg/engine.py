@@ -12,7 +12,10 @@ plus the order-M correction
     z^3 sum_{k=1}^{M} (-tau)^(-k-1) P_k(z;-tau) / (k(k+1)(k+2)) N^(-k),
 
 with P_k's coefficients built from the exact Bernoulli numbers in integer
-arithmetic, each rounded to binary64 once. The term-wise sum fixes a
+arithmetic, each rounded to binary64 once. At fixed (tau, N, M) the
+correction is one polynomial in z: its M coefficients are kept in the slot
+of tau's backend.tau_memo entry (_correction_slot), so a point pays z^3
+times one Horner of length M. The term-wise sum fixes a
 specific branch ("canonical logarithm"); it is never reduced mod 2 pi i, and
 identity tests always compare multiplicatively or modulo 2 pi i. Automatic
 evaluations may take one of two other routes, the large-z expansion or, at
@@ -246,50 +249,116 @@ def _p_rounded(k: int) -> tuple[tuple[float, ...], ...]:
                  for j in range(1, k + 1))
 
 
-def _p_value(p_rows: dict, z: complex, tau: complex, k: int) -> complex:
-    """P_k(z;-tau) by Horner in z over p_rows, tau's table of rows in
-    backend.tau_memo; a missing row set is built once, by Horner in -tau."""
-    rows = p_rows.get(k)
-    if rows is None:
-        rows = []
-        t = -tau
-        for row in _p_rounded(k):
-            v = 0j
-            for c in reversed(row):
-                v = v * t + c
-            rows.append(v)
-        p_rows[k] = rows
-    pk = 0j
-    for v in reversed(rows):
-        pk = pk * z + v
-    return pk
+def _p_rows(p_rows: dict, tau: complex, k: int) -> list[complex]:
+    """Build and store in p_rows, tau's table in backend.tau_memo, the rows
+    of P_k(z;-tau): the coefficient of each power of z at -tau, by Horner
+    in -tau. Callers read p_rows.get(k) first, so this runs once per k."""
+    t = -tau
+    rows = []
+    for row in _p_rounded(k):
+        v = 0j
+        for c in reversed(row):
+            v = v * t + c
+        rows.append(v)
+    p_rows[k] = rows
+    return rows
 
 
 def _coefficients(z: complex, tau: complex):
     """Yield the N-free correction coefficients a_k = z^3 (-tau)^(-k-1)
-    P_k(z;-tau) / (k(k+1)(k+2)) for k = 1, 2, ...; the k-th correction term
-    at N is a_k N^(-k). Lazy: no order past the last one read is built."""
+    P_k(z;-tau) / (k(k+1)(k+2)) for k = 1, 2, ..., with P_k(z;-tau) by
+    Horner in z over its rows (_p_rows); the k-th correction term at N is
+    a_k N^(-k). Lazy: no order past the last one read is built."""
     z3 = z * z * z
     inv_neg_tau = -1.0 / tau
     pw = inv_neg_tau * inv_neg_tau      # (-tau)^(-k-1) at k = 1
     p_rows = backend.tau_memo(tau)[2]
     for k in itertools.count(1):
-        yield z3 * pw * _p_value(p_rows, z, tau, k) / (k * (k + 1) * (k + 2))
+        pk = 0j
+        for v in reversed(p_rows.get(k) or _p_rows(p_rows, tau, k)):
+            pk = pk * z + v
+        yield z3 * pw * pk / (k * (k + 1) * (k + 2))
         pw *= inv_neg_tau
 
 
-def _error_bound(a: list, N: int, M: int, az: float, atau: float) -> float:
-    """Truncation error of the correction after order M at N, a[k - 1] = a_k,
-    az = |z|, atau = |tau|: the geometric tail |a_k| N^(1-k) |z| /
-    (N|tau| - |z|) of the series in z/(N tau) past the term a_k N^(-k), the
-    larger at k = M and M - 1. Order M - 1 counts because a small
-    |P_M(z;-tau)| (a z near one of its zeros, or the odd orders at small
-    |z|, whose terms run far below their neighbours') reads a small last
-    term with a large error. Needs N|tau| > |z|."""
-    last = abs(a[M - 1]) * N ** (1 - M)
+def _error_bound(last: float, prev: float, N: int, M: int, az: float,
+                 atau: float) -> float:
+    """Truncation error of the correction after order M at N, where
+    last = |a_M| and prev = |a_(M-1)| (read only when M > 1), az = |z|,
+    atau = |tau|: the geometric tail |a_k| N^(1-k) |z| / (N|tau| - |z|) of
+    the series in z/(N tau) past the term a_k N^(-k), the larger at k = M
+    and M - 1. Order M - 1 counts because a small |P_M(z;-tau)| (a z near
+    one of its zeros, or the odd orders at small |z|, whose terms run far
+    below their neighbours') reads a small last term with a large error.
+    Needs N|tau| > |z|."""
+    bound = last * N ** (1 - M)
     if M > 1:
-        last = max(last, abs(a[M - 2]) * N ** (2 - M))
-    return last * az / (N * atau - az)
+        bound = max(bound, prev * N ** (2 - M))
+    return bound * az / (N * atau - az)
+
+
+def _correction_slot(entry: tuple, tau: complex, N: int, M: int) -> tuple:
+    """The correction at (tau, N, M) as one polynomial in z, from the slot
+    of tau's backend.tau_memo entry: (N, M, terms, pw_prev, pw_last), where
+    sum_{k<=M} a_k N^(-k) = z^3 sum_j c_j z^j,
+    c_j = sum_{k>j} (-tau)^(-k-1) N^(-k) row_(k,j) / (k(k+1)(k+2)).
+    terms holds M triples in a row, highest power of z first: c_j,
+    row_(M,j) and row_(M-1,j) (0j where P_(M-1) has no such power).
+    pw_prev and pw_last are (-tau)^(-k-1) at k = M - 1 and M by
+    _coefficients' own products (pw_prev is None at M = 1). A slot at
+    another (N, M) is replaced whole, so the entry never grows; it is built
+    from the rows of P_k with no Horner in z."""
+    slot = entry[4]
+    s = slot[0]
+    if s is not None and s[0] == N and s[1] == M:
+        return s
+    p_rows = entry[2]
+    inv_neg_tau = -1.0 / tau
+    pw = inv_neg_tau * inv_neg_tau      # (-tau)^(-k-1) at k = 1
+    inv_n = 1.0 / N
+    npow = inv_n
+    c = [0j] * M
+    rows = ()
+    pw_prev = pw_last = None
+    for k in range(1, M + 1):
+        prev, rows = rows, p_rows.get(k) or _p_rows(p_rows, tau, k)
+        f = pw * (npow / (k * (k + 1) * (k + 2)))
+        j = 0
+        for v in rows:
+            c[j] += f * v
+            j += 1
+        pw_prev, pw_last = pw_last, pw
+        pw *= inv_neg_tau
+        npow *= inv_n
+    # one flat tuple, not M 3-tuples: those freed with each replaced slot
+    # fill the interpreter's tuple free list, which raised the peak RSS of
+    # a stream of fresh tau by 7%. A leading 0j in P_(M-1)'s Horner leaves
+    # it 0j, since z is finite
+    terms = tuple(itertools.chain.from_iterable(
+        zip(reversed(c), reversed(rows), reversed((*prev, 0j)))))
+    s = slot[0] = (N, M, terms, pw_prev, pw_last)
+    return s
+
+
+def _correction(z: complex, tau: complex, N: int,
+                M: int) -> tuple[complex, float]:
+    """The order-M correction sum_{k<=M} a_k N^(-k) at z and its
+    _error_bound: z^3 times one Horner in z over tau's slot
+    (_correction_slot), with P_M(z;-tau) and P_(M-1)(z;-tau) by Horner in
+    the same pass, so that a_(M-1) and a_M, and with them the bound, have
+    the bits of _coefficients'."""
+    _, _, terms, pw_prev, pw_last = _correction_slot(backend.tau_memo(tau),
+                                                     tau, N, M)
+    poly = pm = pm1 = 0j
+    it = iter(terms)
+    for cj, u, v in zip(it, it, it):
+        poly = poly * z + cj
+        pm = pm * z + u
+        pm1 = pm1 * z + v
+    z3 = z * z * z
+    last = abs(z3 * pw_last * pm / (M * (M + 1) * (M + 2)))
+    prev = abs(z3 * pw_prev * pm1 / ((M - 1) * M * (M + 1))) if M > 1 else 0.0
+    return z3 * poly, _error_bound(last, prev, N, M, abs(z), abs(tau))
 
 
 def _n_floor(z: complex, tau: complex) -> int:
@@ -332,15 +401,17 @@ def _plan(z: complex, tau: complex, orders) -> ComputeParams:
     az, atau = abs(z), abs(tau)
     target = _TARGET * (1.0 + az)
     coeffs = _coefficients(z, tau)
-    a = []
+    mags = []   # mags[k - 1] = |a_k|; at M = 1, mags[M - 2] is not used
     for M in orders:
-        a.extend(itertools.islice(coeffs, M - len(a)))
-        if _error_bound(a, n0, M, az, atau) <= target:
+        while len(mags) < M:
+            mags.append(abs(next(coeffs)))
+        if _error_bound(mags[M - 1], mags[M - 2], n0, M, az, atau) <= target:
             return ComputeParams(N=n0, M=M, m_cd=m_cd)
 
     def first_order(N: int) -> int | None:
         return next((M for M in orders
-                     if _error_bound(a, N, M, az, atau) <= target), None)
+                     if _error_bound(mags[M - 1], mags[M - 2], N, M, az, atau)
+                     <= target), None)
 
     def passes(N: int) -> bool:  # past the cap, to stop the search there
         return N > _N_CAP or first_order(N) is not None
@@ -425,19 +496,12 @@ def log_double_gamma(z: complex, tau: complex,
         raise CapacityError(f"product truncation N = {params.N} exceeds {_N_CAP}")
     m_cd = params.m_cd if params.m_cd is not None else default_m(tau)
     mf = modular_forms_cached(tau, m_cd)
-    a = list(itertools.islice(_coefficients(z, tau), params.M))
-    inv_n = 1.0 / params.N
-    npow = inv_n
-    corr = 0j
-    for ak in a:
-        corr += ak * npow
-        npow *= inv_n
+    corr, error = _correction(z, tau, params.N, params.M)
     log_val = (-cmath.log(tau) - log_gamma(z)
                + mf.a_tilde * z / tau
                + mf.b_tilde * z * z / (2.0 * tau * tau)
                + backend.gn_sum(z, tau, params.N)
                + corr)
-    error = _error_bound(a, params.N, params.M, abs(z), abs(tau))
     if far:
         # gn_sum and cd_sums never regroup here, and the roundoff of their
         # n direct terms, each about |n tau| in size, grows as n^2: on a

@@ -385,3 +385,89 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert "value" in payload
+
+
+# one parser per process: every subcommand, per command an error, an --out
+# call, the same call to stdout, a CSV call and a JSON one, in that order
+_REPEATED = {
+    "eval": [("eval", "--z", "1", "--tau", "-3"),
+             ("eval", "--z", "50000", "--tau", "0.01"),
+             ("eval", "--z", "1.5+0.5i", "--tau", "2", "--out", "{out}"),
+             ("eval", "--z", "1.5+0.5i", "--tau", "2"),
+             ("eval", "--z", "1.5+0.5i", "--tau", "2", "--N", "40",
+              "--format", "csv"),
+             ("eval", "--z", "-1", "--tau", "1")],
+    "table": [("table", "--grid", "1:2", "--tau", "2"),
+              ("table", "--grid", "0.5:2+1i:5", "--tau", "1+1i",
+               "--out", "{out}"),
+              ("table", "--grid", "0.5:2+1i:5", "--tau", "1+1i"),
+              ("table", "--grid", "0.5:2+1i:5", "--tau", "1+1i", "--M", "6",
+               "--format", "csv"),
+              ("table", "--grid", "0.5:2+1i:5", "--tau", "1+1i", "--N", "60")],
+    "polys": [("polys", "--family", "q", "--n", "-1"),
+              ("polys", "--family", "P", "--n", "4", "--out", "{out}"),
+              ("polys", "--family", "P", "--n", "4"),
+              ("polys", "--family", "q", "--n", "6", "--format", "csv"),
+              ("polys", "--family", "q", "--n", "6")],
+    "modular-forms": [("modular-forms", "--tau", "1e-7"),
+                      ("modular-forms", "--tau", "1+1i", "--out", "{out}"),
+                      ("modular-forms", "--tau", "1+1i"),
+                      ("modular-forms", "--tau", "1+1i", "--m", "80",
+                       "--format", "csv"),
+                      ("modular-forms", "--tau", "1+1i", "--m", "80")],
+    "verify": [("verify", "--profile", "lax"),
+               ("verify", "--seed", "3", "--out", "{out}"),
+               ("verify", "--seed", "3"),
+               ("verify", "--seed", "3", "--format", "csv"),
+               ("verify", "--seed", "4")],
+    "bench": [("bench", "--mode", "order-M"),
+              ("bench", "--mode", "order-asym", "--out", "{out}"),
+              ("bench", "--mode", "order-asym"),
+              ("bench", "--mode", "order-asym", "--format", "csv"),
+              ("bench", "--mode", "order-asym")],
+}
+
+
+def _call(capsys, out_path, argv):
+    # (exit code, stdout, stderr, the --out file's text); the file is
+    # removed, so a later call that wrote it again would show
+    argv = [a.format(out=out_path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    text = None
+    if os.path.exists(out_path):
+        text = Path(out_path).read_text()
+        os.remove(out_path)
+    return code, out, err, text
+
+
+def test_cached_parser_leaks_no_state_between_calls(tmp_path, capsys):
+    # every subcommand twice through one process's main, the second pass
+    # interleaved across commands and in reverse: each call must print the
+    # bytes of its first
+    out_path = str(tmp_path / "out.txt")
+    calls = [(cmd, i, argv) for cmd, argvs in _REPEATED.items()
+             for i, argv in enumerate(argvs)]
+    first = {(cmd, i): _call(capsys, out_path, argv) for cmd, i, argv in calls}
+    for cmd, i, argv in reversed(calls):
+        assert _call(capsys, out_path, argv) == first[cmd, i], argv
+    for cmd, argvs in _REPEATED.items():
+        results = [first[cmd, i] for i in range(len(argvs))]
+        assert results[0][0] in (2, 3) and results[0][3] is None, cmd
+        k = next(i for i, a in enumerate(argvs) if "--out" in a)
+        code, out, _, text = results[k]
+        # --out wrote the file and printed nothing; the same call after it
+        # printed those bytes to stdout and wrote no file
+        assert code == 0 and out == "" and text, cmd
+        assert results[k + 1][0] == 0 and results[k + 1][1] == text
+        assert results[k + 1][3] is None
+        # the CSV call, then a JSON one: the format does not carry over
+        code, out, _, _ = results[k + 2]
+        assert code == 0 and out.split("\n", 1)[0].count(",") >= 2, cmd
+        code, out, _, _ = results[k + 3]
+        assert code == 0 and json.loads(out), cmd
+    # the eval error before the successes raised at both exit codes
+    assert [first["eval", i][0] for i in range(2)] == [2, 3]

@@ -5,6 +5,7 @@ growth, pure evaluators safe for unrestricted concurrent use."""
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from barnesg import engine
 from barnesg.engine import ComputeParams, log_double_gamma
 from barnesg.kernels import log_gamma, polygamma
 from barnesg.polys import p_poly_recursive, q_poly, q_poly_recursive
@@ -63,6 +64,35 @@ def test_per_tau_memos_under_concurrent_fill_and_eviction():
             assert results == serial
     finally:
         sys.setswitchinterval(old)
+
+
+def test_correction_slot_raced_by_two_plans_at_one_tau():
+    # 8 threads alternate two (N, M) at one shared tau, so each keeps
+    # replacing the slot the other reads: whole evaluations, then the
+    # correction alone (engine._correction), where the slot is rebuilt on
+    # almost every call; every result must equal the serial one bit for bit
+    tau = 0.95 + 0.4j
+    plans = (ComputeParams(N=60, M=7, m_cd=64), ComputeParams(N=75, M=13, m_cd=64))
+    zs = [complex(0.2 + 0.15 * k, 0.4 - 0.05 * k) for k in range(48)]
+    jobs = [(z, plans[k % 2]) for k, z in enumerate(zs)]
+
+    def run(job):
+        return repr(log_double_gamma(job[0], tau, job[1]).log_value)
+
+    def run_correction(job):
+        return repr(engine._correction(job[0], tau, job[1].N, job[1].M))
+
+    old = sys.getswitchinterval()
+    for f, js in ((run, jobs), (run_correction, jobs * 40)):
+        serial = [f(job) for job in js]
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                with ThreadPoolExecutor(max_workers=8) as ex:
+                    results = list(ex.map(f, js, timeout=120))
+                assert results == serial
+        finally:
+            sys.setswitchinterval(old)
 
 
 def test_kernels_concurrent_use():

@@ -9,11 +9,12 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from barnesg import backend, engine
+from barnesg import backend, engine, polys
 from barnesg.engine import (
     ComputeParams,
     EvalResult,
@@ -251,7 +252,8 @@ def test_functional_equation_near_cut_tau():
 def _bound(z, tau, N, M):
     # the plan's error bound: orders M and M - 1 at N
     a = list(itertools.islice(engine._coefficients(z, tau), M))
-    return engine._error_bound(a, N, M, abs(z), abs(tau))
+    return engine._error_bound(abs(a[M - 1]), abs(a[M - 2]), N, M, abs(z),
+                               abs(tau))
 
 
 def test_choose_params_floor():
@@ -570,13 +572,14 @@ def test_memo_bounds():
 
 
 def test_memo_entry_filled_and_evicted_whole():
-    # one product evaluation fills the three product tables of its tau's
-    # entry; 8 further tau evict the entry, and with it every table at once
+    # one product evaluation fills the three product tables and the
+    # correction slot of its tau's entry; 8 further tau evict the entry,
+    # and with it every table at once
     rng = random.Random(10)
     tau = _fresh_tau(rng)
     log_double_gamma(9.0 + 2.0j, tau)   # auto plan: both gn_sum branches
-    direct, stable, p_rows, _ = entry = backend.tau_memo(tau)
-    assert direct and stable and p_rows
+    direct, stable, p_rows, _, slot = entry = backend.tau_memo(tau)
+    assert direct and stable and p_rows and slot[0] is not None
     misses = backend._tau_memo.cache_info().misses
     assert backend.tau_memo(tau) is entry
     for _ in range(8):
@@ -584,7 +587,187 @@ def test_memo_entry_filled_and_evicted_whole():
     assert backend._tau_memo.cache_info().misses == misses + 8
     fresh = backend.tau_memo(tau)
     assert backend._tau_memo.cache_info().misses == misses + 9
-    assert fresh is not entry and fresh == ({}, {}, {}, {})
+    assert fresh is not entry and fresh == ({}, {}, {}, {}, [None])
+
+
+def test_gn_sum_bit_identical_to_the_term_by_term_kernels_on_a_grid():
+    # the inlined stable term against the kernels called per term, over
+    # Re tau > 0, Re tau < 0 with |arg tau| <= 3pi/4 (both branches) and
+    # |arg tau| > 3pi/4 (all direct), with z taking several switch points
+    rng = random.Random(21)
+    for i in range(36):
+        sector = (rng.uniform(-1.4, 1.4), rng.uniform(1.7, 2.3),
+                  rng.uniform(2.45, 3.0))[i % 3]
+        tau = cmath.rect(rng.uniform(0.4, 2.5),
+                         rng.choice((-1.0, 1.0)) * sector)
+        z = complex(rng.uniform(-4.0, 9.0), rng.uniform(-4.0, 4.0))
+        N = rng.randrange(20, 160)
+        assert repr(backend.gn_sum(z, tau, N)) == \
+            repr(_gn_sum_unmemoized(z, tau, N)), (z, tau, N)
+
+
+# ---------------------------------------------------------- correction slot
+
+def _log_with_a_list(z, tau, params):
+    # the product's log with the correction summed as a list of a_k N^(-k),
+    # term by term, the way the evaluator summed it before the slot
+    mf = engine.modular_forms_cached(tau, params.m_cd)
+    a = list(itertools.islice(engine._coefficients(z, tau), params.M))
+    inv_n = 1.0 / params.N
+    npow = inv_n
+    corr = 0j
+    for ak in a:
+        corr += ak * npow
+        npow *= inv_n
+    return (-cmath.log(tau) - log_gamma(z)
+            + mf.a_tilde * z / tau
+            + mf.b_tilde * z * z / (2.0 * tau * tau)
+            + backend.gn_sum(z, tau, params.N)
+            + corr)
+
+
+def test_slot_log_within_four_ulps_of_the_a_list_sum():
+    # 2016 points at 24 tau, both gn_sum branches and the all-direct
+    # sector, every order M = 1..16 at an explicit N at or past the floor
+    rng = random.Random(22)
+    count = 0
+    for i in range(24):
+        arg = (rng.uniform(-1.4, 1.4), rng.uniform(1.7, 2.3),
+               rng.uniform(2.45, 2.9))[i % 3]
+        tau = cmath.rect(rng.uniform(0.6, 2.5), rng.choice((-1.0, 1.0)) * arg)
+        m_cd = engine.default_m(tau)
+        for j in range(84):
+            z = complex(rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0))
+            n0 = engine._n_floor(z, tau)
+            params = ComputeParams(N=n0 + rng.randrange(0, 8),
+                                   M=1 + j % 16, m_cd=m_cd)
+            try:
+                got = log_double_gamma(z, tau, params)
+            except LatticeZeroError:
+                continue
+            ref = _log_with_a_list(z, tau, params)
+            assert abs(got.log_value - ref) <= \
+                4.0 * 2.0 ** -52 * (1.0 + abs(ref)), (z, tau, params)
+            count += 1
+    assert count >= 2000
+
+
+def test_table_rows_are_the_evaluator_bit_for_bit(capsys):
+    # no table-only path: row k is log_double_gamma(z_k, tau, plan), with
+    # the plan the table takes (choose_params at its largest |z|) or an
+    # explicit one
+    from barnesg.cli import main
+    start, stop, count, tau = 0.5 + 0.1j, 3.5 + 1.2j, 40, 1.1 + 0.35j
+    zs = [start + (stop - start) * (k / (count - 1)) for k in range(count)]
+    for extra, params in (((), choose_params(max(zs, key=abs), tau)),
+                          (("--N", "70", "--M", "9"),
+                           ComputeParams(N=70, M=9))):
+        assert main(["table", f"--grid={start}:{stop}:{count}",
+                     f"--tau={tau}", *extra]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for k, z in enumerate(zs):
+            r = log_double_gamma(z, tau, params)
+            assert complex(rows[k]["log"]["re"], rows[k]["log"]["im"]) \
+                == r.log_value, k
+            assert rows[k]["err_est"] == r.error_estimate, k
+
+
+def test_slot_cold_or_warm_same_bits():
+    # each point reads the bits of a cold slot whether its tau's slot was
+    # cold, warm from other points at its (N, M), or last held another N
+    # or another M
+    rng = random.Random(23)
+    for _ in range(6):
+        tau = _fresh_tau(rng)
+        zs = [complex(rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0))
+              for _ in range(4)]
+        n0 = max(engine._n_floor(z, tau) for z in zs)
+        for M in range(1, 17):
+            plans = (ComputeParams(N=n0 + M, M=M, m_cd=64),
+                     ComputeParams(N=n0 + M + 1, M=M, m_cd=64),
+                     ComputeParams(N=n0 + M, M=17 - M, m_cd=64))
+            cold = {}
+            for z in zs:
+                for p in plans:
+                    backend._tau_memo.cache_clear()
+                    cold[z, p] = repr(log_double_gamma(z, tau, p))
+            for z in zs:
+                for p in (plans[0], plans[0], plans[1], plans[0], plans[2],
+                          plans[0]):
+                    assert repr(log_double_gamma(z, tau, p)) == cold[z, p], \
+                        (z, tau, p)
+
+
+def test_slot_replaced_never_grows():
+    # 10 000 distinct explicit N at one tau: the entry holds one slot, at
+    # the last (N, M), and no table grows past its first size
+    tau = 0.9 + 0.45j
+    z = 1.2 + 0.3j
+    log_double_gamma(z, tau, ComputeParams(N=40, M=16, m_cd=64))
+    entry = backend.tau_memo(tau)
+
+    def sizes():
+        return [len(t) for t in entry]
+
+    before = sizes()
+    for N in range(40, 10040):
+        engine._correction(z, tau, N, 1 + N % 16)
+    assert backend.tau_memo(tau) is entry
+    assert sizes() == before and before[4] == 1
+    assert entry[4][0][:2] == (10039, 1 + 10039 % 16)
+
+
+def _exact_correction_terms(z, tau, N):
+    # a_k N^(-k), k = 1..16, in exact complex rationals (re, im) from the
+    # Fraction coefficients of polys.p_poly, which share no rounded row
+    # with the evaluator
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    t = (-tau[0], -tau[1])
+    d = t[0] * t[0] + t[1] * t[1]
+    inv = (t[0] / d, -t[1] / d)
+    z3 = mul(mul(z, z), z)
+    pw = mul(inv, inv)
+    terms = []
+    for k in range(1, 17):
+        pk = (Fraction(0), Fraction(0))
+        for row in reversed(polys.p_poly(k)):
+            v = (Fraction(0), Fraction(0))
+            for c in reversed(row):
+                v = mul(v, t)
+                v = (v[0] + c, v[1])
+            pk = mul(pk, z)
+            pk = (pk[0] + v[0], pk[1] + v[1])
+        a = mul(mul(z3, pw), pk)
+        s = Fraction(1, k * (k + 1) * (k + 2) * N ** k)
+        terms.append((a[0] * s, a[1] * s))
+        pw = mul(pw, inv)
+    return terms
+
+
+def test_slot_correction_against_exact_rationals():
+    # at dyadic (z, tau), exact in binary64, the float polynomial lies
+    # within a few ulps of sum |a_k N^(-k)| of the exact sum, M = 1..16
+    rng = random.Random(24)
+    for _ in range(24):
+        z = (Fraction(rng.randint(-48, 64), 16), Fraction(rng.randint(-48, 48), 16))
+        tau = (Fraction(rng.randint(-40, 48), 16), Fraction(rng.randint(1, 40), 16)
+               * rng.choice((-1, 1)))
+        zf = complex(float(z[0]), float(z[1]))
+        tf = complex(float(tau[0]), float(tau[1]))
+        n0 = engine._n_floor(zf, tf)
+        N = n0 + rng.randrange(0, n0)
+        terms = _exact_correction_terms(z, tau, N)
+        for M in range(1, 17):
+            re = sum(a[0] for a in terms[:M])
+            im = sum(a[1] for a in terms[:M])
+            scale = sum(abs(complex(float(a[0]), float(a[1])))
+                        for a in terms[:M])
+            got = engine._correction(zf, tf, N, M)[0]
+            err = abs(complex(float(Fraction(got.real) - re),
+                              float(Fraction(got.imag) - im)))
+            assert err <= 6.0 * 2.0 ** -52 * scale, (zf, tf, N, M)
 
 
 # ----------------------------------------------------------- asymptotics

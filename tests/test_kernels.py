@@ -86,6 +86,21 @@ def test_log_gamma_reflection():
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs), z
 
 
+def test_lanczos_series_bit_identical_to_its_term_by_term_form():
+    # _loggamma_right takes z - 1.0 once and reads (k, c_k) from a table:
+    # the bits of the series written out as c_0 + sum_k c_k / (z - 1.0 + k)
+    rng = random.Random(31)
+    for _ in range(3000):
+        z = complex(rng.uniform(0.5, 60.0), rng.uniform(-60.0, 60.0))
+        a = backend._LANCZOS_C[0]
+        for k in range(1, 15):
+            a += backend._LANCZOS_C[k] / (z - 1.0 + k)
+        t = z + (backend._LANCZOS_G - 0.5)
+        ref = (backend._HALF_LN_2PI + (z - 0.5) * cmath.log(t) - t
+               + cmath.log(a))
+        assert repr(backend._loggamma_right(z)) == repr(ref), z
+
+
 def test_log_gamma_pole():
     with pytest.raises(PoleError):
         log_gamma(0.0)
