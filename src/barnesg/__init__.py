@@ -48,7 +48,6 @@ from .kernels import (
     elliptic_ke,
     integrate_semiaxis,
     log_gamma,
-    log_gamma_stirling,
     polygamma,
     q_pochhammer,
 )
@@ -86,7 +85,7 @@ __all__ = [
     "double_gamma_value", "elliptic_ke",
     "gamma2", "integrate_semiaxis", "lattice_distance",
     "log_G_via_integral", "log_double_gamma", "log_double_gamma_asymptotic",
-    "log_gamma", "log_gamma_stirling", "modular_forms_em", "p_poly",
+    "log_gamma", "modular_forms_em", "p_poly",
     "p_poly_alt", "p_poly_recursive", "polygamma", "q_pochhammer", "q_poly",
     "q_poly_recursive", "run_suite",
 ]

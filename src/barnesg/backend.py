@@ -212,28 +212,6 @@ def loggamma(z: complex) -> complex:
     return math.log(math.pi) - _logsinpi_upper(z) - _loggamma_right(1.0 - z)
 
 
-def loggamma_stirling(z: complex) -> complex:
-    """Independent log Gamma route: recurrence shift + Binet series.
-
-    Same branch convention, poles and reflection as ``loggamma``; used as an
-    internal cross-check of the rest.
-    """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"log Gamma pole at {z}")
-    if z.imag < 0.0:
-        return loggamma_stirling(z.conjugate()).conjugate()
-    if z.real < 0.5:
-        return (math.log(math.pi) - _logsinpi_upper(z)
-                - loggamma_stirling(1.0 - z))
-    shift = 0j
-    w = z
-    while abs(w) < 20.0:
-        shift += cmath.log(w)
-        w += 1.0
-    return _binet(w) + (w - 0.5) * cmath.log(w) - w + _HALF_LN_2PI - shift
-
-
 def _tail(series: _Series, p: complex, x: complex, acc: complex) -> complex:
     # acc + p sum_j c_j x^j over the count that |x| selects: the one
     # loop behind every Bernoulli tail, a Horner of fixed length
@@ -404,6 +382,12 @@ def _tau_memo(tau_bits: bytes) -> tuple[dict, dict, dict, dict, list]:
     return {}, {}, {}, {}, [None]
 
 
+def tau_bits(tau: complex) -> bytes:
+    """The key of tau in the per-tau memos: its bits, since 0.0 and -0.0
+    compare equal but are different inputs."""
+    return struct.pack("<2d", tau.real, tau.imag)
+
+
 def tau_memo(tau: complex) -> tuple[dict, dict, dict, dict, list]:
     """The z-independent work of the evaluations at tau, kept for the last
     8 tau as four tables and a slot: the direct table
@@ -411,23 +395,24 @@ def tau_memo(tau: complex) -> tuple[dict, dict, dict, dict, list]:
     {k: (1/w^2, J(w), S(w), S'(w))}, w = k tau, k <= _MEMO_M (apart
     because which branch gn_sum takes at k depends on z), the engine's
     p_rows {k: rows of P_k(z;-tau)}, k <= 16, its
-    {len(tail): AsymptoticCoeffs} of the large-z expansion, and a
-    one-item list holding the engine's correction slot: the last (N, M)
-    and the correction at (tau, N, M) as a polynomial in z, replaced whole
-    at another (N, M), so the entry never grows. gn_sum fills both tables;
+    {len(tail): AsymptoticCoeffs} of the large-z expansion (their b0 is
+    read from the engine's own bits-keyed map of 64 tau, _b0_memo, which
+    outlives the 8 entries here), and a one-item list holding the
+    engine's correction slot: the last (N, M) and the correction at
+    (tau, N, M) as a polynomial in z, replaced whole at another (N, M), so
+    the entry never grows. gn_sum fills both tables;
     cd_sums fills the direct one for its k < k0, which are also direct
     terms of the product (k0 <= gn_sum's switch point), so the evaluation
     that builds the modular forms first finds them warm.
 
-    Keyed by the bits of tau, since 0.0 and -0.0 compare equal but are
-    different inputs. Threads: lru_cache keeps an entry's lookup
+    Keyed by tau_bits. Threads: lru_cache keeps an entry's lookup
     consistent; the tables and the slot are filled without a lock, with
     deterministic values stored whole and never modified, so a race stores
     the same bits (a concurrent miss may build an entry twice; one is
     kept). Two threads at one tau and different (N, M) may replace each
     other's slot; each reads the slot it built, so neither sees the
     other's values."""
-    return _tau_memo(struct.pack("<2d", tau.real, tau.imag))
+    return _tau_memo(tau_bits(tau))
 
 
 def _direct_pieces(direct: dict, k: int, w: complex) -> tuple:

@@ -76,6 +76,9 @@ _N0_CROSSOVER = 200
 # whatever d; at d = 1e-4 the route's worst (1.2e-12) is below the
 # product's worst where Im tau/|tau| >= 0.03 (3.6e-12)
 _REFLECT_RADIUS = 1e-4
+# tau whose b0 _b0_memo keeps: more than the 21 a run_suite meets, at about
+# 0.2 KB an entry
+_B0_MEMO = 64
 
 
 class ComputeParams(Record):
@@ -580,7 +583,9 @@ def _memo_coeffs(tau: complex, tail: tuple[complex, ...] | None = None
                  ) -> AsymptoticCoeffs:
     """tau's AsymptoticCoeffs with _TAIL_LEN tail terms (tail, when given,
     is _tail(tau, _TAIL_LEN)), built once and stored whole in the
-    backend.tau_memo entry of tau."""
+    backend.tau_memo entry of tau. Their b0 comes from _b0_memo, which
+    keeps more tau than tau_memo, so a rebuild after an eviction pays no
+    engine call."""
     table = backend.tau_memo(tau)[3]
     coeffs = table.get(_TAIL_LEN)
     if coeffs is None:
@@ -770,12 +775,26 @@ def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
 def b0_of_tau(tau: complex) -> complex:
     """Constant term of the large-z expansion, from the closed form
     b0 = (1/3){ln[G(1/2;tau)^2 G(tau;2tau)] - (1+tau)/2 ln 2pi
-               - a0(tau) ln(tau^3/2) - ln 2} with canonical engine logs."""
+               - a0(tau) ln(tau^3/2) - ln 2} with canonical engine logs.
+
+    Computed once per tau: the value is kept, with its error estimate, in
+    a bounded map keyed by the bits of tau (_b0_memo, the last _B0_MEMO
+    tau), which the large-z expansion's coefficients read too."""
     return _b0(check_off_cut(tau))[0]
 
 
 def _b0(tau: complex) -> tuple[complex, float]:
-    # b0 and its share of the error estimates of the two engine calls
+    """(b0, its share of the error estimates of the two engine calls) at
+    tau, from _b0_memo."""
+    return _b0_memo(backend.tau_bits(tau), tau)
+
+
+@functools.lru_cache(maxsize=_B0_MEMO)
+def _b0_memo(tau_bits: bytes, tau: complex) -> tuple[complex, float]:
+    # tau's bits in the key, as in backend.tau_memo, keep 0.0 and -0.0
+    # apart, which tau alone compares equal. The same thread contract:
+    # deterministic values stored whole; a concurrent miss computes the
+    # same bits twice
     half = log_double_gamma(0.5, tau)
     tt = log_double_gamma(tau, 2.0 * tau)
     a0 = tau / 12.0 + 0.25 + 1.0 / (12.0 * tau)

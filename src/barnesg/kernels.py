@@ -34,14 +34,6 @@ def log_gamma(z: complex) -> complex:
     return backend.loggamma(z)
 
 
-def log_gamma_stirling(z: complex) -> complex:
-    """Second, algorithmically independent log Gamma route (shift + Binet).
-
-    Exists so the primary route has an in-package cross-check.
-    """
-    return backend.loggamma_stirling(z)
-
-
 def polygamma(k: int, z: complex) -> complex:
     """psi^(k)(z) for k = 0..12 (k = 0 is the digamma function)."""
     return backend.polygamma(check_index(k, "polygamma order"), z)

@@ -6,7 +6,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from barnesg import engine
-from barnesg.engine import ComputeParams, log_double_gamma
+from barnesg.engine import ComputeParams, b0_of_tau, log_double_gamma
 from barnesg.kernels import log_gamma, polygamma
 from barnesg.polys import p_poly_recursive, q_poly, q_poly_recursive
 
@@ -93,6 +93,27 @@ def test_correction_slot_raced_by_two_plans_at_one_tau():
                 assert results == serial
         finally:
             sys.setswitchinterval(old)
+
+
+def test_b0_memo_under_concurrent_fill():
+    # 8 threads ask for b0 at one tau, first with the memo cleared (each may
+    # miss and compute it) and then warm; every value has the serial bits
+    tau = 1.2 + 0.7j
+    engine._b0_memo.cache_clear()
+    serial = repr(b0_of_tau(tau))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for clear in (True, False):
+            if clear:
+                engine._b0_memo.cache_clear()
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                results = list(ex.map(lambda t: repr(b0_of_tau(t)), [tau] * 8,
+                                      timeout=120))
+            assert results == [serial] * 8
+    finally:
+        sys.setswitchinterval(old)
+    assert engine._b0_memo.cache_info().currsize == 1
 
 
 def test_kernels_concurrent_use():

@@ -924,8 +924,9 @@ def test_asymptotic_route_falls_back_to_the_product():
 
 
 def test_asymptotic_route_speed():
-    # a cold tau: the coefficients are built inside the call
+    # a cold tau: the coefficients, b0 with them, are built inside the call
     backend._tau_memo.cache_clear()
+    engine._b0_memo.cache_clear()
     t0 = time.perf_counter()
     r = log_double_gamma(1e4, 1.0)
     dt = time.perf_counter() - t0
@@ -941,7 +942,8 @@ def test_b0_of_tau_never_reaches_the_expansion(monkeypatch):
     for tau in taus:
         engine._memo_coeffs(tau)    # b0 is built through the product
     monkeypatch.setattr(engine, "log_double_gamma_asymptotic", refuse)
-    for tau in taus:                # and again with tau's coefficients held
+    engine._b0_memo.cache_clear()   # so b0_of_tau runs its engine calls
+    for tau in taus:                # again, with tau's coefficients held
         b0_of_tau(tau)
         assert log_double_gamma(0.5, tau).route == "product"
         assert log_double_gamma(tau, 2 * tau).route == "product"
@@ -970,6 +972,38 @@ def test_asymptotic_coeffs_memoized_whole(monkeypatch):
 
 
 # ------------------------------------------------------------------- b0
+
+def test_b0_memo_cold_and_warm_bit_identical():
+    # b0_of_tau and asymptotic_coeffs each from a cleared memo, then warm
+    for tau in (1.0, SQRT2, 1 + 1j, 0.3 - 0.8j, -0.7 + 0.9j):
+        engine._b0_memo.cache_clear()
+        cold_b0 = repr(b0_of_tau(tau))
+        engine._b0_memo.cache_clear()
+        cold = asymptotic_coeffs(tau, 8)
+        assert engine._b0_memo.cache_info().misses == 1
+        assert repr(b0_of_tau(tau)) == cold_b0 == repr(cold.b0)
+        warm = asymptotic_coeffs(tau, 8)
+        assert repr(warm) == repr(cold)
+        assert engine._b0_memo.cache_info()[:2] == (2, 1)   # hits, misses
+
+
+def test_b0_memo_keeps_signed_zeros_apart():
+    engine._b0_memo.cache_clear()
+    b0_of_tau(complex(2.0, 0.0))
+    b0_of_tau(complex(2.0, -0.0))
+    info = engine._b0_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+
+
+def test_b0_memo_stays_within_its_bound():
+    engine._b0_memo.cache_clear()
+    n = engine._B0_MEMO + 8
+    for k in range(n):
+        b0_of_tau(complex(1.5, 0.02 + 0.01 * k))
+    info = engine._b0_memo.cache_info()
+    assert info.maxsize == engine._B0_MEMO
+    assert (info.misses, info.currsize) == (n, engine._B0_MEMO)
+
 
 def test_b0_at_one_glaisher():
     A = 1.282427129  # Glaisher-Kinkelin constant (paper-quoted digits)

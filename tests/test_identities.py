@@ -128,8 +128,14 @@ def test_suite_coverage_unique():
 
 
 def test_suite_deterministic():
+    # the first run starts with the b0 memo cleared, the second finds every
+    # b0 it needs there; the reports agree bit for bit
+    engine._b0_memo.cache_clear()
     a = [r.to_json_dict() for r in run_suite(3, "default")]
+    misses = engine._b0_memo.cache_info().misses
     b = [r.to_json_dict() for r in run_suite(3, "default")]
+    info = engine._b0_memo.cache_info()
+    assert info.misses == misses and info.hits > 0
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 

@@ -1,6 +1,6 @@
-"""Digits near the poles of Gamma: the reflection of loggamma and
-loggamma_stirling takes log(1 - e^{2 pi i z}) without cancellation, and the
-engine inherits it near the zeros of G."""
+"""Digits near the poles of Gamma: the reflection of loggamma takes
+log(1 - e^{2 pi i z}) without cancellation, and the engine inherits it near
+the zeros of G."""
 
 import random
 
@@ -28,12 +28,6 @@ def test_loggamma_reflection_against_mpmath():
             ref = _mp_loggamma(z)
             tol = 2e-15 * max(1.0, abs(ref))
             assert abs(backend.loggamma(z) - ref) <= tol, z
-            # the Stirling route is log pi - log sin(pi z) minus itself at
-            # 1 - z: the reflection may add no more than tol to the error
-            # the route already has there
-            w = 1.0 - z
-            own = abs(backend.loggamma_stirling(w) - _mp_loggamma(w))
-            assert abs(backend.loggamma_stirling(z) - ref) <= tol + own, z
 
 
 def test_double_gamma_near_its_zeros_against_mpmath():

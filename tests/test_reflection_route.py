@@ -191,6 +191,7 @@ def test_reflection_route_independent_of_the_memo():
 
     backend._tau_memo.cache_clear()
     modular.modular_forms_cached.cache_clear()
+    engine._b0_memo.cache_clear()
     cold = run(points)
     # again in the reverse order, after other z at each tau and at the
     # inner taus -conj(tau) and -tau, and with the memos full of other taus
