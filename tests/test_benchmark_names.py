@@ -76,6 +76,7 @@ def test_auto_eval_calls_choose_params(monkeypatch):
 @pytest.mark.parametrize("z, tau, route", [
     (1.5 + 0.5j, 2.0, "product"),
     (60 - 45j, 1.5, "asymptotic"),
+    (-50.5 - 49.7j, 1j, "shifted"),
     (0.3 + 0.2j, -1 + 0.1j, "reflection"),
 ])
 def test_every_automatic_route_records_the_plan(z, tau, route):

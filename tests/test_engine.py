@@ -856,8 +856,9 @@ _EPS = 2.0 ** -52
 
 def test_asymptotic_route_agrees_with_product():
     # seeded grid, |z| in [20, 1e4] with every arg (points inside the zero
-    # cone included), |arg tau| <= 3pi/4; the product reference is skipped
-    # past N = 40 000 terms for time, and two fixed points reach |z| = 1e4
+    # cone, which take the shifted route, included), |arg tau| <= 3pi/4; the
+    # product reference is skipped past N = 40 000 terms for time, and two
+    # fixed points reach |z| = 1e4
     rng = random.Random(11)
     pts = [(cmath.rect(1e4, 0.3), 6 + 2j), (cmath.rect(1e4, -2.0), 5 - 3j)]
     for _ in range(60):
@@ -886,14 +887,13 @@ def test_asymptotic_route_agrees_with_product():
         # roundoff of the two routes that neither estimate counts
         assert err <= r.error_estimate + 16 * _EPS * scale, (z, tau)
         assert r.value == engine._safe_exp(r.log_value)
-    assert routes.count("asymptotic") >= 25 and routes.count("product") >= 8
+    assert routes.count("asymptotic") >= 25 and routes.count("product") >= 4
+    assert routes.count("shifted") >= 6
 
 
 def test_asymptotic_route_falls_back_to_the_product():
     # each point passes every condition of the route but the one named
     cases = (
-        ((-50.5 - 49.7j, 1j), "in the zero cone"),
-        ((-60.3 - 20.1j, 1 + 1j), "in the zero cone"),
         ((-20 + 5j, 0.5 + 0.5j), "e^(-2 pi s) above the target, s = 5"),
         ((80 + 30j, -1.0 + 0.35j), "|arg tau| > 3pi/4"),
         ((25 + 5j, 2.0), "N0 at the crossover or below"),
@@ -908,7 +908,10 @@ def test_asymptotic_route_falls_back_to_the_product():
         assert r.route == "product", why
         assert (repr(r.log_value), repr(r.error_estimate)) == \
             (repr(p.log_value), repr(p.error_estimate)), why
-    assert not engine._outside_cone(-50.5 - 49.7j, 1j)
+    # inside the zero cone the shifted route answers instead
+    for z, tau in ((-50.5 - 49.7j, 1j), (-60.3 - 20.1j, 1 + 1j)):
+        assert not engine._outside_cone(z, tau)
+        assert log_double_gamma(z, tau).route == "shifted"
     beyond = engine._beyond_all_orders(-20 + 5j, 0.5 + 0.5j)
     assert beyond == math.exp(-10 * math.pi) > engine._BEYOND_MAX
     assert engine._outside_cone(-20 + 5j, 0.5 + 0.5j)
@@ -923,6 +926,111 @@ def test_asymptotic_route_falls_back_to_the_product():
     assert r.route == "product" and r.params_used.N == 4000
 
 
+def test_shifted_route_declines_to_the_product(monkeypatch):
+    # inside the zero cone, each point fails the one condition of the
+    # shifted route named, and the product answers with the same bits as at
+    # the explicit plan
+    cases = (
+        ((-100.3 - 8.1j, 0.04 + 0.006j), "n over _SHIFT_MAX"),
+        ((-900 + 30j, 1.0), "error estimate over _SHIFT_ERR_MAX"),
+        ((-300 + 2j, 1.0), "w = z + n tau at the crossover or below"),
+    )
+    for (z, tau), why in cases:
+        assert not engine._outside_cone(z, tau), why
+        plan = choose_params(z, tau)
+        r = log_double_gamma(z, tau)
+        p = log_double_gamma(z, tau, plan)
+        assert r.route == "product", why
+        assert (repr(r.log_value), repr(r.error_estimate)) == \
+            (repr(p.log_value), repr(p.error_estimate)), why
+    # with the other gates lifted, each case passes all but its own
+    monkeypatch.setattr(engine, "_SHIFT_ERR_MAX", math.inf)
+    z, tau = cases[0][0]
+    assert engine._shift_steps(z, tau, 10 ** 9) > engine._SHIFT_MAX
+    monkeypatch.setattr(engine, "_SHIFT_MAX", 10 ** 9)
+    n_plan = choose_params(z, tau).N
+    assert engine._shifted_route(z, tau, n_plan)[1] <= 1e-9
+    z, tau = cases[1][0]
+    assert engine._shift_steps(z, tau, 10 ** 9) <= 2000
+    assert engine._shifted_route(z, tau, choose_params(z, tau).N)[1] > 1e-9
+    z, tau = cases[2][0]
+    n = engine._shift_steps(z, tau, 10 ** 9)
+    assert engine._n_floor(z + n * tau, tau) <= engine._N0_CROSSOVER
+
+
+def test_shift_steps_is_the_least_n():
+    # against a scan of n = 1, 2, ... with the route's own tests at w
+    rng = random.Random(29)
+    found = 0
+    for _ in range(40):
+        tau = cmath.rect(0.3 * 10.0 ** rng.random(),
+                         0.75 * math.pi * (2 * rng.random() - 1))
+        a = cmath.phase(-tau)
+        # arg z inside the cone, or within its margin of an edge
+        theta = a + (math.copysign(math.pi, a) - a + math.copysign(0.4, a)) \
+            * rng.random() - math.copysign(0.2, a)
+        z = cmath.rect(20.0 * 10.0 ** rng.random(), theta)
+        if engine._outside_cone(z, tau):
+            continue
+        n = engine._shift_steps(z, tau, 3000)
+        scan = next((k for k in range(1, 3000)
+                     if engine._outside_cone(z + k * tau, tau)
+                     and engine._beyond_all_orders(z + k * tau, tau)
+                     <= engine._BEYOND_MAX), None)
+        assert n == scan, (z, tau)
+        found += n is not None
+    assert found >= 20
+
+
+def test_shifted_route_against_mpmath_barnesg():
+    # at tau = 1, G is the classical Barnes G; seeded points inside the zero
+    # cone, |arg z - pi| < 0.19 and |z| in [20, 1000], that the shifted
+    # route takes, against mpmath at 40 digits, modulo 2 pi i
+    import mpmath as mp
+    rng = random.Random(31)
+    units = []
+    with mp.workdps(40):
+        two_pi = 2 * mp.pi
+        for _ in range(60):
+            z = cmath.rect(20.0 * 50.0 ** rng.random(),
+                           math.pi + rng.uniform(-0.19, 0.19))
+            if engine._zero_within(z, 1.0, 0.1):
+                continue
+            found = engine._asymptotic_route(z, 1.0, choose_params(z, 1.0).N)
+            if found is None:
+                continue
+            log_val, est, route = found
+            assert route == "shifted", z
+            ref = mp.log(mp.barnesg(mp.mpc(z.real, z.imag)))
+            d = mp.mpc(log_val.real, log_val.imag) - ref
+            d -= 1j * two_pi * mp.nint(d.imag / two_pi)
+            err = float(abs(d))
+            scale = _EPS * max(1.0, float(abs(ref)))
+            assert err <= est, (z, err, est)
+            assert err <= 4 * scale, (z, err / scale)
+            units.append(err / scale)
+    assert len(units) >= 25, len(units)
+    assert sorted(units)[len(units) // 2] <= 1.0
+
+
+def test_shifted_route_memos_cold_and_warm_bit_identical():
+    # the route reads tau_memo (its expansion coefficients) and _b0_memo:
+    # cold, with one of them warm, and warm, it returns the same bits
+    for z, tau in ((-50.5 - 49.7j, 1j), (-60.3 - 20.1j, 1 + 1j),
+                   (-150.3 - 40.3j, 0.07 + 0.03j)):
+        backend._tau_memo.cache_clear()
+        engine._b0_memo.cache_clear()
+        cold = log_double_gamma(z, tau)
+        assert cold.route == "shifted"
+        warm = log_double_gamma(z, tau)
+        backend._tau_memo.cache_clear()             # b0 still held
+        b0_warm = log_double_gamma(z, tau)
+        engine._b0_memo.cache_clear()               # coefficients held
+        coeffs_warm = log_double_gamma(z, tau)
+        for r in (warm, b0_warm, coeffs_warm):
+            assert (repr(r.log_value), repr(r.error_estimate)) == \
+                (repr(cold.log_value), repr(cold.error_estimate))
+
 def test_asymptotic_route_speed():
     # a cold tau: the coefficients, b0 with them, are built inside the call
     backend._tau_memo.cache_clear()
@@ -936,12 +1044,14 @@ def test_asymptotic_route_speed():
 
 def test_b0_of_tau_never_reaches_the_expansion(monkeypatch):
     def refuse(*args):
-        raise AssertionError("b0_of_tau reached the large-z expansion")
+        raise AssertionError("b0_of_tau reached a large-z route")
 
-    taus = (1.0, 0.01, 0.02 + 0.03j, 0.05j, 1e-3 + 2e-3j, 3 - 1j, 40 + 10j)
+    taus = (1.0, 0.01, 0.02 + 0.03j, 0.05j, 1e-3 + 2e-3j, 3 - 1j, 40 + 10j,
+            -0.6 + 0.7j, -0.015 - 0.02j)
     for tau in taus:
         engine._memo_coeffs(tau)    # b0 is built through the product
     monkeypatch.setattr(engine, "log_double_gamma_asymptotic", refuse)
+    monkeypatch.setattr(engine, "_shifted_route", refuse)
     engine._b0_memo.cache_clear()   # so b0_of_tau runs its engine calls
     for tau in taus:                # again, with tau's coefficients held
         b0_of_tau(tau)
