@@ -9,11 +9,15 @@
                       z - round(Re z)); ``digamma``/``trigamma`` are its halves.
 * ``gn_sum``        - the truncated-product log sum
                       sum_{m=1..N} [lgG(m tau) - lgG(z+m tau) + z psi(m tau)
-                      + z^2/2 psi'(m tau)],
-                      evaluated term-wise through a cancellation-free regrouped
-                      form once m tau is deep in the Stirling regime; the
-                      pieces of each term that depend on m tau alone are
-                      memoized per tau (``tau_memo``).
+                      + z^2/2 psi'(m tau)]: term by term from the kernels
+                      below its switch point, and from there on, where m tau
+                      is deep in the Stirling regime, all at once with the
+                      sums swapped: the rest of the sum past a is one
+                      polynomial in z per (tau, a), whose coefficients come
+                      from Hurwitz zeta values at the integer a (``_series``,
+                      ``_zeta_row``), so its cost does not grow with N. The
+                      kernel values and the coefficients are memoized per
+                      tau (``tau_memo``).
 * ``cd_sums``       - the partial psi/psi' sums feeding the gamma modular
                       forms: a small-k direct part, read from and written to
                       the same per-tau table as gn_sum's direct terms, and
@@ -32,7 +36,9 @@ finds those terms warm, since k0 is at most its switch point.
 Every Bernoulli-type tail (``_tail``) is a Horner polynomial whose length
 is read from a table of limits on its argument, built at import per
 coefficient set: the least count whose first omitted term is below 1e-18 of
-the first kept one. No term is tested as it is summed.
+the first kept one. No term is tested as it is summed. gn_sum's swapped
+series are cut instead by proven bounds on what they leave (``_k_rows``,
+``_series``), and their tables are built on first use.
 
 Everything is deterministic: sums run sequentially in index order with
 Neumaier compensation or exactly (``math.fsum``), so repeated calls are
@@ -43,9 +49,12 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
+import operator
 import struct
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from itertools import repeat
 
 from .errors import CapacityError, DomainError, PoleError
@@ -99,8 +108,9 @@ class _Series:
         self.horner = tuple(c[n::-1] for n in range(len(c)))
 
 
-# Binet-series coefficients B_2j / ((2j-1)(2j)).
-_BINET = _Series(b / ((2 * j + 1) * (2 * j + 2)) for j, b in enumerate(_B2K))
+# Binet-series coefficients b_j = B_2j / ((2j-1)(2j)), j = 1..13.
+_BJ = tuple(b / ((2 * j + 1) * (2 * j + 2)) for j, b in enumerate(_B2K))
+_BINET = _Series(_BJ)
 # psi tail coefficients B_2j / (2j).
 _PSI_TAIL = _Series(b / (2 * (j + 1)) for j, b in enumerate(_B2K))
 # psi' tail coefficients B_2j.
@@ -110,9 +120,6 @@ _POLYGAMMA_TAIL = {
     k: _Series(b * math.factorial(2 * j + k - 1) / math.factorial(2 * j)
                for j, b in enumerate(_B2K, start=1))
     for k in range(2, 13)}
-# log(1+u) - u + u^2/2 coefficients (-1)^(k+1) / k, k = 3..22: enough for
-# |u| <= 0.109, where _log1p_tail switches to clog1p.
-_LOG1P = _Series((-1.0 if k % 2 == 0 else 1.0) / k for k in range(3, 23))
 
 # 15-term rational approximation for Gamma (Godfrey's g = 607/128 set).
 _LANCZOS_G = 607.0 / 128.0
@@ -137,14 +144,6 @@ _LANCZOS_C = (
 # with no indexing or constant arithmetic per call
 _LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C[1:], start=1))
 _LANCZOS_SHIFT = _LANCZOS_G - 0.5
-
-
-def clog1p(u: complex) -> complex:
-    """log(1+u), accurate for small |u| (principal branch)."""
-    x, y = u.real, u.imag
-    re = 0.5 * math.log1p(2.0 * x + x * x + y * y)
-    im = math.atan2(y, 1.0 + x)
-    return complex(re, im)
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -375,11 +374,22 @@ def _neumaier_add(s: float, c: float, x: float) -> tuple[float, float]:
 
 _STABLE_RADIUS = 16.0
 _MEMO_M = 1024
+# gn_sum's S(a) (see _series) is cut where a proven bound on the rest falls
+# below _SERIES_EPS |z|, and each coefficient's Binet sum where its next
+# term's bound falls below _BINET_EPS |z|. Up to _SERIES_KEYS coefficient
+# sets are kept per tau and per S(N + 1) slot, and the scaled Hurwitz rows
+# they are built from for up to _ZETA_KEYS integers a
+_SERIES_EPS = 2.0 ** -56
+_BINET_EPS = 2.0 ** -60
+_SERIES_KEYS = 16
+_ZETA_KEYS = 512
+# Euler-Maclaurin coefficients B_2j / (2j)!, j = 1..13
+_EM = tuple(b / math.factorial(2 * j + 2) for j, b in enumerate(_B2K))
 
 
 @functools.lru_cache(maxsize=8)
 def _tau_memo(tau_bits: bytes) -> tuple[dict, dict, dict, dict, list]:
-    return {}, {}, {}, {}, [None]
+    return {}, {}, {}, {}, [None, None]
 
 
 def tau_bits(tau: complex) -> bytes:
@@ -390,28 +400,29 @@ def tau_bits(tau: complex) -> bytes:
 
 def tau_memo(tau: complex) -> tuple[dict, dict, dict, dict, list]:
     """The z-independent work of the evaluations at tau, kept for the last
-    8 tau as four tables and a slot: the direct table
-    {k: (lgG(w), psi(w), psi'(w))} and the stable one
-    {k: (1/w^2, J(w), S(w), S'(w))}, w = k tau, k <= _MEMO_M (apart
-    because which branch gn_sum takes at k depends on z), the engine's
-    p_rows {k: rows of P_k(z;-tau)}, k <= 16, its
-    {len(tail): AsymptoticCoeffs} of the large-z expansion (their b0 is
-    read from the engine's own bits-keyed map of 64 tau, _b0_memo, which
-    outlives the 8 entries here), and a one-item list holding the
-    engine's correction slot: the last (N, M) and the correction at
-    (tau, N, M) as a polynomial in z, replaced whole at another (N, M), so
-    the entry never grows. gn_sum fills both tables;
-    cd_sums fills the direct one for its k < k0, which are also direct
-    terms of the product (k0 <= gn_sum's switch point), so the evaluation
-    that builds the modular forms first finds them warm.
+    8 tau as four tables and two slots:
+    * the direct table {k: (lgG(w), psi(w), psi'(w))}, w = k tau,
+      k <= _MEMO_M, filled by gn_sum, and by cd_sums for its k < k0, which
+      are also direct terms of the product (k0 <= gn_sum's switch point),
+      so the evaluation that builds the modular forms first finds them warm;
+    * the stable table {(m_switch, e): coefficients of S(m_switch)}, up to
+      _SERIES_KEYS sets, filled by gn_sum (_series);
+    * the engine's p_rows {k: rows of P_k(z;-tau)}, k <= 16;
+    * its {len(tail): AsymptoticCoeffs} of the large-z expansion (their b0
+      is read from the engine's own bits-keyed map of 64 tau, _b0_memo,
+      which outlives the 8 entries here);
+    * a two-item list of slots, each replaced whole at another plan, so
+      the entry never grows: the engine's correction slot (the last (N, M)
+      and the correction at (tau, N, M) as a polynomial in z), and gn_sum's
+      (N + 1, {(N + 1, e): coefficients of S(N + 1)}) at the last N.
 
     Keyed by tau_bits. Threads: lru_cache keeps an entry's lookup
-    consistent; the tables and the slot are filled without a lock, with
+    consistent; the tables and the slots are filled without a lock, with
     deterministic values stored whole and never modified, so a race stores
     the same bits (a concurrent miss may build an entry twice; one is
-    kept). Two threads at one tau and different (N, M) may replace each
-    other's slot; each reads the slot it built, so neither sees the
-    other's values."""
+    kept). Two threads at one tau and different plans may replace each
+    other's slots; each reads what it built, so neither sees the other's
+    values."""
     return _tau_memo(tau_bits(tau))
 
 
@@ -423,97 +434,214 @@ def _direct_pieces(direct: dict, k: int, w: complex) -> tuple:
     return p
 
 
-def _stable_pieces(w: complex) -> tuple:
-    # (1/w^2, J(w), S(w), S'(w)): _binet, _psi_tail and _psi1_tail with the
-    # powers of 1/w they share taken once and their Horner tails inline,
-    # by the same operations in the same order, so the same bits (the
-    # 0j + is _tail's acc, which turns a -0.0 part into +0.0)
-    iw = 1.0 / w
-    iw2 = iw * iw
-    inv_w2 = 1.0 / (w * w)
-    a = abs(iw2)
-    j = s = s1 = 0j
-    for c in _BINET.horner[bisect_right(_BINET.limits, a)]:
-        j = j * iw2 + c
-    for c in _PSI_TAIL.horner[bisect_right(_PSI_TAIL.limits, abs(inv_w2))]:
-        s = s * inv_w2 + c
-    for c in _PSI1_TAIL.horner[bisect_right(_PSI1_TAIL.limits, a)]:
-        s1 = s1 * iw2 + c
-    return inv_w2, 0j + iw * j, 0j + inv_w2 * s, 0j + iw2 * iw * s1
+def _scaled_zeta(a: int, p: int) -> float:
+    # a^p T_p(a) = sum_{n>=a} (a/n)^p, p >= 2: the terms below b summed
+    # exactly, the rest by Euler-Maclaurin at b. b reaches 0.8 (p + 26),
+    # where the series' terms fall by 0.04 or more each, so that its 13
+    # terms reach 2^-60, unless (a/b)^p < 2^-62 comes first. x^-p has
+    # derivatives of alternating sign, so the error is below the first
+    # term not taken: the series stops at the first term below 2^-60 of
+    # the sum, or at the first that does not fall.
+    fa = float(a)
+    b = max(a, min(math.ceil(0.8 * (p + 26)),
+                   math.ceil(fa * 2.0 ** (62.0 / p))))
+    head = math.fsum([(fa / n) ** p for n in range(a, b)])
+    scale = (fa / b) ** p
+    ib = 1.0 / b
+    ib2 = ib * ib
+    lead = b / (p - 1.0) + 0.5
+    floor = 2.0 ** -60 * (head + scale * lead)
+    tail, prev = 0.0, math.inf
+    r = p * ib                        # (p)_(2j-1) b^(1-2j) at j = 1
+    for j, e in enumerate(_EM):
+        t = e * r
+        at = scale * abs(t)
+        if at < floor or at >= prev:
+            break
+        tail += t
+        prev = at
+        r *= (p + 2 * j + 1) * (p + 2 * j + 2) * ib2
+    return head + scale * (lead + tail)
 
 
-def _log1p_tail(u: complex) -> complex:
-    # g(u) = log(1+u) - u + u^2/2 = sum_{k>=3} (-1)^(k+1) u^k / k, |u| <= 1/2.
-    if abs(u) > 0.109:
-        return clog1p(u) - u + 0.5 * u * u
-    return _tail(_LOG1P, u * u * u, u, 0j)
+_zeta_rows: dict = {}
+
+
+def _zeta_row(a: int, p: int) -> array:
+    """row[q] = a^q T_q(a) = sum_{n>=a} (a/n)^q for q = 0 .. p at least:
+    the Hurwitz zeta at the integer a, scaled to stay near 1 + a/(q - 1)
+    (row[0] and row[1] are unused zeros). Kept in one map of up to
+    _ZETA_KEYS rows keyed by a, a row replaced whole by a longer one when
+    asked past its end, and the map emptied when full. Each value depends
+    on (a, q) alone, so the bits never depend on what the map held.
+    Threads: as for tau_memo."""
+    row = _zeta_rows.get(a)
+    if row is None or len(row) <= p:
+        start = array("d", (0.0, 0.0)) if row is None else row
+        row = start + array("d", [_scaled_zeta(a, q)
+                                  for q in range(len(start), p + 9)])
+        if len(_zeta_rows) >= _ZETA_KEYS:
+            _zeta_rows.clear()
+        _zeta_rows[a] = row
+    return row
+
+
+def _k_row(k: int):
+    # one row of _k_rows, None below k = 3
+    if k < 3:
+        return None
+    sign = 1.0 if k % 2 else -1.0
+    g = array("d", [sign * b * math.comb(2 * j + k - 2, k)
+                    for j, b in enumerate(_BJ, start=1)])
+    binet = 0.0
+    for j, b in enumerate(_BJ, start=1):
+        q = (2 * j + k) / (2.0 * (k + 2))
+        if q < 1.0:
+            w = abs(b) * math.comb(2 * j + k - 1, k + 1) / (1.0 - q)
+        else:
+            w = 3.0 * abs(b) * 4.0 ** (2 * j - 1) * (4.0 / 3.0) ** (k + 1)
+        binet += w * 16.0 ** (-2 * j)
+    beta = 2.0 / (k * (k + 1)) + 1.0 / (16.0 * (k + 1)) + binet
+    return (sign / (k * (k - 1)), sign * 0.5 / k, g,
+            array("d", map(abs, g)), beta)
+
+
+_k_table: tuple = ()
+
+
+def _k_rows(K: int) -> tuple:
+    """(f1, f2, g, |g|, beta) for k = 3 .. K at least (None below 3): the
+    same at every (tau, a), built on first use and replaced whole by a
+    longer table.
+
+    With u = z/w, w = m tau, the z^k coefficient of -lgG(z + w) from
+    Stirling's series is w^(1-k) times f1 (from (z + w - 1/2) log(1 + u)),
+    plus w^-k times f2, plus w^(1-k-2j) times g_j = (-1)^(k+1) b_j
+    C(2j+k-2, k) from Binet's term b_j (w + z)^(1-2j), b_j =
+    B_2j/((2j-1)2j), j = 1..13.
+
+    beta bounds what these series leave after u^k, summed over m >= a,
+    at R = a|tau| >= 16 and |u| <= 1/2: as R rho^(k+1) a^k T_k(a) beta,
+    rho = |z|/R. The log term's two series leave at most
+    |w| |u|^(k+1)/(k(k+1)) and |u|^(k+1)/(2(k+1)), each over 1 - |u| >= 1/2,
+    and sum to R rho^(k+1) a^k T_k(a) times 2/(k(k+1)) and
+    2/(2(k+1)R) <= 1/(16(k+1)). Binet's term j leaves at most
+    |b_j| C(2j+k-1, k+1) |u|^(k+1) / (1 - q) while the ratio of its
+    consecutive terms stays below q = (2j+k)/(2(k+2)) < 1, and else, by
+    Cauchy's bound on |u| = 3/4, 3 |b_j| 4^(2j-1) (4/3)^(k+1) |u|^(k+1);
+    summed over m it carries R^-2j <= 16^-2j."""
+    global _k_table
+    table = _k_table
+    if len(table) <= K:
+        table = table + tuple(_k_row(k) for k in range(len(table), K + 9))
+        _k_table = table
+    return table
+
+
+def _series(tau: complex, a: int, e: int) -> tuple[complex, ...]:
+    """The coefficients c_K .. c_3, highest first, of
+    S(a) = sum_{m>=a} r_m(z) = sum_{k=3}^{K} c_k z^k + rest, good for every
+    z with rho = |z|/R < 2^e <= 1/2, R = a|tau| >= 16.
+
+    The Taylor series of -lgG(z + m tau) from Stirling's series
+    (_k_rows), summed over m >= a first: with Y = 1/(a tau) and
+    X_p = Y^p a^p T_p(a) = sum_{m>=a} (m tau)^-p (_zeta_row),
+      c_k = f1 X_(k-1) + f2 X_k + sum_j g_j X_(k-1+2j),
+    that is (-1)^(k+1) [X_(k-1)/(k(k-1)) + X_k/(2k)
+                        + sum_j b_j C(2j+k-2, k) X_(k-1+2j)].
+    Binet's sum takes j while its term's bound at the class' largest rho,
+    |g_j| R^-2j a^(k-1) T_(k-1)(a) 2^(e(k-1)) |z|, is at least
+    _BINET_EPS |z|, so the sum is cut at the actual R. K is the least
+    count whose rest, at most R rho^(K+1) a^K T_K(a) beta_K, is below
+    _SERIES_EPS |z| for every rho < 2^e: 2^(eK) a^K T_K(a) beta_K <=
+    _SERIES_EPS. Each value depends on (tau, a, e) alone."""
+    y = 1.0 / (a * tau)
+    r = a * abs(tau)
+    x2 = 1.0 / (r * r)
+    rc = math.ldexp(1.0, e)
+    row = _zeta_row(a, 16)
+    rows = _k_rows(16)
+    K, rk = 3, rc * rc * rc
+    while not rk * row[K] * rows[K][4] <= _SERIES_EPS:
+        K += 1
+        rk *= rc
+        if len(row) <= K:
+            row = _zeta_row(a, K)
+        if len(rows) <= K:
+            rows = _k_rows(K)
+    ys, xs, coeffs = [1.0 + 0j], [], []
+    lead = rc * rc / _BINET_EPS       # rc^(k-1) / _BINET_EPS at k = 3
+    for k in range(3, K + 1):
+        f1, f2, g, size, _ = rows[k]
+        bound, n = lead * row[k - 1], 0
+        for c in size:
+            bound *= x2
+            if bound * c < 1.0:
+                break
+            n += 1
+        top = k + 2 * n                  # X_k and X_(k-1+2n)
+        if len(xs) <= top:
+            top += 8
+            if len(row) <= top:
+                row = _zeta_row(a, top)
+            more = itertools.accumulate(itertools.repeat(y, top + 1 - len(ys)),
+                                        operator.mul, initial=ys[-1])
+            next(more)                    # ys[-1] itself
+            ys.extend(more)
+            n0 = len(xs)
+            xs.extend(map(operator.mul, ys[n0:], row[n0:top + 1]))
+        c = xs[k - 1] * f1 + xs[k] * f2
+        for j in range(n):
+            c += g[j] * xs[k + 1 + 2 * j]
+        coeffs.append(c)
+        lead *= rc
+    return tuple(reversed(coeffs))
 
 
 def gn_sum(z: complex, tau: complex, N: int) -> complex:
-    """sum_{m=1}^{N} [lgG(m tau) - lgG(z + m tau) + z psi(m tau)
-    + (z^2/2) psi'(m tau)], sequentially compensated.
+    """sum_{m=1}^{N} r_m(z), r_m(z) = lgG(m tau) - lgG(z + m tau)
+    + z psi(m tau) + (z^2/2) psi'(m tau), sequentially compensated.
 
-    The prefix property matters: for N' < N the first N' terms are computed
-    bit-identically, so differences of results at two truncations carry no
-    shared-prefix rounding noise. The memoized pieces are the values the
-    kernels return, so a warm memo changes no bit either.
+    Below the switch point m_switch = ceil(max(16, 2|z|)/|tau|) each term
+    is taken from the kernels, memoized per tau (tau_memo). From it on,
+    where |m tau| >= 16 and |z/(m tau)| <= 1/2, the terms are summed all
+    at once, as S(m_switch) - S(N + 1) with S(a) = sum_{m>=a} r_m(z): a
+    polynomial in z whose coefficients come from Hurwitz zeta values at a
+    (_series), so the cost does not grow with N. A coefficient set serves
+    a class of z: those with rho = |z|/(a|tau|) in [2^(e-1), 2^e) for
+    e < -1, and in [1/4, 1/2] for e = -1 (rho <= 1/2 here); sets are
+    memoized per tau (tau_memo). At |arg tau| > 3pi/4 every term is
+    direct; at z = 0 every r_m is 0.
+
+    The two S values enter the compensated sum as two more terms. So the
+    prefix property holds bit for bit up to m_switch: for N' < N the first
+    min(N', m_switch - 1) terms, and S(m_switch) when N' >= m_switch, have
+    the same bits, so differences of results at two truncations carry no
+    shared-prefix rounding noise. The memoized values are those a cold
+    call computes, so a warm memo changes no bit either.
     """
     z = complex(z)
     tau = complex(tau)
     z2h = 0.5 * z * z
-    z3h = 0.5 * z * z * z
+    az = abs(z)
     abs_tau = abs(tau)
     if abs(cmath.phase(tau)) <= _MAX_ARG:
-        m_switch = int(math.ceil(max(_STABLE_RADIUS, 2.0 * abs(z)) / abs_tau))
+        m_switch = int(math.ceil(max(_STABLE_RADIUS, 2.0 * az) / abs_tau))
     else:
         m_switch = N + 1
-    direct, stable = tau_memo(tau)[:2]
-    log1p_limits, log1p_horner = _LOG1P.limits, _LOG1P.horner
-    binet_limits, binet_horner = _BINET.limits, _BINET.horner
+    entry = tau_memo(tau)
+    direct = entry[0]
     sr = cr = si = ci = 0.0
-    # the memo lookups, the compensated additions (_neumaier_add) and the
-    # stable term with its _log1p_tail and _binet Horners are inlined, by
-    # the same operations in the same order, so the same bits: a helper
-    # call per term cost a few percent of the sum each
-    for m in range(1, N + 1):
+    # the memo lookups and the compensated additions (_neumaier_add) are
+    # inlined, by the same operations in the same order, so the same bits:
+    # a helper call per term cost a few percent of the sum each
+    for m in range(1, min(N + 1, m_switch)):
         w = m * tau
-        if m < m_switch:
-            p = direct.get(m)
-            if p is None:
-                p = _direct_pieces(direct, m, w)
-            lg, ps, ps1 = p
-            t = lg - loggamma(z + w) + z * ps + z2h * ps1
-        else:
-            p = stable.get(m)
-            if p is None:
-                p = _stable_pieces(w)
-                if m <= _MEMO_M:
-                    stable[m] = p
-            # the regrouped r_m with the first two log1p orders cancelled
-            # analytically, every intermediate O(|z|^3/|w|^2), the size of
-            # r_m itself (|w| >= 16, |z/w| <= 1/2, |arg w| <= 3pi/4):
-            #   r_m = z^3/(2 w^2) - (z+w-1/2) g(z/w) - [J(z+w) - J(w)]
-            #         - z S(w) + (z^2/2) S'(w),  g(u) = log(1+u) - u + u^2/2
-            iw2, jw, sw, s1w = p
-            u = z / w
-            if abs(u) > 0.109:
-                g = clog1p(u) - u + 0.5 * u * u
-            else:
-                h = 0j
-                for c in log1p_horner[bisect_right(log1p_limits, abs(u))]:
-                    h = h * u + c
-                g = 0j + u * u * u * h
-            v = z + w
-            iv = 1.0 / v
-            x = iv * iv
-            h = 0j
-            for c in binet_horner[bisect_right(binet_limits, abs(x))]:
-                h = h * x + c
-            t = (z3h * iw2
-                 - (v - 0.5) * g
-                 - ((0j + iv * h) - jw)
-                 - z * sw
-                 + z2h * s1w)
+        p = direct.get(m)
+        if p is None:
+            p = _direct_pieces(direct, m, w)
+        lg, ps, ps1 = p
+        t = lg - loggamma(z + w) + z * ps + z2h * ps1
         x = t.real
         s = sr + x
         if abs(sr) >= abs(x):
@@ -528,6 +656,25 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
         else:
             ci += (x - s) + si
         si = s
+    if N >= m_switch and az:
+        slot = entry[4]
+        held = slot[1]
+        if held is None or held[0] != N + 1:
+            held = slot[1] = (N + 1, {})
+        z3 = z * z * z
+        for a, table, sign in ((m_switch, entry[1], 1.0), (N + 1, held[1], -1.0)):
+            e = min(math.frexp(az / (a * abs_tau))[1], -1)
+            coeffs = table.get((a, e))
+            if coeffs is None:
+                coeffs = _series(tau, a, e)
+                if len(table) < _SERIES_KEYS:
+                    table[a, e] = coeffs
+            h = 0j
+            for c in coeffs:
+                h = h * z + c
+            t = sign * (z3 * h)
+            sr, cr = _neumaier_add(sr, cr, t.real)
+            si, ci = _neumaier_add(si, ci, t.imag)
     return complex(sr + cr, si + ci)
 
 

@@ -2,10 +2,11 @@
 growth, pure evaluators safe for unrestricted concurrent use."""
 
 
+import cmath
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from barnesg import engine
+from barnesg import backend, engine
 from barnesg.engine import ComputeParams, b0_of_tau, log_double_gamma
 from barnesg.kernels import log_gamma, polygamma
 from barnesg.polys import p_poly_recursive, q_poly, q_poly_recursive
@@ -93,6 +94,35 @@ def test_correction_slot_raced_by_two_plans_at_one_tau():
                 assert results == serial
         finally:
             sys.setswitchinterval(old)
+
+
+def test_stable_series_built_and_read_by_concurrent_threads():
+    # 8 threads sum gn_sum's stable range at one tau, for z of several
+    # series classes and two N, so that they build the same (tau, a)
+    # coefficient sets and Hurwitz rows side by side, read each other's
+    # and keep replacing the S(N + 1) slot; first with every series memo
+    # cleared, then warm. Every result has the serial bits
+    tau = 1.05 + 0.35j
+    jobs = [(cmath.rect(0.2 + 0.35 * k, 0.7 * k), 150 + k % 2)
+            for k in range(24)] * 3
+
+    def run(job):
+        return repr(backend.gn_sum(job[0], tau, job[1]))
+
+    serial = [run(job) for job in jobs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for clear in (True, False):
+            if clear:
+                backend._tau_memo.cache_clear()
+                backend._zeta_rows.clear()
+                backend._k_table = ()
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                results = list(ex.map(run, jobs, timeout=120))
+            assert results == serial
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_b0_memo_under_concurrent_fill():

@@ -10,6 +10,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,14 +386,30 @@ def test_determinism():
 
 # ------------------------------------------------------------ per-tau memos
 
+def _log1p_tail(u):
+    # log(1 + u) - u + u^2/2 by 88 terms of its series: |u| <= 1/2 here
+    s = 0j
+    for k in range(90, 2, -1):
+        s = s * u + (1.0 if k % 2 else -1.0) / k
+    return s * u * u * u
+
+
+def _switch(z, tau, N):
+    # gn_sum's switch point: N + 1 (every term direct) past |arg tau| = 3pi/4
+    if abs(cmath.phase(tau)) > backend._MAX_ARG:
+        return N + 1
+    return int(math.ceil(max(backend._STABLE_RADIUS, 2.0 * abs(z)) / abs(tau)))
+
+
 def _gn_sum_unmemoized(z, tau, N):
-    # gn_sum with every kernel called per term, as before the memo existed
+    # gn_sum term by term, with every kernel called per term: below the
+    # switch point the kernels, from it on r_m in its regrouped Stirling
+    # form, every intermediate the size of r_m itself (|w| >= 16,
+    # |z/w| <= 1/2):
+    #   r_m = z^3/(2 w^2) - (z+w-1/2) g(z/w) - [J(z+w) - J(w)]
+    #         - z S(w) + (z^2/2) S'(w),  g(u) = log(1+u) - u + u^2/2
     z2h = 0.5 * z * z
-    if abs(cmath.phase(tau)) <= backend._MAX_ARG:
-        m_switch = int(math.ceil(max(backend._STABLE_RADIUS, 2.0 * abs(z))
-                                 / abs(tau)))
-    else:
-        m_switch = N + 1
+    m_switch = _switch(z, tau, N)
     sr = cr = si = ci = 0.0
     for m in range(1, N + 1):
         w = m * tau
@@ -401,13 +418,33 @@ def _gn_sum_unmemoized(z, tau, N):
                  + z * backend.digamma(w) + z2h * backend.trigamma(w))
         else:
             t = (0.5 * z * z * z * (1.0 / (w * w))
-                 - (z + w - 0.5) * backend._log1p_tail(z / w)
+                 - (z + w - 0.5) * _log1p_tail(z / w)
                  - (backend._binet(z + w) - backend._binet(w))
                  - z * backend._psi_tail(w)
                  + z2h * backend._psi1_tail(w))
         sr, cr = backend._neumaier_add(sr, cr, t.real)
         si, ci = backend._neumaier_add(si, ci, t.imag)
     return complex(sr + cr, si + ci)
+
+
+def _assert_gn_sum(z, tau, N, value):
+    # value against the term-by-term sum: bit for bit where every term is
+    # direct (N below the switch point, or |arg tau| > 3pi/4), else within
+    # a few units of 2^-52 max(1, |sum|), the swapped stable sum's rounding
+    ref = _gn_sum_unmemoized(z, tau, N)
+    if N < _switch(z, tau, N):
+        assert repr(value) == repr(ref), (z, tau, N)
+    else:
+        assert abs(value - ref) <= 4 * 2.0 ** -52 * max(1.0, abs(ref)), \
+            (z, tau, N, value, ref)
+
+
+def _clear_series_memos():
+    # every memo the swapped stable sum reads: the per-tau entries, the
+    # Hurwitz rows and the table of per-k constants
+    backend._tau_memo.cache_clear()
+    backend._zeta_rows.clear()
+    backend._k_table = ()
 
 
 def _fresh_tau(rng):
@@ -422,37 +459,132 @@ _MEMO_CASES = ((1.3 + 0.4j, 1.1 + 0.4j, 300), (11.0 - 3.0j, 0.9 + 0.2j, 400),
 
 
 def test_gn_sum_memo_cold_and_warm_bit_identical():
-    # the first use of a tau fills the memo and the later ones read it
+    # the first use of a tau fills the memos and the later ones read them:
+    # the same bits, within a few ulps of the term-by-term sum
     rng = random.Random(5)
     for z, tau, N in _MEMO_CASES:
         tau = tau + 1e-9 * _fresh_tau(rng)   # unseen bits, same region
-        ref = repr(_gn_sum_unmemoized(z, tau, N))
-        for _ in range(3):
-            assert repr(backend.gn_sum(z, tau, N)) == ref, (z, tau, N)
+        cold = repr(backend.gn_sum(z, tau, N))
+        for _ in range(2):
+            assert repr(backend.gn_sum(z, tau, N)) == cold, (z, tau, N)
+        _assert_gn_sum(z, tau, N, backend.gn_sum(z, tau, N))
 
 
 def test_gn_sum_prefix_property_with_warm_memo():
+    # bit for bit up to the switch point. Past it each truncation has the
+    # bits of its first call, whichever truncation ran before it at that
+    # tau, and shares the first m_switch - 1 terms and S(m_switch)
     rng = random.Random(6)
     for z, tau, N in _MEMO_CASES:
+        t = tau + 1e-9 * _fresh_tau(rng)
+        seen = {}
         for order in ((N // 3, N, N // 3), (N, N // 3, N)):
-            t = tau + 1e-9 * _fresh_tau(rng)
+            _clear_series_memos()
             for n in order:
-                assert repr(backend.gn_sum(z, t, n)) == \
-                    repr(_gn_sum_unmemoized(z, t, n)), (z, t, n)
+                got = repr(backend.gn_sum(z, t, n))
+                assert seen.setdefault(n, got) == got, (z, t, n, order)
+        for n in (N // 3, N):
+            _assert_gn_sum(z, t, n, complex(seen[n]))
+        ms = _switch(z, t, N)
+        assert repr(backend.gn_sum(z, t, ms - 1)) == \
+            repr(_gn_sum_unmemoized(z, t, ms - 1)), (z, t)
 
 
 def test_gn_sum_memo_interleaved_with_eviction():
     # eleven tau (more than the memo keeps) and z values taking different
-    # switch points, in a shuffled order: every result equals the
-    # unmemoized sum, whether its tau was cold, warm or evicted
+    # switch points and series classes, in a shuffled order: every result
+    # has the bits of its first call, whether its tau was cold, warm or
+    # evicted, and is within a few ulps of the term-by-term sum
     rng = random.Random(7)
     taus = [_fresh_tau(rng) for _ in range(11)]
     zs = (0.3 + 0.2j, 1.7 - 0.6j, 9.0 + 2.0j, -2.5 + 1.5j)
     jobs = [(z, t) for z in zs for t in taus] * 2
     rng.shuffle(jobs)
+    first = {}
     for z, t in jobs:
-        assert repr(backend.gn_sum(z, t, 90)) == \
-            repr(_gn_sum_unmemoized(z, t, 90)), (z, t)
+        got = repr(backend.gn_sum(z, t, 90))
+        if (z, t) not in first:
+            first[z, t] = got
+            _assert_gn_sum(z, t, 90, complex(got))
+        assert got == first[z, t], (z, t)
+
+
+def test_gn_sum_bits_independent_of_the_series_memos():
+    # the swapped stable sum reads three memos: tau's entry (its stable
+    # table and S(N + 1) slot), the Hurwitz rows and the per-k constants.
+    # Warm, evicted by 8 other tau, or with the Hurwitz rows dropped, every
+    # result has the bits of a call with all three cleared
+    rng = random.Random(23)
+    cases = [(z, tau + 1e-9 * _fresh_tau(rng), N) for z, tau, N in _MEMO_CASES]
+    cold = {}
+    for case in cases:
+        _clear_series_memos()
+        cold[case] = repr(backend.gn_sum(*case))
+    for case in cases * 2:
+        assert repr(backend.gn_sum(*case)) == cold[case], case
+    for case in cases:
+        for _ in range(8):
+            backend.gn_sum(0.7 + 0.2j, _fresh_tau(rng), 60)
+        assert repr(backend.gn_sum(*case)) == cold[case], case
+        backend._zeta_rows.clear()
+        assert repr(backend.gn_sum(*case)) == cold[case], case
+
+
+def test_gn_sum_short_and_long_z_series_in_either_order():
+    # at one (tau, N) a small |z| takes a short z-series and a large one a
+    # long series, each from its own class of coefficients; whichever runs
+    # first, each has the bits of its call on cleared memos
+    for tau in (1.1 + 0.4j, -0.6 + 0.9j, 2.0 + 0.0j):
+        N = 120
+        zs = (0.05 - 0.02j, 3.9 + 3.5j, 9.5 - 2.0j)
+        cold = {}
+        for z in zs:
+            _clear_series_memos()
+            cold[z] = repr(backend.gn_sum(z, tau, N))
+        for order in (zs, zs[::-1]):
+            _clear_series_memos()
+            for z in order:
+                assert repr(backend.gn_sum(z, tau, N)) == cold[z], (z, tau)
+        # the first two share m_switch and keep a short and a long set
+        stable = backend.tau_memo(tau)[1]
+        a = _switch(zs[0], tau, N)
+        lengths = sorted(len(c) for (m, _), c in stable.items() if m == a)
+        assert len(lengths) == 2 and 3 * lengths[0] < lengths[1], lengths
+
+
+_GN_GRID = json.loads((Path(__file__).parent / "data" / "gn_sum_grid.json")
+                      .read_text())["rows"]
+
+
+def _grid_row(row):
+    return complex(*row["z"]), complex(*row["tau"]), row["N"]
+
+
+def test_gn_sum_stable_range_against_the_frozen_mpmath_grid():
+    # every row of tests/data/gn_sum_grid.json: the stable range
+    # gn_sum(N) - gn_sum(m_switch - 1), which share their first
+    # m_switch - 1 terms bit for bit, against mpmath at 30 digits, within
+    # 2^-52 of max(1, |gn_sum|)
+    assert len(_GN_GRID) >= 40
+    for row in _GN_GRID:
+        z, tau, N = _grid_row(row)
+        ms = _switch(z, tau, N)
+        assert ms <= N, row
+        full = backend.gn_sum(z, tau, N)
+        got = full - backend.gn_sum(z, tau, ms - 1)
+        ref = complex(float(row["S"][0]), float(row["S"][1]))
+        assert abs(got - ref) <= 2.0 ** -52 * max(1.0, abs(full)), (row, got)
+
+
+def test_gn_sum_grid_rederived_live():
+    # the two shortest rows again from the generator, so the file cannot
+    # drift from it
+    import make_gn_sum_grid
+    rows = sorted(_GN_GRID, key=lambda r: r["N"] - _switch(*_grid_row(r)))[:2]
+    for row in rows:
+        z, tau, N = _grid_row(row)
+        assert make_gn_sum_grid.m_switch(z, tau) == _switch(z, tau, N)
+        assert make_gn_sum_grid.stable_range(z, tau, N) == row["S"], row
 
 
 def test_fresh_tau_evaluation_computes_each_k_tau_once(monkeypatch):
@@ -550,7 +682,7 @@ def test_correction_memo_bit_identical():
 
 def test_memo_bounds():
     # twenty fresh tau, each summed past the cached m; every other one in
-    # the all-direct sector, so both branches fill up to the bound
+    # the all-direct sector, so the direct table fills up to its bound
     rng = random.Random(9)
     taus = []
     for i in range(20):
@@ -565,21 +697,34 @@ def test_memo_bounds():
     # the entries of the last 8 tau, read back (cache hits, so none evicted)
     memo = [backend.tau_memo(t) for t in taus[-8:]]
     assert backend._tau_memo.cache_info().currsize == 8
-    for i, max_key in ((0, backend._MEMO_M), (1, backend._MEMO_M), (2, 16)):
+    for i, max_key in ((0, backend._MEMO_M), (2, 16)):
         tables = [entry[i] for entry in memo]
         assert max(max(t, default=0) for t in tables) == max_key
         assert all(1 <= m <= max_key for t in tables for m in t)
+    # z of 40 series classes at one tau and N: the stable table and the
+    # S(N + 1) slot each keep _SERIES_KEYS coefficient sets
+    tau = _fresh_tau(rng)
+    for k in range(40):
+        backend.gn_sum(cmath.rect(7.9 * 0.5 ** k, k), tau, 60)
+    stable, slot = backend.tau_memo(tau)[1], backend.tau_memo(tau)[4][1]
+    assert len(stable) == len(slot[1]) == backend._SERIES_KEYS
+    assert slot[0] == 61
+    # the Hurwitz rows: at most _ZETA_KEYS, the map emptied when full
+    for a in range(1, backend._ZETA_KEYS + 40):
+        backend._zeta_row(a, 4)
+        assert len(backend._zeta_rows) <= backend._ZETA_KEYS
 
 
 def test_memo_entry_filled_and_evicted_whole():
-    # one product evaluation fills the three product tables and the
-    # correction slot of its tau's entry; 8 further tau evict the entry,
-    # and with it every table at once
+    # one product evaluation fills the three product tables and both
+    # slots of its tau's entry; 8 further tau evict the entry, and with it
+    # every table at once
     rng = random.Random(10)
     tau = _fresh_tau(rng)
     log_double_gamma(9.0 + 2.0j, tau)   # auto plan: both gn_sum branches
     direct, stable, p_rows, _, slot = entry = backend.tau_memo(tau)
-    assert direct and stable and p_rows and slot[0] is not None
+    assert direct and stable and p_rows
+    assert slot[0] is not None and slot[1] is not None
     misses = backend._tau_memo.cache_info().misses
     assert backend.tau_memo(tau) is entry
     for _ in range(8):
@@ -587,13 +732,14 @@ def test_memo_entry_filled_and_evicted_whole():
     assert backend._tau_memo.cache_info().misses == misses + 8
     fresh = backend.tau_memo(tau)
     assert backend._tau_memo.cache_info().misses == misses + 9
-    assert fresh is not entry and fresh == ({}, {}, {}, {}, [None])
+    assert fresh is not entry and fresh == ({}, {}, {}, {}, [None, None])
 
 
-def test_gn_sum_bit_identical_to_the_term_by_term_kernels_on_a_grid():
-    # the inlined stable term against the kernels called per term, over
+def test_gn_sum_against_the_term_by_term_kernels_on_a_grid():
+    # the swapped stable sum against the kernels called per term, over
     # Re tau > 0, Re tau < 0 with |arg tau| <= 3pi/4 (both branches) and
-    # |arg tau| > 3pi/4 (all direct), with z taking several switch points
+    # |arg tau| > 3pi/4 (all direct, bit for bit), with z taking several
+    # switch points and series classes
     rng = random.Random(21)
     for i in range(36):
         sector = (rng.uniform(-1.4, 1.4), rng.uniform(1.7, 2.3),
@@ -602,8 +748,7 @@ def test_gn_sum_bit_identical_to_the_term_by_term_kernels_on_a_grid():
                          rng.choice((-1.0, 1.0)) * sector)
         z = complex(rng.uniform(-4.0, 9.0), rng.uniform(-4.0, 4.0))
         N = rng.randrange(20, 160)
-        assert repr(backend.gn_sum(z, tau, N)) == \
-            repr(_gn_sum_unmemoized(z, tau, N)), (z, tau, N)
+        _assert_gn_sum(z, tau, N, backend.gn_sum(z, tau, N))
 
 
 # ---------------------------------------------------------- correction slot
@@ -699,8 +844,10 @@ def test_slot_cold_or_warm_same_bits():
 
 
 def test_slot_replaced_never_grows():
-    # 10 000 distinct explicit N at one tau: the entry holds one slot, at
-    # the last (N, M), and no table grows past its first size
+    # 10 000 distinct explicit N at one tau: the entry holds its two
+    # slots, the correction at the last (N, M), and no table grows past its
+    # first size; 1 000 distinct N for gn_sum replace its S(N + 1) slot
+    # the same way
     tau = 0.9 + 0.45j
     z = 1.2 + 0.3j
     log_double_gamma(z, tau, ComputeParams(N=40, M=16, m_cd=64))
@@ -713,8 +860,12 @@ def test_slot_replaced_never_grows():
     for N in range(40, 10040):
         engine._correction(z, tau, N, 1 + N % 16)
     assert backend.tau_memo(tau) is entry
-    assert sizes() == before and before[4] == 1
+    assert sizes() == before and before[4] == 2
     assert entry[4][0][:2] == (10039, 1 + 10039 % 16)
+    for N in range(40, 1040):
+        backend.gn_sum(z, tau, N)
+    assert sizes() == before
+    assert entry[4][1][0] == 1040 and len(entry[4][1][1]) == 1
 
 
 def _exact_correction_terms(z, tau, N):

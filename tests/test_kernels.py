@@ -387,39 +387,6 @@ def test_tails_at_the_limits_of_their_counts():
                 assert rel(polygamma(k, w), _mp_psi(k, mw)) <= 1e-12, (k, w)
 
 
-def test_stable_pieces_bit_identical_to_the_separate_tails():
-    # gn_sum's fused (1/w^2, J, S, S') against the three tails it inlines,
-    # at |w| >= 16 and |arg w| <= 3pi/4, including either side of every
-    # limit of the three counts
-    rng = random.Random(32)
-    ws = [cmath.rect(16.0 * 10 ** rng.uniform(0.0, 7.0),
-                     rng.uniform(-backend._MAX_ARG, backend._MAX_ARG))
-          for _ in range(3000)]
-    for series in (backend._BINET, backend._PSI_TAIL, backend._PSI1_TAIL):
-        ws += [w for w, _ in _tail_points(series, 16.0)]
-    ws += [complex(r, y) for r in (16.0, 1e3) for y in (0.0, -0.0)]
-    for w in ws:
-        ref = (1.0 / (w * w), backend._binet(w), backend._psi_tail(w),
-               backend._psi1_tail(w))
-        assert repr(backend._stable_pieces(w)) == repr(ref), w
-
-
-def test_log1p_tail_against_mpmath():
-    # g(u) = log(1+u) - u + u^2/2 by its fixed-length series for |u| <= 0.109
-    rng = random.Random(17)
-    us = [cmath.rect(lim * (1 + s * 1e-9), th)
-          for lim in backend._LOG1P.limits if 1e-4 <= lim <= 0.109
-          for s in (-1, 1) for th in (0.0, 1.0, 2.0, 3.0)]
-    us += [cmath.rect(0.109, th) for th in (0.0, 1.0, 2.0, math.pi)]
-    us += [cmath.rect(10 ** rng.uniform(-4, math.log10(0.109)),
-                      rng.uniform(-math.pi, math.pi)) for _ in range(300)]
-    with mp.workdps(50):
-        for u in us:
-            mu = mp.mpc(u.real, u.imag)
-            ref = complex(mp.log1p(mu) - mu + mu * mu / 2)
-            assert abs(backend._log1p_tail(u) - ref) <= 1e-15 * abs(ref), u
-
-
 def _cd_sums_termwise(tau, m, k0):
     # cd_sums summed term by term: the psi and psi' tails at every k tau,
     # Neumaier-compensated in k, and the direct part exactly
