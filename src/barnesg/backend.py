@@ -479,7 +479,7 @@ def _zeta_row(a: int, p: int) -> array:
     if row is None or len(row) <= p:
         start = array("d", (0.0, 0.0)) if row is None else row
         row = start + array("d", [_scaled_zeta(a, q)
-                                  for q in range(len(start), p + 9)])
+                                  for q in range(len(start), p + 1)])
         if len(_zeta_rows) >= _ZETA_KEYS:
             _zeta_rows.clear()
         _zeta_rows[a] = row
@@ -487,23 +487,28 @@ def _zeta_row(a: int, p: int) -> array:
 
 
 def _k_row(k: int):
-    # one row of _k_rows, None below k = 3
+    # one row of _k_rows, None below k = 3; c0 = C(2j+k-2, k) and
+    # c1 = C(2j+k-1, k+1) are carried from j to j + 1
     if k < 3:
         return None
     sign = 1.0 if k % 2 else -1.0
-    g = array("d", [sign * b * math.comb(2 * j + k - 2, k)
-                    for j, b in enumerate(_BJ, start=1)])
-    binet = 0.0
+    cauchy = 0.75 * (4.0 / 3.0) ** (k + 1)
+    g, size, binet, c0, c1, r = [], [], 0.0, 1.0, 1.0, 1.0
     for j, b in enumerate(_BJ, start=1):
+        size.append(abs(b) * c0)
+        g.append(sign * size[-1] if b > 0.0 else -sign * size[-1])
+        r *= 1.0 / 256.0                         # 16^-2j
+        cauchy *= 16.0                           # 3 4^(2j-1) (4/3)^(k+1)
         q = (2 * j + k) / (2.0 * (k + 2))
         if q < 1.0:
-            w = abs(b) * math.comb(2 * j + k - 1, k + 1) / (1.0 - q)
+            binet += abs(b) * c1 / (1.0 - q) * r
         else:
-            w = 3.0 * abs(b) * 4.0 ** (2 * j - 1) * (4.0 / 3.0) ** (k + 1)
-        binet += w * 16.0 ** (-2 * j)
+            binet += abs(b) * cauchy * r
+        c0 *= (2 * j + k - 1) * (2 * j + k) / ((2 * j - 1) * 2 * j)
+        c1 *= (2 * j + k) * (2 * j + k + 1) / ((2 * j - 1) * 2 * j)
     beta = 2.0 / (k * (k + 1)) + 1.0 / (16.0 * (k + 1)) + binet
-    return (sign / (k * (k - 1)), sign * 0.5 / k, g,
-            array("d", map(abs, g)), beta)
+    return (sign / (k * (k - 1)), sign * 0.5 / k, array("d", g),
+            array("d", size), beta)
 
 
 _k_table: tuple = ()
@@ -512,7 +517,7 @@ _k_table: tuple = ()
 def _k_rows(K: int) -> tuple:
     """(f1, f2, g, |g|, beta) for k = 3 .. K at least (None below 3): the
     same at every (tau, a), built on first use and replaced whole by a
-    longer table.
+    longer table; g and |g| are compact arrays.
 
     With u = z/w, w = m tau, the z^k coefficient of -lgG(z + w) from
     Stirling's series is w^(1-k) times f1 (from (z + w - 1/2) log(1 + u)),
@@ -533,7 +538,7 @@ def _k_rows(K: int) -> tuple:
     global _k_table
     table = _k_table
     if len(table) <= K:
-        table = table + tuple(_k_row(k) for k in range(len(table), K + 9))
+        table = table + tuple(_k_row(k) for k in range(len(table), K + 1))
         _k_table = table
     return table
 
@@ -559,8 +564,8 @@ def _series(tau: complex, a: int, e: int) -> tuple[complex, ...]:
     r = a * abs(tau)
     x2 = 1.0 / (r * r)
     rc = math.ldexp(1.0, e)
-    row = _zeta_row(a, 16)
-    rows = _k_rows(16)
+    row = _zeta_row(a, 3)
+    rows = _k_rows(3)
     K, rk = 3, rc * rc * rc
     while not rk * row[K] * rows[K][4] <= _SERIES_EPS:
         K += 1
@@ -581,7 +586,7 @@ def _series(tau: complex, a: int, e: int) -> tuple[complex, ...]:
             n += 1
         top = k + 2 * n                  # X_k and X_(k-1+2n)
         if len(xs) <= top:
-            top += 8
+            top += 4
             if len(row) <= top:
                 row = _zeta_row(a, top)
             more = itertools.accumulate(itertools.repeat(y, top + 1 - len(ys)),
