@@ -37,7 +37,7 @@ Every Bernoulli-type tail (``_tail``) is a Horner polynomial whose length
 is read from a table of limits on its argument, built at import per
 coefficient set: the least count whose first omitted term is below 1e-18 of
 the first kept one. No term is tested as it is summed. gn_sum's swapped
-series are cut instead by proven bounds on what they leave (``_k_rows``,
+series are cut instead by proven bounds on what they leave (``_k_row``,
 ``_series``), and their tables are built on first use.
 
 Everything is deterministic: sums run sequentially in index order with
@@ -486,11 +486,29 @@ def _zeta_row(a: int, p: int) -> array:
     return row
 
 
-def _k_row(k: int):
-    # one row of _k_rows, None below k = 3; c0 = C(2j+k-2, k) and
-    # c1 = C(2j+k-1, k+1) are carried from j to j + 1
-    if k < 3:
-        return None
+@functools.lru_cache(maxsize=256)
+def _k_row(k: int) -> tuple:
+    """(f1, f2, g, |g|, beta) for the z^k coefficient of S(a), k >= 3: the
+    same at every (tau, a), built on first use; g and |g| are compact
+    arrays.
+
+    With u = z/w, w = m tau, the z^k coefficient of -lgG(z + w) from
+    Stirling's series is w^(1-k) times f1 (from (z + w - 1/2) log(1 + u)),
+    plus w^-k times f2, plus w^(1-k-2j) times g_j = (-1)^(k+1) b_j
+    C(2j+k-2, k) from Binet's term b_j (w + z)^(1-2j), b_j =
+    B_2j/((2j-1)2j), j = 1..13.
+
+    beta bounds what these series leave after u^k, summed over m >= a,
+    at R = a|tau| >= 16 and |u| <= 1/2: as R rho^(k+1) a^k T_k(a) beta,
+    rho = |z|/R. The log term's two series leave at most
+    |w| |u|^(k+1)/(k(k+1)) and |u|^(k+1)/(2(k+1)), each over 1 - |u| >= 1/2,
+    and sum to R rho^(k+1) a^k T_k(a) times 2/(k(k+1)) and
+    2/(2(k+1)R) <= 1/(16(k+1)). Binet's term j leaves at most
+    |b_j| C(2j+k-1, k+1) |u|^(k+1) / (1 - q) while the ratio of its
+    consecutive terms stays below q = (2j+k)/(2(k+2)) < 1, and else, by
+    Cauchy's bound on |u| = 3/4, 3 |b_j| 4^(2j-1) (4/3)^(k+1) |u|^(k+1);
+    summed over m it carries R^-2j <= 16^-2j."""
+    # c0 = C(2j+k-2, k) and c1 = C(2j+k-1, k+1) are carried from j to j + 1
     sign = 1.0 if k % 2 else -1.0
     cauchy = 0.75 * (4.0 / 3.0) ** (k + 1)
     g, size, binet, c0, c1, r = [], [], 0.0, 1.0, 1.0, 1.0
@@ -511,45 +529,13 @@ def _k_row(k: int):
             array("d", size), beta)
 
 
-_k_table: tuple = ()
-
-
-def _k_rows(K: int) -> tuple:
-    """(f1, f2, g, |g|, beta) for k = 3 .. K at least (None below 3): the
-    same at every (tau, a), built on first use and replaced whole by a
-    longer table; g and |g| are compact arrays.
-
-    With u = z/w, w = m tau, the z^k coefficient of -lgG(z + w) from
-    Stirling's series is w^(1-k) times f1 (from (z + w - 1/2) log(1 + u)),
-    plus w^-k times f2, plus w^(1-k-2j) times g_j = (-1)^(k+1) b_j
-    C(2j+k-2, k) from Binet's term b_j (w + z)^(1-2j), b_j =
-    B_2j/((2j-1)2j), j = 1..13.
-
-    beta bounds what these series leave after u^k, summed over m >= a,
-    at R = a|tau| >= 16 and |u| <= 1/2: as R rho^(k+1) a^k T_k(a) beta,
-    rho = |z|/R. The log term's two series leave at most
-    |w| |u|^(k+1)/(k(k+1)) and |u|^(k+1)/(2(k+1)), each over 1 - |u| >= 1/2,
-    and sum to R rho^(k+1) a^k T_k(a) times 2/(k(k+1)) and
-    2/(2(k+1)R) <= 1/(16(k+1)). Binet's term j leaves at most
-    |b_j| C(2j+k-1, k+1) |u|^(k+1) / (1 - q) while the ratio of its
-    consecutive terms stays below q = (2j+k)/(2(k+2)) < 1, and else, by
-    Cauchy's bound on |u| = 3/4, 3 |b_j| 4^(2j-1) (4/3)^(k+1) |u|^(k+1);
-    summed over m it carries R^-2j <= 16^-2j."""
-    global _k_table
-    table = _k_table
-    if len(table) <= K:
-        table = table + tuple(_k_row(k) for k in range(len(table), K + 1))
-        _k_table = table
-    return table
-
-
 def _series(tau: complex, a: int, e: int) -> tuple[complex, ...]:
     """The coefficients c_K .. c_3, highest first, of
     S(a) = sum_{m>=a} r_m(z) = sum_{k=3}^{K} c_k z^k + rest, good for every
     z with rho = |z|/R < 2^e <= 1/2, R = a|tau| >= 16.
 
     The Taylor series of -lgG(z + m tau) from Stirling's series
-    (_k_rows), summed over m >= a first: with Y = 1/(a tau) and
+    (_k_row), summed over m >= a first: with Y = 1/(a tau) and
     X_p = Y^p a^p T_p(a) = sum_{m>=a} (m tau)^-p (_zeta_row),
       c_k = f1 X_(k-1) + f2 X_k + sum_j g_j X_(k-1+2j),
     that is (-1)^(k+1) [X_(k-1)/(k(k-1)) + X_k/(2k)
@@ -564,20 +550,17 @@ def _series(tau: complex, a: int, e: int) -> tuple[complex, ...]:
     r = a * abs(tau)
     x2 = 1.0 / (r * r)
     rc = math.ldexp(1.0, e)
-    row = _zeta_row(a, 3)
-    rows = _k_rows(3)
+    row = _zeta_row(a, 6)
     K, rk = 3, rc * rc * rc
-    while not rk * row[K] * rows[K][4] <= _SERIES_EPS:
+    while not rk * row[K] * _k_row(K)[4] <= _SERIES_EPS:
         K += 1
         rk *= rc
         if len(row) <= K:
-            row = _zeta_row(a, K)
-        if len(rows) <= K:
-            rows = _k_rows(K)
+            row = _zeta_row(a, K + 3)
     ys, xs, coeffs = [1.0 + 0j], [], []
     lead = rc * rc / _BINET_EPS       # rc^(k-1) / _BINET_EPS at k = 3
     for k in range(3, K + 1):
-        f1, f2, g, size, _ = rows[k]
+        f1, f2, g, size, _ = _k_row(k)
         bound, n = lead * row[k - 1], 0
         for c in size:
             bound *= x2

@@ -117,7 +117,7 @@ def test_stable_series_built_and_read_by_concurrent_threads():
             if clear:
                 backend._tau_memo.cache_clear()
                 backend._zeta_rows.clear()
-                backend._k_table = ()
+                backend._k_row.cache_clear()
             with ThreadPoolExecutor(max_workers=8) as ex:
                 results = list(ex.map(run, jobs, timeout=120))
             assert results == serial

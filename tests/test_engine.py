@@ -444,7 +444,7 @@ def _clear_series_memos():
     # Hurwitz rows and the table of per-k constants
     backend._tau_memo.cache_clear()
     backend._zeta_rows.clear()
-    backend._k_table = ()
+    backend._k_row.cache_clear()
 
 
 def _fresh_tau(rng):
