@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import operator
 import struct
 from array import array
-from bisect import bisect_left, bisect_right
-from itertools import repeat
+from bisect import bisect_right
+from itertools import accumulate, repeat
 
 from .errors import CapacityError, DomainError, PoleError
 
@@ -572,8 +571,8 @@ def _series(tau: complex, a: int, e: int) -> tuple[complex, ...]:
             top += 4
             if len(row) <= top:
                 row = _zeta_row(a, top)
-            more = itertools.accumulate(itertools.repeat(y, top + 1 - len(ys)),
-                                        operator.mul, initial=ys[-1])
+            more = accumulate(repeat(y, top + 1 - len(ys)), operator.mul,
+                              initial=ys[-1])
             next(more)                    # ys[-1] itself
             ys.extend(more)
             n0 = len(xs)

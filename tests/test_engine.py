@@ -441,7 +441,7 @@ def _assert_gn_sum(z, tau, N, value):
 
 def _clear_series_memos():
     # every memo the swapped stable sum reads: the per-tau entries, the
-    # Hurwitz rows and the table of per-k constants
+    # Hurwitz rows and the per-k constants
     backend._tau_memo.cache_clear()
     backend._zeta_rows.clear()
     backend._k_row.cache_clear()
