@@ -434,8 +434,8 @@ def _direct_pieces(direct: dict, k: int, w: complex) -> tuple:
 
 
 def _scaled_zeta(a: int, p: int) -> float:
-    # a^p T_p(a) = sum_{n>=a} (a/n)^p, p >= 2: the terms below b summed
-    # exactly, the rest by Euler-Maclaurin at b. b reaches 0.8 (p + 26),
+    # a^p T_p(a) = sum_{n>=a} (a/n)^p, p >= 2: the terms below b by
+    # math.fsum, the rest by Euler-Maclaurin at b. b reaches 0.8 (p + 26),
     # where the series' terms fall by 0.04 or more each, so that its 13
     # terms reach 2^-60, unless (a/b)^p < 2^-62 comes first. x^-p has
     # derivatives of alternating sign, so the error is below the first
