@@ -16,8 +16,9 @@
                       polynomial in z per (tau, a), whose coefficients come
                       from Hurwitz zeta values at the integer a (``_series``,
                       ``_zeta_row``), so its cost does not grow with N. The
-                      kernel values and the coefficients are memoized per
-                      tau (``tau_memo``).
+                      kernel values are memoized per tau (``tau_memo``, one
+                      ``TauEntry`` record each), and the coefficient sets
+                      in one LRU keyed by (tau, a, e) (``_series``).
 * ``cd_sums``       - the partial psi/psi' sums feeding the gamma modular
                       forms: a small-k direct part, read from and written to
                       the same per-tau table as gn_sum's direct terms, and
@@ -375,20 +376,41 @@ _STABLE_RADIUS = 16.0
 _MEMO_M = 1024
 # gn_sum's S(a) (see _series) is cut where a proven bound on the rest falls
 # below _SERIES_EPS |z|, and each coefficient's Binet sum where its next
-# term's bound falls below _BINET_EPS |z|. Up to _SERIES_KEYS coefficient
-# sets are kept per tau and per S(N + 1) slot, and the scaled Hurwitz rows
-# they are built from for up to _ZETA_KEYS integers a
+# term's bound falls below _BINET_EPS |z|. The scaled Hurwitz rows the
+# coefficients are built from are kept for up to _ZETA_KEYS integers a
 _SERIES_EPS = 2.0 ** -56
 _BINET_EPS = 2.0 ** -60
-_SERIES_KEYS = 16
 _ZETA_KEYS = 512
 # Euler-Maclaurin coefficients B_2j / (2j)!, j = 1..13
 _EM = tuple(b / math.factorial(2 * j + 2) for j, b in enumerate(_B2K))
 
 
+class TauEntry:
+    """The z-independent work of the evaluations at one tau (tau_memo):
+    * direct: {k: (lgG(w), psi(w), psi'(w))}, w = k tau, k <= _MEMO_M,
+      filled by gn_sum, and by cd_sums for its k < k0, which are also
+      direct terms of the product (k0 <= gn_sum's switch point), so the
+      evaluation that builds the modular forms first finds them warm;
+    * p_rows: the engine's {k: rows of P_k(z;-tau)}, k <= 16;
+    * coeffs: the engine's AsymptoticCoeffs of the large-z expansion, or
+      None (their b0 is read from the engine's own bits-keyed map of 64
+      tau, _b0_memo, which outlives the 8 entries of tau_memo);
+    * correction: the engine's correction at the last (N, M), as a
+      polynomial in z, or None; replaced whole at another (N, M), so the
+      entry never grows."""
+
+    __slots__ = ("direct", "p_rows", "coeffs", "correction")
+
+    def __init__(self):
+        self.direct = {}
+        self.p_rows = {}
+        self.coeffs = None
+        self.correction = None
+
+
 @functools.lru_cache(maxsize=8)
-def _tau_memo(tau_bits: bytes) -> tuple[dict, dict, dict, dict, list]:
-    return {}, {}, {}, {}, [None, None]
+def _tau_memo(tau_bits: bytes) -> TauEntry:
+    return TauEntry()
 
 
 def tau_bits(tau: complex) -> bytes:
@@ -397,31 +419,15 @@ def tau_bits(tau: complex) -> bytes:
     return struct.pack("<2d", tau.real, tau.imag)
 
 
-def tau_memo(tau: complex) -> tuple[dict, dict, dict, dict, list]:
-    """The z-independent work of the evaluations at tau, kept for the last
-    8 tau as four tables and two slots:
-    * the direct table {k: (lgG(w), psi(w), psi'(w))}, w = k tau,
-      k <= _MEMO_M, filled by gn_sum, and by cd_sums for its k < k0, which
-      are also direct terms of the product (k0 <= gn_sum's switch point),
-      so the evaluation that builds the modular forms first finds them warm;
-    * the stable table {(m_switch, e): coefficients of S(m_switch)}, up to
-      _SERIES_KEYS sets, filled by gn_sum (_series);
-    * the engine's p_rows {k: rows of P_k(z;-tau)}, k <= 16;
-    * its {len(tail): AsymptoticCoeffs} of the large-z expansion (their b0
-      is read from the engine's own bits-keyed map of 64 tau, _b0_memo,
-      which outlives the 8 entries here);
-    * a two-item list of slots, each replaced whole at another plan, so
-      the entry never grows: the engine's correction slot (the last (N, M)
-      and the correction at (tau, N, M) as a polynomial in z), and gn_sum's
-      (N + 1, {(N + 1, e): coefficients of S(N + 1)}) at the last N.
+def tau_memo(tau: complex) -> TauEntry:
+    """tau's TauEntry, kept for the last 8 tau, keyed by tau_bits.
 
-    Keyed by tau_bits. Threads: lru_cache keeps an entry's lookup
-    consistent; the tables and the slots are filled without a lock, with
-    deterministic values stored whole and never modified, so a race stores
-    the same bits (a concurrent miss may build an entry twice; one is
-    kept). Two threads at one tau and different plans may replace each
-    other's slots; each reads what it built, so neither sees the other's
-    values."""
+    Threads: lru_cache keeps an entry's lookup consistent; the tables and
+    fields are filled without a lock, with deterministic values stored
+    whole and never modified, so a race stores the same bits (a concurrent
+    miss may build an entry twice; one is kept). Two threads at one tau
+    and different (N, M) may replace each other's correction; each reads
+    what it built, so neither sees the other's values."""
     return _tau_memo(tau_bits(tau))
 
 
@@ -528,7 +534,11 @@ def _k_row(k: int) -> tuple:
             array("d", size), beta)
 
 
-def _series(tau: complex, a: int, e: int) -> tuple[complex, ...]:
+# keyed by tau's bits as well as tau, as the engine's _b0_memo, so that 0.0
+# and -0.0 stay apart
+@functools.lru_cache(maxsize=64)
+def _series(tau_bits: bytes, tau: complex, a: int,
+            e: int) -> tuple[complex, ...]:
     """The coefficients c_K .. c_3, highest first, of
     S(a) = sum_{m>=a} r_m(z) = sum_{k=3}^{K} c_k z^k + rest, good for every
     z with rho = |z|/R < 2^e <= 1/2, R = a|tau| >= 16.
@@ -544,7 +554,8 @@ def _series(tau: complex, a: int, e: int) -> tuple[complex, ...]:
     _BINET_EPS |z|, so the sum is cut at the actual R. K is the least
     count whose rest, at most R rho^(K+1) a^K T_K(a) beta_K, is below
     _SERIES_EPS |z| for every rho < 2^e: 2^(eK) a^K T_K(a) beta_K <=
-    _SERIES_EPS. Each value depends on (tau, a, e) alone."""
+    _SERIES_EPS. Each value depends on (tau, a, e) alone. Threads: as for
+    tau_memo."""
     y = 1.0 / (a * tau)
     r = a * abs(tau)
     x2 = 1.0 / (r * r)
@@ -596,8 +607,9 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
     polynomial in z whose coefficients come from Hurwitz zeta values at a
     (_series), so the cost does not grow with N. A coefficient set serves
     a class of z: those with rho = |z|/(a|tau|) in [2^(e-1), 2^e) for
-    e < -1, and in [1/4, 1/2] for e = -1 (rho <= 1/2 here); sets are
-    memoized per tau (tau_memo). At |arg tau| > 3pi/4 every term is
+    e < -1, and in [1/4, 1/2] for e = -1 (rho <= 1/2 here). The last 64
+    sets built are kept, keyed by (tau, a, e), so one set serves every N
+    with m_switch or N + 1 at a. At |arg tau| > 3pi/4 every term is
     direct; at z = 0 every r_m is 0.
 
     The two S values enter the compensated sum as two more terms. So the
@@ -616,8 +628,8 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
         m_switch = int(math.ceil(max(_STABLE_RADIUS, 2.0 * az) / abs_tau))
     else:
         m_switch = N + 1
-    entry = tau_memo(tau)
-    direct = entry[0]
+    bits = tau_bits(tau)
+    direct = _tau_memo(bits).direct
     sr = cr = si = ci = 0.0
     # the memo lookups and the compensated additions (_neumaier_add) are
     # inlined, by the same operations in the same order, so the same bits:
@@ -644,20 +656,11 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
             ci += (x - s) + si
         si = s
     if N >= m_switch and az:
-        slot = entry[4]
-        held = slot[1]
-        if held is None or held[0] != N + 1:
-            held = slot[1] = (N + 1, {})
         z3 = z * z * z
-        for a, table, sign in ((m_switch, entry[1], 1.0), (N + 1, held[1], -1.0)):
+        for a, sign in ((m_switch, 1.0), (N + 1, -1.0)):
             e = min(math.frexp(az / (a * abs_tau))[1], -1)
-            coeffs = table.get((a, e))
-            if coeffs is None:
-                coeffs = _series(tau, a, e)
-                if len(table) < _SERIES_KEYS:
-                    table[a, e] = coeffs
             h = 0j
-            for c in coeffs:
+            for c in _series(bits, tau, a, e):
                 h = h * z + c
             t = sign * (z3 * h)
             sr, cr = _neumaier_add(sr, cr, t.real)
@@ -700,43 +703,18 @@ def cd_sums(tau: complex, m: int, k0: int):
     bit: the stored values are those a cold call computes.
     """
     tau = complex(tau)
-    direct = tau_memo(tau)[0]
+    direct = tau_memo(tau).direct
     ps_r = ps_c = ps_i = ps_ci = 0.0
     p1_r = p1_c = p1_i = p1_ci = 0.0
-    # the compensated additions (_neumaier_add) inlined, as in gn_sum
     for k in range(1, min(k0, m)):
         p = direct.get(k)
         if p is None:
             p = _direct_pieces(direct, k, k * tau)
         _, t, t1 = p
-        x = t.real
-        s = ps_r + x
-        if abs(ps_r) >= abs(x):
-            ps_c += (ps_r - s) + x
-        else:
-            ps_c += (x - s) + ps_r
-        ps_r = s
-        x = t.imag
-        s = ps_i + x
-        if abs(ps_i) >= abs(x):
-            ps_ci += (ps_i - s) + x
-        else:
-            ps_ci += (x - s) + ps_i
-        ps_i = s
-        x = t1.real
-        s = p1_r + x
-        if abs(p1_r) >= abs(x):
-            p1_c += (p1_r - s) + x
-        else:
-            p1_c += (x - s) + p1_r
-        p1_r = s
-        x = t1.imag
-        s = p1_i + x
-        if abs(p1_i) >= abs(x):
-            p1_ci += (p1_i - s) + x
-        else:
-            p1_ci += (x - s) + p1_i
-        p1_i = s
+        ps_r, ps_c = _neumaier_add(ps_r, ps_c, t.real)
+        ps_i, ps_ci = _neumaier_add(ps_i, ps_ci, t.imag)
+        p1_r, p1_c = _neumaier_add(p1_r, p1_c, t1.real)
+        p1_i, p1_ci = _neumaier_add(p1_i, p1_ci, t1.imag)
     psi_small = complex(ps_r + ps_c, ps_i + ps_ci)
     psi1_small = complex(p1_r + p1_c, p1_i + p1_ci)
     if k0 >= m:

@@ -13,9 +13,9 @@ plus the order-M correction
 
 with P_k's coefficients built from the exact Bernoulli numbers in integer
 arithmetic, each rounded to binary64 once. At fixed (tau, N, M) the
-correction is one polynomial in z: its M coefficients are kept in the slot
-of tau's backend.tau_memo entry (_correction_slot), so a point pays z^3
-times one Horner of length M. The term-wise sum fixes a
+correction is one polynomial in z: its M coefficients are kept in the
+correction field of tau's backend.tau_memo record (_correction_slot), so a
+point pays z^3 times one Horner of length M. The term-wise sum fixes a
 specific branch ("canonical logarithm"); it is never reduced mod 2 pi i, and
 identity tests always compare multiplicatively or modulo 2 pi i. Automatic
 evaluations may take one of three other routes: the large-z expansion
@@ -265,9 +265,10 @@ def _p_rounded(k: int) -> tuple[tuple[float, ...], ...]:
 
 
 def _p_rows(p_rows: dict, tau: complex, k: int) -> list[complex]:
-    """Build and store in p_rows, tau's table in backend.tau_memo, the rows
-    of P_k(z;-tau): the coefficient of each power of z at -tau, by Horner
-    in -tau. Callers read p_rows.get(k) first, so this runs once per k."""
+    """Build and store in p_rows, a field of tau's backend.tau_memo
+    record, the rows of P_k(z;-tau): the coefficient of each power of z at
+    -tau, by Horner in -tau. Callers read p_rows.get(k) first, so this runs
+    once per k."""
     t = -tau
     rows = []
     for row in _p_rounded(k):
@@ -287,7 +288,7 @@ def _coefficients(z: complex, tau: complex):
     z3 = z * z * z
     inv_neg_tau = -1.0 / tau
     pw = inv_neg_tau * inv_neg_tau      # (-tau)^(-k-1) at k = 1
-    p_rows = backend.tau_memo(tau)[2]
+    p_rows = backend.tau_memo(tau).p_rows
     for k in itertools.count(1):
         pk = 0j
         for v in reversed(p_rows.get(k) or _p_rows(p_rows, tau, k)):
@@ -312,22 +313,23 @@ def _error_bound(last: float, prev: float, N: int, M: int, az: float,
     return bound * az / (N * atau - az)
 
 
-def _correction_slot(entry: tuple, tau: complex, N: int, M: int) -> tuple:
-    """The correction at (tau, N, M) as one polynomial in z, from the slot
-    of tau's backend.tau_memo entry: (N, M, terms, pw_prev, pw_last), where
+def _correction_slot(entry: backend.TauEntry, tau: complex, N: int,
+                     M: int) -> tuple:
+    """The correction at (tau, N, M) as one polynomial in z, kept in
+    entry.correction (entry is tau's backend.tau_memo record):
+    (N, M, terms, pw_prev, pw_last), where
     sum_{k<=M} a_k N^(-k) = z^3 sum_j c_j z^j,
     c_j = sum_{k>j} (-tau)^(-k-1) N^(-k) row_(k,j) / (k(k+1)(k+2)).
     terms holds M triples in a row, highest power of z first: c_j,
     row_(M,j) and row_(M-1,j) (0j where P_(M-1) has no such power).
     pw_prev and pw_last are (-tau)^(-k-1) at k = M - 1 and M by
-    _coefficients' own products (pw_prev is None at M = 1). A slot at
+    _coefficients' own products (pw_prev is None at M = 1). The field at
     another (N, M) is replaced whole, so the entry never grows; it is built
-    from the rows of P_k with no Horner in z."""
-    slot = entry[4]
-    s = slot[0]
+    from the rows of P_k (entry.p_rows) with no Horner in z."""
+    s = entry.correction
     if s is not None and s[0] == N and s[1] == M:
         return s
-    p_rows = entry[2]
+    p_rows = entry.p_rows
     inv_neg_tau = -1.0 / tau
     pw = inv_neg_tau * inv_neg_tau      # (-tau)^(-k-1) at k = 1
     inv_n = 1.0 / N
@@ -351,7 +353,7 @@ def _correction_slot(entry: tuple, tau: complex, N: int, M: int) -> tuple:
     # it 0j, since z is finite
     terms = tuple(itertools.chain.from_iterable(
         zip(reversed(c), reversed(rows), reversed((*prev, 0j)))))
-    s = slot[0] = (N, M, terms, pw_prev, pw_last)
+    s = entry.correction = (N, M, terms, pw_prev, pw_last)
     return s
 
 
@@ -596,16 +598,16 @@ def asymptotic_coeffs(tau: complex, n_tail: int = 0) -> AsymptoticCoeffs:
 def _memo_coeffs(tau: complex, tail: tuple[complex, ...] | None = None
                  ) -> AsymptoticCoeffs:
     """tau's AsymptoticCoeffs with _TAIL_LEN tail terms (tail, when given,
-    is _tail(tau, _TAIL_LEN)), built once and stored whole in the
-    backend.tau_memo entry of tau. Their b0 comes from _b0_memo, which
-    keeps more tau than tau_memo, so a rebuild after an eviction pays no
-    engine call."""
-    table = backend.tau_memo(tau)[3]
-    coeffs = table.get(_TAIL_LEN)
+    is _tail(tau, _TAIL_LEN)), built once and stored whole in the coeffs
+    field of tau's backend.tau_memo record. Their b0 comes from _b0_memo,
+    which keeps more tau than tau_memo, so a rebuild after an eviction pays
+    no engine call."""
+    entry = backend.tau_memo(tau)
+    coeffs = entry.coeffs
     if coeffs is None:
         if tail is None:
             tail = _tail(tau, _TAIL_LEN)
-        coeffs = table[_TAIL_LEN] = _coeffs(tau, tail)
+        coeffs = entry.coeffs = _coeffs(tau, tail)
     return coeffs
 
 
@@ -719,7 +721,7 @@ def _expansion(z: complex, tau: complex) -> tuple[complex, float] | None:
     beyond = _beyond_all_orders(z, tau)
     if beyond > _BEYOND_MAX:
         return None
-    coeffs = backend.tau_memo(tau)[3].get(_TAIL_LEN)
+    coeffs = backend.tau_memo(tau).coeffs
     tail = coeffs.tail if coeffs is not None else _tail(tau, _TAIL_LEN)
     order = _tail_order(tail, az, _TARGET * (1.0 + az))
     if order is None:

@@ -6,6 +6,8 @@ import cmath
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from conftest import clear_memos
+
 from barnesg import backend, engine
 from barnesg.engine import ComputeParams, b0_of_tau, log_double_gamma
 from barnesg.kernels import log_gamma, polygamma
@@ -99,8 +101,8 @@ def test_correction_slot_raced_by_two_plans_at_one_tau():
 def test_stable_series_built_and_read_by_concurrent_threads():
     # 8 threads sum gn_sum's stable range at one tau, for z of several
     # series classes and two N, so that they build the same (tau, a)
-    # coefficient sets and Hurwitz rows side by side, read each other's
-    # and keep replacing the S(N + 1) slot; first with every series memo
+    # coefficient sets and Hurwitz rows side by side and read each other's,
+    # two N apart (so their S(N + 1) sets differ); first with every memo
     # cleared, then warm. Every result has the serial bits
     tau = 1.05 + 0.35j
     jobs = [(cmath.rect(0.2 + 0.35 * k, 0.7 * k), 150 + k % 2)
@@ -115,9 +117,7 @@ def test_stable_series_built_and_read_by_concurrent_threads():
     try:
         for clear in (True, False):
             if clear:
-                backend._tau_memo.cache_clear()
-                backend._zeta_rows.clear()
-                backend._k_row.cache_clear()
+                clear_memos()
             with ThreadPoolExecutor(max_workers=8) as ex:
                 results = list(ex.map(run, jobs, timeout=120))
             assert results == serial

@@ -4,9 +4,11 @@ asymptotics, b0 identities, the symmetric form, and the integral oracle."""
 import cmath
 import collections
 import functools
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 import random
 import time
 from fractions import Fraction
@@ -14,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import clear_memos
 
+import barnesg
 from barnesg import backend, engine, polys
 from barnesg.engine import (
     ComputeParams,
@@ -439,14 +443,6 @@ def _assert_gn_sum(z, tau, N, value):
             (z, tau, N, value, ref)
 
 
-def _clear_series_memos():
-    # every memo the swapped stable sum reads: the per-tau entries, the
-    # Hurwitz rows and the per-k constants
-    backend._tau_memo.cache_clear()
-    backend._zeta_rows.clear()
-    backend._k_row.cache_clear()
-
-
 def _fresh_tau(rng):
     # a tau no other test uses, so its memo tables start cold
     return complex(rng.uniform(0.5, 2.5), rng.uniform(0.05, 1.5))
@@ -479,7 +475,7 @@ def test_gn_sum_prefix_property_with_warm_memo():
         t = tau + 1e-9 * _fresh_tau(rng)
         seen = {}
         for order in ((N // 3, N, N // 3), (N, N // 3, N)):
-            _clear_series_memos()
+            clear_memos()
             for n in order:
                 got = repr(backend.gn_sum(z, t, n))
                 assert seen.setdefault(n, got) == got, (z, t, n, order)
@@ -510,20 +506,20 @@ def test_gn_sum_memo_interleaved_with_eviction():
 
 
 def test_gn_sum_bits_independent_of_the_series_memos():
-    # the swapped stable sum reads three memos: tau's entry (its stable
-    # table and S(N + 1) slot), the Hurwitz rows and the per-k constants.
-    # Warm, evicted by 8 other tau, or with the Hurwitz rows dropped, every
-    # result has the bits of a call with all three cleared
+    # the swapped stable sum reads three memos: the coefficient sets
+    # (_series), the Hurwitz rows and the per-k constants. Warm, evicted by
+    # 32 other tau (64 sets, with tau's direct table), or with the Hurwitz
+    # rows dropped, every result has the bits of a call on cleared memos
     rng = random.Random(23)
     cases = [(z, tau + 1e-9 * _fresh_tau(rng), N) for z, tau, N in _MEMO_CASES]
     cold = {}
     for case in cases:
-        _clear_series_memos()
+        clear_memos()
         cold[case] = repr(backend.gn_sum(*case))
     for case in cases * 2:
         assert repr(backend.gn_sum(*case)) == cold[case], case
     for case in cases:
-        for _ in range(8):
+        for _ in range(32):
             backend.gn_sum(0.7 + 0.2j, _fresh_tau(rng), 60)
         assert repr(backend.gn_sum(*case)) == cold[case], case
         backend._zeta_rows.clear()
@@ -539,17 +535,23 @@ def test_gn_sum_short_and_long_z_series_in_either_order():
         zs = (0.05 - 0.02j, 3.9 + 3.5j, 9.5 - 2.0j)
         cold = {}
         for z in zs:
-            _clear_series_memos()
+            clear_memos()
             cold[z] = repr(backend.gn_sum(z, tau, N))
         for order in (zs, zs[::-1]):
-            _clear_series_memos()
+            clear_memos()
             for z in order:
                 assert repr(backend.gn_sum(z, tau, N)) == cold[z], (z, tau)
-        # the first two share m_switch and keep a short and a long set
-        stable = backend.tau_memo(tau)[1]
+        # the first two share m_switch and read a short and a long set,
+        # both held
         a = _switch(zs[0], tau, N)
-        lengths = sorted(len(c) for (m, _), c in stable.items() if m == a)
-        assert len(lengths) == 2 and 3 * lengths[0] < lengths[1], lengths
+        assert _switch(zs[1], tau, N) == a
+        misses = backend._series.cache_info().misses
+        lengths = sorted(
+            len(backend._series(backend.tau_bits(tau), tau, a,
+                                min(math.frexp(abs(z) / (a * abs(tau)))[1], -1)))
+            for z in zs[:2])
+        assert backend._series.cache_info().misses == misses
+        assert 3 * lengths[0] < lengths[1], lengths
 
 
 _GN_GRID = json.loads((Path(__file__).parent / "data" / "gn_sum_grid.json")
@@ -697,18 +699,17 @@ def test_memo_bounds():
     # the entries of the last 8 tau, read back (cache hits, so none evicted)
     memo = [backend.tau_memo(t) for t in taus[-8:]]
     assert backend._tau_memo.cache_info().currsize == 8
-    for i, max_key in ((0, backend._MEMO_M), (2, 16)):
-        tables = [entry[i] for entry in memo]
+    for field, max_key in (("direct", backend._MEMO_M), ("p_rows", 16)):
+        tables = [getattr(entry, field) for entry in memo]
         assert max(max(t, default=0) for t in tables) == max_key
         assert all(1 <= m <= max_key for t in tables for m in t)
-    # z of 40 series classes at one tau and N: the stable table and the
-    # S(N + 1) slot each keep _SERIES_KEYS coefficient sets
+    # z of 40 series classes at one tau and N, each with its own set for
+    # S(m_switch) and S(N + 1): the series LRU keeps its last 64 sets
     tau = _fresh_tau(rng)
     for k in range(40):
         backend.gn_sum(cmath.rect(7.9 * 0.5 ** k, k), tau, 60)
-    stable, slot = backend.tau_memo(tau)[1], backend.tau_memo(tau)[4][1]
-    assert len(stable) == len(slot[1]) == backend._SERIES_KEYS
-    assert slot[0] == 61
+    info = backend._series.cache_info()
+    assert info.currsize == info.maxsize == 64
     # the Hurwitz rows: at most _ZETA_KEYS, the map emptied when full
     for a in range(1, backend._ZETA_KEYS + 40):
         backend._zeta_row(a, 4)
@@ -716,15 +717,15 @@ def test_memo_bounds():
 
 
 def test_memo_entry_filled_and_evicted_whole():
-    # one product evaluation fills the three product tables and both
-    # slots of its tau's entry; 8 further tau evict the entry, and with it
-    # every table at once
+    # one product evaluation fills the direct table, the P_k rows and the
+    # correction of its tau's entry; 8 further tau evict the entry, and
+    # with it every field at once
     rng = random.Random(10)
     tau = _fresh_tau(rng)
     log_double_gamma(9.0 + 2.0j, tau)   # auto plan: both gn_sum branches
-    direct, stable, p_rows, _, slot = entry = backend.tau_memo(tau)
-    assert direct and stable and p_rows
-    assert slot[0] is not None and slot[1] is not None
+    entry = backend.tau_memo(tau)
+    assert entry.direct and entry.p_rows and entry.correction is not None
+    assert entry.coeffs is None          # the product route builds none
     misses = backend._tau_memo.cache_info().misses
     assert backend.tau_memo(tau) is entry
     for _ in range(8):
@@ -732,7 +733,50 @@ def test_memo_entry_filled_and_evicted_whole():
     assert backend._tau_memo.cache_info().misses == misses + 8
     fresh = backend.tau_memo(tau)
     assert backend._tau_memo.cache_info().misses == misses + 9
-    assert fresh is not entry and fresh == ({}, {}, {}, {}, [None, None])
+    assert fresh is not entry
+    assert (fresh.direct, fresh.p_rows, fresh.coeffs, fresh.correction) == \
+        ({}, {}, None, None)
+
+
+def test_clear_memos_reaches_every_lru_cache():
+    # every function of the package with a cache_clear, found by walking
+    # its modules, is emptied by clear_memos, and so are the Hurwitz rows:
+    # a new memo cannot escape the cold/warm bit-identity tests
+    memos = {}
+    for info in pkgutil.iter_modules(barnesg.__path__):
+        module = importlib.import_module(f"barnesg.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                memos[id(value)] = value
+    assert len(memos) >= 8
+    cleared = set()
+    try:
+        for key, memo in memos.items():
+            memo.cache_clear = functools.partial(cleared.add, key)
+        clear_memos()
+    finally:
+        for memo in memos.values():
+            del memo.cache_clear
+    missed = [memo.__qualname__ for key, memo in memos.items()
+              if key not in cleared]
+    assert not missed, missed
+    backend._zeta_row(3, 4)
+    clear_memos()
+    assert not backend._zeta_rows
+
+
+def test_zeta_row_shift_identity():
+    # row_a[p] = sum_{a<=n<b} (a/n)^p + (a/b)^p row_b[p], the head summed
+    # exactly, at rows of small and large a, to 8 units of 2^-52 relative
+    for a in (1, 2, 8, 27, 57, 300, 1025, 16385):
+        row_a = backend._zeta_row(a, 40)
+        for b in (a + 1, a + 7, 2 * a + 3, a + 50):
+            row_b = backend._zeta_row(b, 40)
+            for p in range(2, 41):
+                head = math.fsum((a / n) ** p for n in range(a, b))
+                want = head + (a / b) ** p * row_b[p]
+                units = abs(row_a[p] - want) / (2.0 ** -52 * row_a[p])
+                assert units <= 8.0, (a, b, p, units)
 
 
 def test_gn_sum_against_the_term_by_term_kernels_on_a_grid():
@@ -844,28 +888,28 @@ def test_slot_cold_or_warm_same_bits():
 
 
 def test_slot_replaced_never_grows():
-    # 10 000 distinct explicit N at one tau: the entry holds its two
-    # slots, the correction at the last (N, M), and no table grows past its
-    # first size; 1 000 distinct N for gn_sum replace its S(N + 1) slot
-    # the same way
+    # 10 000 distinct explicit N at one tau: the entry holds the correction
+    # at the last (N, M), and no table grows past its first size; 1 000
+    # distinct N for gn_sum grow no table of the entry either, and keep at
+    # most 64 coefficient sets
     tau = 0.9 + 0.45j
     z = 1.2 + 0.3j
     log_double_gamma(z, tau, ComputeParams(N=40, M=16, m_cd=64))
     entry = backend.tau_memo(tau)
 
     def sizes():
-        return [len(t) for t in entry]
+        return len(entry.direct), len(entry.p_rows)
 
     before = sizes()
     for N in range(40, 10040):
         engine._correction(z, tau, N, 1 + N % 16)
     assert backend.tau_memo(tau) is entry
-    assert sizes() == before and before[4] == 2
-    assert entry[4][0][:2] == (10039, 1 + 10039 % 16)
+    assert sizes() == before
+    assert entry.correction[:2] == (10039, 1 + 10039 % 16)
     for N in range(40, 1040):
         backend.gn_sum(z, tau, N)
     assert sizes() == before
-    assert entry[4][1][0] == 1040 and len(entry[4][1][1]) == 1
+    assert backend._series.cache_info().currsize <= 64
 
 
 def _exact_correction_terms(z, tau, N):
@@ -1169,8 +1213,7 @@ def test_shifted_route_memos_cold_and_warm_bit_identical():
     # cold, with one of them warm, and warm, it returns the same bits
     for z, tau in ((-50.5 - 49.7j, 1j), (-60.3 - 20.1j, 1 + 1j),
                    (-150.3 - 40.3j, 0.07 + 0.03j)):
-        backend._tau_memo.cache_clear()
-        engine._b0_memo.cache_clear()
+        clear_memos()
         cold = log_double_gamma(z, tau)
         assert cold.route == "shifted"
         warm = log_double_gamma(z, tau)
@@ -1184,8 +1227,7 @@ def test_shifted_route_memos_cold_and_warm_bit_identical():
 
 def test_asymptotic_route_speed():
     # a cold tau: the coefficients, b0 with them, are built inside the call
-    backend._tau_memo.cache_clear()
-    engine._b0_memo.cache_clear()
+    clear_memos()
     t0 = time.perf_counter()
     r = log_double_gamma(1e4, 1.0)
     dt = time.perf_counter() - t0
@@ -1215,9 +1257,8 @@ def test_asymptotic_coeffs_memoized_whole(monkeypatch):
     z = 400 - 50j
     first = log_double_gamma(z, tau)
     assert first.route == "asymptotic"
-    table = backend.tau_memo(tau)[3]
-    coeffs = table[engine._TAIL_LEN]
-    assert list(table) == [engine._TAIL_LEN]
+    entry = backend.tau_memo(tau)
+    coeffs = entry.coeffs
     assert len(coeffs.tail) == engine._TAIL_LEN and coeffs.tau == tau
     ref = asymptotic_coeffs(tau, 8)
     assert repr(coeffs.tail[:8]) == repr(ref.tail)
@@ -1229,7 +1270,7 @@ def test_asymptotic_coeffs_memoized_whole(monkeypatch):
     assert repr(log_double_gamma(z, tau).log_value) == repr(first.log_value)
     la = log_double_gamma_asymptotic(-300 + 500j, tau, 8)
     assert repr(la) == repr(log_double_gamma_asymptotic(-300 + 500j, tau, 8, ref))
-    assert table[engine._TAIL_LEN] is coeffs
+    assert entry.coeffs is coeffs
 
 
 # ------------------------------------------------------------------- b0

@@ -6,6 +6,7 @@ import json
 import math
 
 import pytest
+from conftest import clear_memos
 
 from barnesg import engine
 from barnesg.errors import DomainError
@@ -128,9 +129,9 @@ def test_suite_coverage_unique():
 
 
 def test_suite_deterministic():
-    # the first run starts with the b0 memo cleared, the second finds every
-    # b0 it needs there; the reports agree bit for bit
-    engine._b0_memo.cache_clear()
+    # the first run starts with every memo cleared, the second finds every
+    # b0 it needs in the b0 memo; the reports agree bit for bit
+    clear_memos()
     a = [r.to_json_dict() for r in run_suite(3, "default")]
     misses = engine._b0_memo.cache_info().misses
     b = [r.to_json_dict() for r in run_suite(3, "default")]

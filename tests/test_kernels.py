@@ -12,6 +12,7 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from conftest import clear_memos
 
 from barnesg import backend
 from barnesg.errors import CapacityError, ConvergenceError, DomainError, PoleError
@@ -455,8 +456,7 @@ def test_cd_sums_same_bits_with_the_power_sums_memo_cold_or_warm():
         assert default_m(taus[1]) == m
         cold = {}
         for tau in taus:
-            backend._tau_memo.cache_clear()
-            backend._power_sums.cache_clear()
+            clear_memos()
             cold[tau] = repr(backend.cd_sums(tau, m, k0))
         for first, second in (taus, taus[::-1]):
             backend._power_sums.cache_clear()

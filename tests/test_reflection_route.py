@@ -8,8 +8,9 @@ import random
 
 import mpmath as mp
 import pytest
+from conftest import clear_memos
 
-from barnesg import backend, engine, modular
+from barnesg import backend, engine
 from barnesg.engine import choose_params, log_double_gamma
 from barnesg.errors import CapacityError
 from barnesg.kernels import _log_q_product, log_gamma, q_pochhammer
@@ -189,9 +190,7 @@ def test_reflection_route_independent_of_the_memo():
     def run(order):
         return {p: repr(log_double_gamma(*p)) for p in order}
 
-    backend._tau_memo.cache_clear()
-    modular.modular_forms_cached.cache_clear()
-    engine._b0_memo.cache_clear()
+    clear_memos()
     cold = run(points)
     # again in the reverse order, after other z at each tau and at the
     # inner taus -conj(tau) and -tau, and with the memos full of other taus
