@@ -18,7 +18,10 @@
                       ``_zeta_row``), so its cost does not grow with N. The
                       kernel values are memoized per tau (``tau_memo``, one
                       ``TauEntry`` record each), and the coefficient sets
-                      in one LRU keyed by (tau, a, e) (``_series``).
+                      in one LRU keyed by (tau, a, e) (``_series``). Its
+                      loop is ``_gn_parts``, which with no N sums every
+                      term, m >= 1, as the direct terms and S(m_switch)
+                      alone: the engine's automatic product.
 * ``cd_sums``       - the partial psi/psi' sums feeding the gamma modular
                       forms: a small-k direct part, read from and written to
                       the same per-tau table as gn_sum's direct terms, and
@@ -395,9 +398,10 @@ class TauEntry:
     * coeffs: the engine's AsymptoticCoeffs of the large-z expansion, or
       None (their b0 is read from the engine's own bits-keyed map of 64
       tau, _b0_memo, which outlives the 8 entries of tau_memo);
-    * correction: the engine's correction at the last (N, M), as a
-      polynomial in z, or None; replaced whole at another (N, M), so the
-      entry never grows."""
+    * correction: the engine's correction at the last (N, M) of an
+      explicit plan (or a far-sector product), as a polynomial in z, or
+      None; replaced whole at another (N, M), so the entry never grows. The
+      automatic product sums every term and leaves it untouched."""
 
     __slots__ = ("direct", "p_rows", "coeffs", "correction")
 
@@ -617,7 +621,23 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
     min(N', m_switch - 1) terms, and S(m_switch) when N' >= m_switch, have
     the same bits, so differences of results at two truncations carry no
     shared-prefix rounding noise. The memoized values are those a cold
-    call computes, so a warm memo changes no bit either.
+    call computes, so a warm memo changes no bit either. The sum is
+    _gn_parts' compensated pair, rounded once.
+    """
+    sr, cr, si, ci, _ = _gn_parts(z, tau, N)
+    return complex(sr + cr, si + ci)
+
+
+def _gn_parts(z: complex, tau: complex, N: int | None = None) -> tuple:
+    """(sr, cr, si, ci, cut): the compensated real and imaginary sums of
+    gn_sum's terms before their last rounding (gn_sum returns
+    complex(sr + cr, si + ci)), and the bound that _series proves on what
+    its S values leave, (_SERIES_EPS + (K - 2) _BINET_EPS) |z| for each
+    set of K - 2 coefficients.
+
+    N None sums every term, m >= 1, as the direct terms below m_switch
+    plus S(m_switch) alone; |arg tau| <= 3pi/4 only, where the terms are
+    regrouped from m_switch on. The engine's automatic product reads it.
     """
     z = complex(z)
     tau = complex(tau)
@@ -630,11 +650,11 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
         m_switch = N + 1
     bits = tau_bits(tau)
     direct = _tau_memo(bits).direct
-    sr = cr = si = ci = 0.0
+    sr = cr = si = ci = cut = 0.0
     # the memo lookups and the compensated additions (_neumaier_add) are
     # inlined, by the same operations in the same order, so the same bits:
     # a helper call per term cost a few percent of the sum each
-    for m in range(1, min(N + 1, m_switch)):
+    for m in range(1, m_switch if N is None else min(N + 1, m_switch)):
         w = m * tau
         p = direct.get(m)
         if p is None:
@@ -655,17 +675,25 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
         else:
             ci += (x - s) + si
         si = s
-    if N >= m_switch and az:
+    if N is None:
+        ends = ((m_switch, 1.0),)
+    elif N >= m_switch:
+        ends = ((m_switch, 1.0), (N + 1, -1.0))
+    else:
+        ends = ()
+    if az and ends:
         z3 = z * z * z
-        for a, sign in ((m_switch, 1.0), (N + 1, -1.0)):
+        for a, sign in ends:
             e = min(math.frexp(az / (a * abs_tau))[1], -1)
+            coeffs = _series(bits, tau, a, e)
             h = 0j
-            for c in _series(bits, tau, a, e):
+            for c in coeffs:
                 h = h * z + c
             t = sign * (z3 * h)
             sr, cr = _neumaier_add(sr, cr, t.real)
             si, ci = _neumaier_add(si, ci, t.imag)
-    return complex(sr + cr, si + ci)
+            cut += (_SERIES_EPS + len(coeffs) * _BINET_EPS) * az
+    return sr, cr, si, ci, cut
 
 
 @functools.lru_cache(maxsize=512)

@@ -1,13 +1,14 @@
 """Double gamma engine.
 
 ``log_double_gamma`` evaluates the canonical logarithm of G(z;tau) as the
-term-wise log of the truncated Gamma-product
+term-wise log of the Gamma-product
 
-    ln G_N = -ln tau - lgG(z) + a~ z/tau + b~ z^2/(2 tau^2)
-             + sum_{m=1}^{N} [lgG(m tau) - lgG(z+m tau) + z psi(m tau)
-                              + (z^2/2) psi'(m tau)]
+    ln G = -ln tau - lgG(z) + a~ z/tau + b~ z^2/(2 tau^2)
+           + sum_{m>=1} [lgG(m tau) - lgG(z+m tau) + z psi(m tau)
+                         + (z^2/2) psi'(m tau)].
 
-plus the order-M correction
+With explicit ComputeParams it sums the first N terms (backend.gn_sum) and
+adds the order-M correction for the rest,
 
     z^3 sum_{k=1}^{M} (-tau)^(-k-1) P_k(z;-tau) / (k(k+1)(k+2)) N^(-k),
 
@@ -15,7 +16,11 @@ with P_k's coefficients built from the exact Bernoulli numbers in integer
 arithmetic, each rounded to binary64 once. At fixed (tau, N, M) the
 correction is one polynomial in z: its M coefficients are kept in the
 correction field of tau's backend.tau_memo record (_correction_slot), so a
-point pays z^3 times one Horner of length M. The term-wise sum fixes a
+point pays z^3 times one Horner of length M. An automatic evaluation at
+|arg tau| <= 3pi/4 that takes the product sums every term instead, the
+limit N -> inf that the correction approximates: the direct terms below
+gn_sum's switch point and its swapped series from there on
+(backend._gn_parts), with no correction. The term-wise sum fixes a
 specific branch ("canonical logarithm"); it is never reduced mod 2 pi i, and
 identity tests always compare multiplicatively or modulo 2 pi i. Automatic
 evaluations may take one of three other routes: the large-z expansion
@@ -65,9 +70,9 @@ _CONE_MARGIN = 0.2
 # 0.03 e^(-2 pi s) |log G|
 _BEYOND_MAX = _TARGET
 # product floor N0 past which building the coefficients for a fresh tau
-# (b0_of_tau's two engine calls, ~1.9 ms) costs less than the product
-# (~12 us a term at a fresh tau with N0 in [200, 300), CPU time on a shared
-# 2-CPU x86-64 machine); measured, the route wins 18 of 19 fresh points
+# (b0_of_tau's two engine calls, ~1.9 ms) costs less than a product of N0
+# terms (~12 us a term at a fresh tau with N0 in [200, 300), CPU time on a
+# shared 2-CPU x86-64 machine); measured, the route wins 18 of 19 fresh points
 # with N0 in [200, 300) and 21 of 29 in [100, 200)
 _N0_CROSSOVER = 200
 # the reflection route (_reflection_route) leaves to the product every z
@@ -115,13 +120,18 @@ class ComputeParams(Record):
 
 class EvalResult(Record):
     """Canonical log, value = exp(log), an a-posteriori error estimate, the
-    truncations planned, and the route that ran: "product" (the truncated
-    product, with params_used), "asymptotic" (the large-z expansion),
-    "shifted" (the expansion at z + n tau and n shift equations, for a
-    large z inside the zero cone) or "reflection" (the paper's reflection
-    identity, at |arg tau| > 3pi/4). The last three are taken by automatic
-    evaluations only; params_used is then the product's plan, and
-    log_value matches the canonical log only modulo 2 pi i."""
+    truncations planned, and the route that ran: "product" (the Gamma
+    product), "asymptotic" (the large-z expansion), "shifted" (the
+    expansion at z + n tau and n shift equations, for a large z inside the
+    zero cone) or "reflection" (the paper's reflection identity, at
+    |arg tau| > 3pi/4). The last three are taken by automatic evaluations
+    only, and their log_value matches the canonical log only modulo
+    2 pi i. On every automatic route params_used is choose_params' plan,
+    the one an explicit call would run; the automatic product at
+    |arg tau| <= 3pi/4 sums every term instead of N and a correction, so
+    its log is not bit-identical to log_double_gamma(z, tau, params_used),
+    and its error_estimate is the cut of its series, not the correction
+    bound at the plan."""
 
     __slots__ = ("log_value", "value", "error_estimate", "params_used",
                  "route")
@@ -466,18 +476,26 @@ def log_double_gamma(z: complex, tau: complex,
     """Canonical log of G(z;tau); raises LatticeZeroError at zeros of G,
     whether or not the product with the given N would reach them.
 
-    With params None the truncation is choose_params's plan. At
-    |arg tau| > 3pi/4, where gn_sum never regroups, the reflection identity
-    runs instead (route "reflection", _reflection_route), except where
-    1 - z (1 - conj z at Im tau > 0) lies within _REFLECT_RADIUS of a zero
-    of its inner G. Elsewhere,
-    where _asymptotic_route shows the large-z expansion as accurate as that
-    product, the expansion runs instead: at z (route "asymptotic"), or,
-    for a z inside the zero cone, at z + n tau, carried back by n shift
-    equations (route "shifted"). On these routes
-    the log matches the canonical log only modulo 2 pi i. Explicit params
-    always run the product, and raise CapacityError before summing when N
-    exceeds _N_CAP or N |tau| <= |z|.
+    With params None the plan is choose_params', and the routes are chosen
+    from it. At |arg tau| > 3pi/4, where gn_sum never regroups, the
+    reflection identity runs instead (route "reflection", _reflection_route),
+    except where 1 - z (1 - conj z at Im tau > 0) lies within
+    _REFLECT_RADIUS of a zero of its inner G; the product at the plan's N
+    and M answers there. Elsewhere, where _asymptotic_route shows the
+    large-z expansion as accurate as that product, the expansion runs
+    instead: at z (route "asymptotic"), or, for a z inside the zero cone,
+    at z + n tau, carried back by n shift equations (route "shifted"). On
+    these routes the log matches the canonical log only modulo 2 pi i.
+    Otherwise the product sums every term, not the plan's N: the direct
+    terms and S(m_switch) of backend._gn_parts, added to the prefactor
+    pieces by math.fsum, with the cut of that series,
+    (_SERIES_EPS + (K - 2) _BINET_EPS) |z|, as the error estimate. So
+    params_used is the plan an explicit call would run, but the log is not
+    bit-identical to log_double_gamma(z, tau, r.params_used).
+
+    Explicit params always run the product at their N and M, with the
+    correction's error bound as the estimate, and raise CapacityError
+    before summing when N exceeds _N_CAP or N |tau| <= |z|.
 
     Every route yields a log and its error estimate, and _result builds the
     EvalResult from them, with choose_params' plan as params_used on an
@@ -515,12 +533,26 @@ def log_double_gamma(z: complex, tau: complex,
         raise CapacityError(f"product truncation N = {params.N} exceeds {_N_CAP}")
     m_cd = params.m_cd if params.m_cd is not None else default_m(tau)
     mf = modular_forms_cached(tau, m_cd)
+    lt, lg = -cmath.log(tau), log_gamma(z)
+    at = mf.a_tilde * z / tau
+    bt = mf.b_tilde * z * z / (2.0 * tau * tau)
+    if auto and not far:
+        # the product to N = inf, which the correction approximates: its
+        # direct terms and S(m_switch), with no S(N + 1) and no correction.
+        # The pieces can cancel by an order of magnitude (at (4+i, 0.5+0.2i)
+        # the b~ piece is 41 and the sum 47 for a log of 6.3), so they and
+        # the sum's compensated pair are summed exactly rounded, with no
+        # rounding at ulp of the larger pieces first
+        sr, cr, si, ci, error = backend._gn_parts(z, tau)
+        try:
+            log_val = complex(
+                math.fsum((lt.real, -lg.real, at.real, bt.real, sr, cr)),
+                math.fsum((lt.imag, -lg.imag, at.imag, bt.imag, si, ci)))
+        except (ValueError, OverflowError):  # inf - inf, or past binary64
+            log_val = complex(math.nan, math.nan)
+        return _result(log_val, error, params)
     corr, error = _correction(z, tau, params.N, params.M)
-    log_val = (-cmath.log(tau) - log_gamma(z)
-               + mf.a_tilde * z / tau
-               + mf.b_tilde * z * z / (2.0 * tau * tau)
-               + backend.gn_sum(z, tau, params.N)
-               + corr)
+    log_val = lt - lg + at + bt + backend.gn_sum(z, tau, params.N) + corr
     if far:
         # gn_sum and cd_sums never regroup here, and the roundoff of their
         # n direct terms, each about |n tau| in size, grows as n^2: on a
@@ -789,10 +821,13 @@ def _shifted_route(z: complex, tau: complex,
     expansion (_expansion). n is _shift_steps' least, in tau steps only:
     steps of +1 would also reach the outside of the cone, but in thin
     cones they leave the result off the canonical branch by 2 pi i k.
-    None, for the product, when n is not below both n_plan (a step costs
-    about one product term) and _SHIFT_MAX, when w is not _past_crossover
-    or fails _expansion's tests, or when the error estimate passes
-    _SHIFT_ERR_MAX.
+    None, for the product, when n is not below both n_plan and _SHIFT_MAX,
+    when w is not _past_crossover or fails _expansion's tests, or when the
+    error estimate passes _SHIFT_ERR_MAX. The n_plan bound assumed that a
+    step costs about one of the plan's N product terms; the automatic
+    product now sums its m_switch direct terms and one series whatever N,
+    so that premise no longer holds, but the bound stays, so that every
+    point keeps its route.
 
     The error estimate is the expansion's plus the roundoff of the steps,
     _SHIFT_ROUNDOFF 2^-52 times the sizes of the summed terms and of

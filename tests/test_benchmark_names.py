@@ -57,6 +57,25 @@ def test_run_suite_calls_lattice_distance(monkeypatch):
     assert calls
 
 
+def test_run_suite_calls_gn_sum_with_an_integer_n(monkeypatch):
+    # The traced benchmark reads gn_sum's third argument as its term count
+    # and measures backend.gn_sum.ns_per_term from the calls made through
+    # the module name; a layer with no calls, or no terms, reads NaN there.
+    # Automatic evaluations sum the product without gn_sum, so on scatter
+    # and cold-cli that layer comes from run_suite's explicit plans alone.
+    calls = []
+    original = barnesg.backend.gn_sum
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(barnesg.backend, "gn_sum", counting)
+    barnesg.identities.run_suite(0)
+    assert calls
+    assert all(type(args[2]) is int and args[2] > 0 for args in calls)
+
+
 def test_auto_eval_calls_choose_params(monkeypatch):
     # The traced benchmark measures engine.choose_params.us_per_call from
     # the calls the automatic path makes through the name engine binds; a

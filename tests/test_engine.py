@@ -717,14 +717,16 @@ def test_memo_bounds():
 
 
 def test_memo_entry_filled_and_evicted_whole():
-    # one product evaluation fills the direct table, the P_k rows and the
-    # correction of its tau's entry; 8 further tau evict the entry, and
-    # with it every field at once
+    # an automatic product evaluation fills the direct table and the P_k
+    # rows of its tau's entry, and an explicit plan the correction; 8
+    # further tau evict the entry, and with it every field at once
     rng = random.Random(10)
     tau = _fresh_tau(rng)
-    log_double_gamma(9.0 + 2.0j, tau)   # auto plan: both gn_sum branches
+    r = log_double_gamma(9.0 + 2.0j, tau)   # both gn_sum branches
     entry = backend.tau_memo(tau)
-    assert entry.direct and entry.p_rows and entry.correction is not None
+    assert entry.direct and entry.p_rows and entry.correction is None
+    log_double_gamma(9.0 + 2.0j, tau, r.params_used)
+    assert entry.correction is not None
     assert entry.coeffs is None          # the product route builds none
     misses = backend._tau_memo.cache_info().misses
     assert backend.tau_memo(tau) is entry
@@ -1047,6 +1049,17 @@ def test_sector_violation():
 # ------------------------------------------------- the automatic large-z route
 
 _EPS = 2.0 ** -52
+# the automatic product sums every term, an explicit plan N terms and the
+# correction: they agree to this many units of 2^-52 max(1, |log G|). Over
+# the 4 944 product points of scatter seeds 7 and 9 (i < 3000) the worst
+# was 8.23 against the plan and 7.28 against N = 2^14, M = 16
+_AUTO_ULPS = 12
+
+
+def _auto_ulps(r, p):
+    # the distance of two results' logs in units of 2^-52 max(1, |log G|)
+    return abs(r.log_value - p.log_value) / (
+        _EPS * max(1.0, abs(p.log_value)))
 
 
 def test_asymptotic_route_agrees_with_product():
@@ -1072,7 +1085,7 @@ def test_asymptotic_route_agrees_with_product():
         assert r.params_used == plan and p.route == "product"
         routes.append(r.route)
         if r.route == "product":
-            assert repr(r.log_value) == repr(p.log_value), (z, tau)
+            assert _auto_ulps(r, p) <= _AUTO_ULPS, (z, tau)
             continue
         # the same branch (no 2 pi i k offset), to 1e-13 relative
         scale = max(1.0, abs(p.log_value))
@@ -1086,14 +1099,86 @@ def test_asymptotic_route_agrees_with_product():
     assert routes.count("shifted") >= 6
 
 
+def test_auto_product_builds_one_series_set_and_no_correction():
+    # at a fresh tau the automatic product sums every term: one coefficient
+    # set, for S(m_switch), none for S(N + 1), and no correction slot
+    tau = _fresh_tau(random.Random(31))
+    misses = backend._series.cache_info().misses
+    r = log_double_gamma(9.0 + 2.0j, tau)
+    assert r.route == "product"
+    assert backend._series.cache_info().misses == misses + 1
+    assert backend.tau_memo(tau).correction is None
+
+
+def test_auto_product_agrees_with_explicit_plans_on_a_grid():
+    # seeded: |z| <= 6 (plans through both gn_sum branches) and |z| in
+    # [20, 200], tau with |tau| in [0.3, 3] and |arg tau| <= 3pi/4 (the
+    # Re tau < 0 mid sector included); at every point the product answers,
+    # the automatic log is within _AUTO_ULPS of the explicit evaluation at
+    # its plan and at N = 2^14, M = 16 (7.26 was the worst seen here)
+    rng = random.Random(39)
+    ref = ComputeParams(N=2 ** 14, M=16)
+    seen = []
+    for i in range(480):
+        tau = cmath.rect(0.3 * 10.0 ** rng.random(),
+                         0.75 * math.pi * (2 * rng.random() - 1))
+        r = (6.0 * math.sqrt(rng.random()) if i % 3
+             else 20.0 * 10.0 ** rng.random())
+        z = cmath.rect(r, math.pi * (2 * rng.random() - 1))
+        if lattice_distance(z, tau) < 0.1:
+            continue
+        auto = log_double_gamma(z, tau)
+        if auto.route != "product":
+            continue
+        for params in (auto.params_used, ref):
+            p = log_double_gamma(z, tau, params)
+            assert _auto_ulps(auto, p) <= _AUTO_ULPS, (z, tau, params)
+        seen.append((z, tau))
+    assert len(seen) >= 300
+    assert sum(tau.real < 0 for _, tau in seen) >= 80
+    assert sum(abs(z) >= 20 for z, _ in seen) >= 25
+    assert max(abs(z) for z, _ in seen) >= 150
+
+
+def test_auto_product_sum_against_mpmath():
+    # backend._gn_parts' sum of every r_m against mpmath at 30 digits: 400
+    # terms summed directly, plus the float correction for m > 400 at
+    # M = 16 (its bound is below 1e-23 at these points). The tolerance is
+    # 2^-52 times the sizes of the summed pieces: the direct terms'
+    # lgG(m tau) and lgG(z + m tau), and the result; 0.30 of it was the
+    # worst seen, and the same at gn_sum(z, tau, 400)
+    import mpmath as mp
+    for z, tau in ((1.5 + 0.5j, 2.0), (9 + 2j, 0.7 + 0.4j),
+                   (-3 + 4j, -0.5 + 1.2j)):
+        with mp.workdps(30):
+            zz, tt = mp.mpc(z), mp.mpc(tau)
+            total = mp.mpc(0)
+            for m in range(1, 401):
+                w = m * tt
+                total += (mp.loggamma(w) - mp.loggamma(zz + w)
+                          + zz * mp.digamma(w) + zz * zz / 2 * mp.psi(1, w))
+        corr, bound = engine._correction(z, tau, 400, 16)
+        assert bound < 1e-23
+        ref = complex(total) + corr
+        sr, cr, si, ci, _ = backend._gn_parts(z, tau)
+        got = complex(sr + cr, si + ci)
+        m_switch = math.ceil(max(16.0, 2 * abs(z)) / abs(tau))
+        size = abs(ref) + sum(abs(log_gamma(m * tau)) + abs(log_gamma(z + m * tau))
+                              for m in range(1, m_switch))
+        assert abs(got - ref) <= _EPS * size, (z, tau, abs(got - ref))
+
+
 def test_asymptotic_route_falls_back_to_the_product():
-    # each point passes every condition of the route but the one named
+    # each point passes every condition of the route but the one
+    # named; where the product answers, its log and estimate are pinned
     cases = (
-        ((-20 + 5j, 0.5 + 0.5j), "e^(-2 pi s) above the target, s = 5"),
-        ((80 + 30j, -1.0 + 0.35j), "|arg tau| > 3pi/4"),
-        ((25 + 5j, 2.0), "N0 at the crossover or below"),
+        ((-20 + 5j, 0.5 + 0.5j), "e^(-2 pi s) above the target, s = 5",
+         "(825.9654838033229-347.35109499403745j)", "1.126510579323832e-15"),
+        ((80 + 30j, -1.0 + 0.35j), "|arg tau| > 3pi/4", None, None),
+        ((25 + 5j, 2.0), "N0 at the crossover or below",
+         "(139.16020470622294+90.13296151359009j)", "1.3710352724774527e-15"),
     )
-    for (z, tau), why in cases:
+    for (z, tau), why, log_value, estimate in cases:
         r = log_double_gamma(z, tau)
         if abs(cmath.phase(tau)) > backend._MAX_ARG:
             # there the reflection route answers instead of the product
@@ -1102,7 +1187,8 @@ def test_asymptotic_route_falls_back_to_the_product():
         p = log_double_gamma(z, tau, choose_params(z, tau))
         assert r.route == "product", why
         assert (repr(r.log_value), repr(r.error_estimate)) == \
-            (repr(p.log_value), repr(p.error_estimate)), why
+            (log_value, estimate), why
+        assert _auto_ulps(r, p) <= _AUTO_ULPS, why
     # inside the zero cone the shifted route answers instead
     for z, tau in ((-50.5 - 49.7j, 1j), (-60.3 - 20.1j, 1 + 1j)):
         assert not engine._outside_cone(z, tau)
@@ -1123,21 +1209,25 @@ def test_asymptotic_route_falls_back_to_the_product():
 
 def test_shifted_route_declines_to_the_product(monkeypatch):
     # inside the zero cone, each point fails the one condition of the
-    # shifted route named, and the product answers with the same bits as at
-    # the explicit plan
+    # shifted route named, and the product answers: with the pinned log and
+    # estimate, and within _AUTO_ULPS of the explicit plan
     cases = (
-        ((-100.3 - 8.1j, 0.04 + 0.006j), "n over _SHIFT_MAX"),
-        ((-900 + 30j, 1.0), "error estimate over _SHIFT_ERR_MAX"),
-        ((-300 + 2j, 1.0), "w = z + n tau at the crossover or below"),
+        ((-100.3 - 8.1j, 0.04 + 0.006j), "n over _SHIFT_MAX",
+         "(829552.142739214-228378.60072439528j)", "6.0222929686666134e-15"),
+        ((-900 + 30j, 1.0), "error estimate over _SHIFT_ERR_MAX",
+         "(2233722.3702669423+1116923.868108511j)", "5.2330961352121444e-14"),
+        ((-300 + 2j, 1.0), "w = z + n tau at the crossover or below",
+         "(192186.78053409207+139477.33550782714j)", "1.7174144047094765e-14"),
     )
-    for (z, tau), why in cases:
+    for (z, tau), why, log_value, estimate in cases:
         assert not engine._outside_cone(z, tau), why
         plan = choose_params(z, tau)
         r = log_double_gamma(z, tau)
         p = log_double_gamma(z, tau, plan)
         assert r.route == "product", why
         assert (repr(r.log_value), repr(r.error_estimate)) == \
-            (repr(p.log_value), repr(p.error_estimate)), why
+            (log_value, estimate), why
+        assert _auto_ulps(r, p) <= _AUTO_ULPS, why
     # with the other gates lifted, each case passes all but its own
     monkeypatch.setattr(engine, "_SHIFT_ERR_MAX", math.inf)
     z, tau = cases[0][0]

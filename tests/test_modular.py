@@ -8,7 +8,7 @@ import time
 import pytest
 
 from barnesg import backend
-from barnesg.engine import log_double_gamma
+from barnesg.engine import ComputeParams, log_double_gamma
 from barnesg.errors import CapacityError, DomainError, PreconditionError
 from barnesg.kernels import QuadratureSpec, integrate_semiaxis
 from barnesg.modular import (
@@ -241,15 +241,24 @@ def test_huge_tau_refused_at_once():
 def test_tau_1e40_unchanged():
     # below the overflow the same bits as before the refusal existed
     r = log_double_gamma(1.5 + 0.5j, 1e40)
-    assert repr(r.log_value) == "(46.28588820735129+46.01703289860553j)"
-    assert repr(r.error_estimate) == "1.0416666666666664e-120"
+    assert repr(r.log_value) == "(46.285888207351285+46.01703289860553j)"
+    assert repr(r.error_estimate) == "2.3314128502267156e-17"
     mf = modular_forms_em(1e40)
     assert (repr(mf.C), repr(mf.D)) == ("(-45.13276332667626+0j)",
                                         "(-9.15261880548603e-39+0j)")
 
 
 def test_non_finite_log_refused(monkeypatch):
-    # a log that leaves binary64 is refused, never returned as exact
+    # a log that leaves binary64 is refused, never returned as exact: on
+    # the explicit plan's gn_sum, and on the automatic product's sum of
+    # every term, also where math.fsum meets inf - inf or overflows
+    z, tau = 1.5 + 0.5j, 1.3 + 0.2j
     monkeypatch.setattr(backend, "gn_sum", lambda z, tau, N: complex(math.inf, 0.0))
     with pytest.raises(DomainError):
-        log_double_gamma(1.5 + 0.5j, 1.3 + 0.2j)
+        log_double_gamma(z, tau, ComputeParams(N=64))
+    for parts in ((math.inf, 0.0, 0.0, 0.0, 0.0),
+                  (math.inf, -math.inf, 0.0, 0.0, 0.0),
+                  (1e308, 1e308, 0.0, 0.0, 0.0)):
+        monkeypatch.setattr(backend, "_gn_parts", lambda z, tau, p=parts: p)
+        with pytest.raises(DomainError):
+            log_double_gamma(z, tau)
