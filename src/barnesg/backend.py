@@ -397,19 +397,14 @@ class TauEntry:
     * p_rows: the engine's {k: rows of P_k(z;-tau)}, k <= 16;
     * coeffs: the engine's AsymptoticCoeffs of the large-z expansion, or
       None (their b0 is read from the engine's own bits-keyed map of 64
-      tau, _b0_memo, which outlives the 8 entries of tau_memo);
-    * correction: the engine's correction at the last (N, M) of an
-      explicit plan (or a far-sector product), as a polynomial in z, or
-      None; replaced whole at another (N, M), so the entry never grows. The
-      automatic product sums every term and leaves it untouched."""
+      tau, _b0_memo, which outlives the 8 entries of tau_memo)."""
 
-    __slots__ = ("direct", "p_rows", "coeffs", "correction")
+    __slots__ = ("direct", "p_rows", "coeffs")
 
     def __init__(self):
         self.direct = {}
         self.p_rows = {}
         self.coeffs = None
-        self.correction = None
 
 
 @functools.lru_cache(maxsize=8)
@@ -429,9 +424,7 @@ def tau_memo(tau: complex) -> TauEntry:
     Threads: lru_cache keeps an entry's lookup consistent; the tables and
     fields are filled without a lock, with deterministic values stored
     whole and never modified, so a race stores the same bits (a concurrent
-    miss may build an entry twice; one is kept). Two threads at one tau
-    and different (N, M) may replace each other's correction; each reads
-    what it built, so neither sees the other's values."""
+    miss may build an entry twice; one is kept)."""
     return _tau_memo(tau_bits(tau))
 
 

@@ -14,11 +14,11 @@ adds the order-M correction for the rest,
 
 with P_k's coefficients built from the exact Bernoulli numbers in integer
 arithmetic, each rounded to binary64 once. At fixed (tau, N, M) the
-correction is one polynomial in z: its M coefficients are kept in the
-correction field of tau's backend.tau_memo record (_correction_slot), so a
-point pays z^3 times one Horner of length M. An automatic evaluation at
-|arg tau| <= 3pi/4 that takes the product sums every term instead, the
-limit N -> inf that the correction approximates: the direct terms below
+correction is one polynomial in z: its M coefficients are kept for the
+last 8 (tau, N, M) (_correction_slot), so a point pays z^3 times one
+Horner of length M. An automatic evaluation at |arg tau| <= 3pi/4 that
+takes the product sums every term instead, the limit N -> inf that the
+correction approximates: the direct terms below
 gn_sum's switch point and its swapped series from there on
 (backend._gn_parts), with no correction. The term-wise sum fixes a
 specific branch ("canonical logarithm"); it is never reduced mod 2 pi i, and
@@ -44,7 +44,6 @@ from .backend import LN_2PI
 from .errors import (
     ArgumentConditionError,
     CapacityError,
-    ConsistencyError,
     DomainError,
     LatticeZeroError,
     SectorError,
@@ -52,8 +51,8 @@ from .errors import (
 )
 from .kernels import (_N_CAP, QuadratureSpec, _log_q_product, check_finite,
                       integrate_semiaxis, log_gamma)
-from .modular import (_cut_distance, check_off_cut, default_m,
-                      modular_forms_cached)
+from .modular import (_cut_distance, _semiaxis_series, _small_x_branch,
+                      check_off_cut, default_m, modular_forms_cached)
 from .polys import q_terms
 
 # error target of the automatic truncation, per unit of 1 + |z|: the
@@ -323,23 +322,24 @@ def _error_bound(last: float, prev: float, N: int, M: int, az: float,
     return bound * az / (N * atau - az)
 
 
-def _correction_slot(entry: backend.TauEntry, tau: complex, N: int,
+# keyed by tau's bits as well as tau, as backend._series, so that 0.0 and
+# -0.0 stay apart
+@functools.lru_cache(maxsize=8)
+def _correction_slot(tau_bits: bytes, tau: complex, N: int,
                      M: int) -> tuple:
-    """The correction at (tau, N, M) as one polynomial in z, kept in
-    entry.correction (entry is tau's backend.tau_memo record):
-    (N, M, terms, pw_prev, pw_last), where
+    """The correction at (tau, N, M) as one polynomial in z:
+    (terms, pw_prev, pw_last), where
     sum_{k<=M} a_k N^(-k) = z^3 sum_j c_j z^j,
     c_j = sum_{k>j} (-tau)^(-k-1) N^(-k) row_(k,j) / (k(k+1)(k+2)).
     terms holds M triples in a row, highest power of z first: c_j,
     row_(M,j) and row_(M-1,j) (0j where P_(M-1) has no such power).
     pw_prev and pw_last are (-tau)^(-k-1) at k = M - 1 and M by
-    _coefficients' own products (pw_prev is None at M = 1). The field at
-    another (N, M) is replaced whole, so the entry never grows; it is built
-    from the rows of P_k (entry.p_rows) with no Horner in z."""
-    s = entry.correction
-    if s is not None and s[0] == N and s[1] == M:
-        return s
-    p_rows = entry.p_rows
+    _coefficients' own products (pw_prev is None at M = 1). Built from the
+    rows of P_k (tau's backend.tau_memo p_rows) with no Horner in z, and
+    kept for the last 8 (tau, N, M): an explicit table needs one per op,
+    run_suite one per explicit check. Each value depends on (tau, N, M)
+    alone. Threads: as for backend.tau_memo."""
+    p_rows = backend.tau_memo(tau).p_rows
     inv_neg_tau = -1.0 / tau
     pw = inv_neg_tau * inv_neg_tau      # (-tau)^(-k-1) at k = 1
     inv_n = 1.0 / N
@@ -357,25 +357,24 @@ def _correction_slot(entry: backend.TauEntry, tau: complex, N: int,
         pw_prev, pw_last = pw_last, pw
         pw *= inv_neg_tau
         npow *= inv_n
-    # one flat tuple, not M 3-tuples: those freed with each replaced slot
+    # one flat tuple, not M 3-tuples: those freed with each evicted entry
     # fill the interpreter's tuple free list, which raised the peak RSS of
     # a stream of fresh tau by 7%. A leading 0j in P_(M-1)'s Horner leaves
     # it 0j, since z is finite
     terms = tuple(itertools.chain.from_iterable(
         zip(reversed(c), reversed(rows), reversed((*prev, 0j)))))
-    s = entry.correction = (N, M, terms, pw_prev, pw_last)
-    return s
+    return terms, pw_prev, pw_last
 
 
 def _correction(z: complex, tau: complex, N: int,
                 M: int) -> tuple[complex, float]:
     """The order-M correction sum_{k<=M} a_k N^(-k) at z and its
-    _error_bound: z^3 times one Horner in z over tau's slot
-    (_correction_slot), with P_M(z;-tau) and P_(M-1)(z;-tau) by Horner in
+    _error_bound: z^3 times one Horner in z over the polynomial of
+    _correction_slot, with P_M(z;-tau) and P_(M-1)(z;-tau) by Horner in
     the same pass, so that a_(M-1) and a_M, and with them the bound, have
     the bits of _coefficients'."""
-    _, _, terms, pw_prev, pw_last = _correction_slot(backend.tau_memo(tau),
-                                                     tau, N, M)
+    terms, pw_prev, pw_last = _correction_slot(backend.tau_bits(tau), tau,
+                                               N, M)
     poly = pm = pm1 = 0j
     it = iter(terms)
     for cj, u, v in zip(it, it, it):
@@ -477,14 +476,14 @@ def log_double_gamma(z: complex, tau: complex,
     whether or not the product with the given N would reach them.
 
     With params None the plan is choose_params', and the routes are chosen
-    from it. At |arg tau| > 3pi/4, where gn_sum never regroups, the
-    reflection identity runs instead (route "reflection", _reflection_route),
-    except where 1 - z (1 - conj z at Im tau > 0) lies within
-    _REFLECT_RADIUS of a zero of its inner G; the product at the plan's N
-    and M answers there. Elsewhere, where _asymptotic_route shows the
-    large-z expansion as accurate as that product, the expansion runs
-    instead: at z (route "asymptotic"), or, for a z inside the zero cone,
-    at z + n tau, carried back by n shift equations (route "shifted"). On
+    from (z, tau) alone. At |arg tau| > 3pi/4, where gn_sum never
+    regroups, the reflection identity runs instead (route "reflection",
+    _reflection_route), except where 1 - z (1 - conj z at Im tau > 0) lies
+    within _REFLECT_RADIUS of a zero of its inner G; the product at the
+    plan's N and M answers there. Elsewhere, where the large-z expansion
+    passes _asymptotic_route's accuracy tests, the expansion runs instead:
+    at z (route "asymptotic"), or, for a z inside the zero cone, at
+    z + n tau, carried back by n shift equations (route "shifted"). On
     these routes the log matches the canonical log only modulo 2 pi i.
     Otherwise the product sums every term, not the plan's N: the direct
     terms and S(m_switch) of backend._gn_parts, added to the prefactor
@@ -521,7 +520,7 @@ def log_double_gamma(z: complex, tau: complex,
         raise refused
     if auto:
         found = (_reflection_route(z, tau) if far
-                 else _asymptotic_route(z, tau, params.N))
+                 else _asymptotic_route(z, tau))
         if found is not None:
             return _result(found[0], found[1], params, found[2])
     if not abs(z) < params.N * abs(tau):
@@ -700,22 +699,22 @@ def _tail_order(tail: tuple[complex, ...], az: float,
     return None
 
 
-def _asymptotic_route(z: complex, tau: complex,
-                      n_plan: int) -> tuple[complex, float, str] | None:
+def _asymptotic_route(z: complex,
+                      tau: complex) -> tuple[complex, float, str] | None:
     """(log G, error estimate, route) at an automatic evaluation at
     |arg tau| <= 3pi/4 (the reflection route takes the rest) where a
-    large-z route is provably as accurate as the product whose plan has N =
-    n_plan; else None. Both routes need z _past_crossover. Then a z
-    _outside_cone takes the expansion at z (route "asymptotic",
-    _expansion) and a z inside it takes the expansion at z + n tau (route
-    "shifted", _shifted_route). Both depend on (z, tau) alone, never on
-    what the memo holds, so a call returns the same bits whatever ran
-    before it. log_double_gamma's _result builds the EvalResult.
+    large-z route passes its accuracy tests; else None. Both routes need z
+    _past_crossover. Then a z _outside_cone takes the expansion at z
+    (route "asymptotic", _expansion) and a z inside it takes the expansion
+    at z + n tau (route "shifted", _shifted_route). Both depend on
+    (z, tau) alone, never on what the memo holds, so a call returns the
+    same bits whatever ran before it. log_double_gamma's _result builds the
+    EvalResult.
     """
     if not _past_crossover(z, tau):
         return None
     if not _outside_cone(z, tau):
-        return _shifted_route(z, tau, n_plan)
+        return _shifted_route(z, tau)
     found = _expansion(z, tau)
     return None if found is None else (*found, "asymptotic")
 
@@ -808,8 +807,8 @@ def _shift_steps(z: complex, tau: complex, limit: int) -> int | None:
     return None
 
 
-def _shifted_route(z: complex, tau: complex,
-                   n_plan: int) -> tuple[complex, float, str] | None:
+def _shifted_route(z: complex,
+                   tau: complex) -> tuple[complex, float, str] | None:
     """(log G, error estimate, "shifted") for a z inside the zero cone, by
     the paper's second shift equation G(u+tau) = (2pi)^((tau-1)/2)
     tau^(1/2-u) Gamma(u) G(u) applied n times:
@@ -821,19 +820,17 @@ def _shifted_route(z: complex, tau: complex,
     expansion (_expansion). n is _shift_steps' least, in tau steps only:
     steps of +1 would also reach the outside of the cone, but in thin
     cones they leave the result off the canonical branch by 2 pi i k.
-    None, for the product, when n is not below both n_plan and _SHIFT_MAX,
-    when w is not _past_crossover or fails _expansion's tests, or when the
-    error estimate passes _SHIFT_ERR_MAX. The n_plan bound assumed that a
-    step costs about one of the plan's N product terms; the automatic
-    product now sums its m_switch direct terms and one series whatever N,
-    so that premise no longer holds, but the bound stays, so that every
-    point keeps its route.
+    None, for the product, when n passes _SHIFT_MAX, when w is not
+    _past_crossover or fails _expansion's tests, or when the error
+    estimate passes _SHIFT_ERR_MAX. Past the crossover n stayed below the
+    product floor _n_floor(z, tau) at every point of a seeded grid, so no
+    plan's N, never below that floor, bounds it.
 
     The error estimate is the expansion's plus the roundoff of the steps,
     _SHIFT_ROUNDOFF 2^-52 times the sizes of the summed terms and of
     log G(w).
     """
-    n = _shift_steps(z, tau, min(n_plan, _SHIFT_MAX + 1))
+    n = _shift_steps(z, tau, _SHIFT_MAX + 1)
     if n is None:
         return None
     w = z + n * tau
@@ -1005,33 +1002,23 @@ def log_G_integrand(z: complex, tau: complex):
     1/x^2-singular pieces with a finite limit at 0)."""
     z = complex(z)
     tau = complex(tau)
-    cutoff = 0.25 / max(1.0, abs(tau), abs(z))
-    e_t = Laurent.exp_series(-tau)
+    e_t, e_1, s_x, s_tx = _semiaxis_series(tau)
     e_z = Laurent.exp_series(-z)
-    e_1 = Laurent.exp_series(-1.0)
-    s_x = Laurent.s_series(1.0)
-    s_tx = Laurent.s_series(tau)
     c0 = (z - 1.0) * (z / (2.0 * tau) - 1.0)
     bracket = ((e_t - e_z) * s_x * s_tx
                - (e_t * s_tx).scaled(z)
                + e_t.scaled(c0)
                + e_1 * s_x)
-    series = bracket.shifted(-1)
-    scale = series.regular_scale() + 1.0
-    if series.singular_part_size() > 1e-9 * scale:
-        raise ConsistencyError(
-            "singular coefficients of the ln G integrand failed to cancel")
 
-    def f(x: float) -> complex:
-        if x < cutoff:
-            return series.eval_regular(x)
+    def large(x: float) -> complex:
         sx = 1.0 / -math.expm1(-x)
         stx = 1.0 / (1.0 - cmath.exp(-tau * x))
         etx = cmath.exp(-tau * x)
         return ((etx - cmath.exp(-z * x)) * sx * stx
                 - z * etx * stx + c0 * etx + math.exp(-x) * sx) / x
 
-    return f
+    return _small_x_branch(bracket.shifted(-1), "ln G", 1e-9,
+                           0.25 / max(1.0, abs(tau), abs(z)), large)
 
 
 def log_G_via_integral(z: complex, tau: complex,

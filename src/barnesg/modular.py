@@ -195,59 +195,63 @@ def modular_forms_cached(tau: complex, m: int) -> ModularForms:
 
 # --------------------------------------------------------------- integrals
 
-def _assemble_regular(series: Laurent, what: str) -> Laurent:
-    # The x^-2 and x^-1 coefficients must cancel; their residue is pure
-    # rounding noise, checked against the regular scale and dropped.
+def _semiaxis_series(tau: complex) -> tuple[Laurent, ...]:
+    """exp(-tau x), exp(-x), S(x) and S(tau x), S(y) = 1/(1 - e^-y), as
+    Laurent series in x: the pieces of the semi-axis integrands."""
+    return (Laurent.exp_series(-tau), Laurent.exp_series(-1.0),
+            Laurent.s_series(1.0), Laurent.s_series(tau))
+
+
+def _small_x_branch(series: Laurent, what: str, tol: float, cutoff: float,
+                    large):
+    """The integrand x -> series' regular part by Horner for x < cutoff,
+    large(x) from there on. The x^-2 and x^-1 coefficients of series must
+    cancel; their residue is pure rounding noise, checked against tol
+    times the regular scale (plus 1) and dropped."""
     scale = series.regular_scale() + 1.0
-    if series.singular_part_size() > 1e-10 * scale:
+    if series.singular_part_size() > tol * scale:
         raise ConsistencyError(
             f"singular coefficients of the {what} integrand failed to cancel")
-    return series
+
+    def f(x: float) -> complex:
+        if x < cutoff:
+            return series.eval_regular(x)
+        return large(x)
+
+    return f
 
 
 def c_integrand(tau: complex):
     """Integrand of the C(tau) integral with a cancellation-safe x < x_c branch."""
     tau = complex(tau)
-    cutoff = 0.25 / max(1.0, abs(tau))
-    e_t = Laurent.exp_series(-tau)
-    e_1 = Laurent.exp_series(-1.0)
-    s_x = Laurent.s_series(1.0)
-    s_tx = Laurent.s_series(tau)
+    e_t, e_1, s_x, s_tx = _semiaxis_series(tau)
     bracket = (s_x + Laurent.one().scaled(1.0 - 0.5 * tau)) * e_1
-    series = _assemble_regular(
-        e_t * s_x * s_tx - bracket.shifted(-1).scaled(1.0 / tau), "C")
 
-    def f(x: float) -> complex:
-        if x < cutoff:
-            return series.eval_regular(x)
+    def large(x: float) -> complex:
         sx = 1.0 / -math.expm1(-x)
         stx = 1.0 / (1.0 - cmath.exp(-tau * x))
         ex = math.exp(-x)
         return (cmath.exp(-tau * x) * sx * stx
                 - ex / (tau * x) * (sx + 1.0 - 0.5 * tau))
 
-    return f
+    series = e_t * s_x * s_tx - bracket.shifted(-1).scaled(1.0 / tau)
+    return _small_x_branch(series, "C", 1e-10, 0.25 / max(1.0, abs(tau)),
+                           large)
 
 
 def d_integrand(tau: complex):
     """Integrand of the D(tau) integral with a cancellation-safe x < x_c branch."""
     tau = complex(tau)
-    cutoff = 0.25 / max(1.0, abs(tau))
-    e_t = Laurent.exp_series(-tau)
-    e_1 = Laurent.exp_series(-1.0)
-    s_x = Laurent.s_series(1.0)
-    s_tx = Laurent.s_series(tau)
-    series = _assemble_regular(
-        (e_t * s_x * s_tx).shifted(1) - e_1.shifted(-1).scaled(1.0 / tau), "D")
+    e_t, e_1, s_x, s_tx = _semiaxis_series(tau)
 
-    def f(x: float) -> complex:
-        if x < cutoff:
-            return series.eval_regular(x)
+    def large(x: float) -> complex:
         sx = 1.0 / -math.expm1(-x)
         stx = 1.0 / (1.0 - cmath.exp(-tau * x))
         return x * cmath.exp(-tau * x) * sx * stx - math.exp(-x) / (tau * x)
 
-    return f
+    series = (e_t * s_x * s_tx).shifted(1) - e_1.shifted(-1).scaled(1.0 / tau)
+    return _small_x_branch(series, "D", 1e-10, 0.25 / max(1.0, abs(tau)),
+                           large)
 
 
 def C_via_integral(tau: complex, spec: QuadratureSpec = QuadratureSpec()) -> complex:

@@ -718,15 +718,19 @@ def test_memo_bounds():
 
 def test_memo_entry_filled_and_evicted_whole():
     # an automatic product evaluation fills the direct table and the P_k
-    # rows of its tau's entry, and an explicit plan the correction; 8
-    # further tau evict the entry, and with it every field at once
+    # rows of its tau's entry and builds no correction, and an explicit
+    # plan builds one, in the correction LRU; 8 further tau evict the
+    # entry, and with it every field at once
+    assert backend.TauEntry.__slots__ == ("direct", "p_rows", "coeffs")
     rng = random.Random(10)
     tau = _fresh_tau(rng)
+    slots = engine._correction_slot.cache_info().misses
     r = log_double_gamma(9.0 + 2.0j, tau)   # both gn_sum branches
     entry = backend.tau_memo(tau)
-    assert entry.direct and entry.p_rows and entry.correction is None
+    assert entry.direct and entry.p_rows
+    assert engine._correction_slot.cache_info().misses == slots
     log_double_gamma(9.0 + 2.0j, tau, r.params_used)
-    assert entry.correction is not None
+    assert engine._correction_slot.cache_info().misses == slots + 1
     assert entry.coeffs is None          # the product route builds none
     misses = backend._tau_memo.cache_info().misses
     assert backend.tau_memo(tau) is entry
@@ -736,8 +740,7 @@ def test_memo_entry_filled_and_evicted_whole():
     fresh = backend.tau_memo(tau)
     assert backend._tau_memo.cache_info().misses == misses + 9
     assert fresh is not entry
-    assert (fresh.direct, fresh.p_rows, fresh.coeffs, fresh.correction) == \
-        ({}, {}, None, None)
+    assert (fresh.direct, fresh.p_rows, fresh.coeffs) == ({}, {}, None)
 
 
 def test_clear_memos_reaches_every_lru_cache():
@@ -864,8 +867,8 @@ def test_table_rows_are_the_evaluator_bit_for_bit(capsys):
 
 
 def test_slot_cold_or_warm_same_bits():
-    # each point reads the bits of a cold slot whether its tau's slot was
-    # cold, warm from other points at its (N, M), or last held another N
+    # each point reads the bits of a cold slot whether its (tau, N, M) was
+    # cold, warm from other points at its (N, M), or built after another N
     # or another M
     rng = random.Random(23)
     for _ in range(6):
@@ -881,6 +884,7 @@ def test_slot_cold_or_warm_same_bits():
             for z in zs:
                 for p in plans:
                     backend._tau_memo.cache_clear()
+                    engine._correction_slot.cache_clear()
                     cold[z, p] = repr(log_double_gamma(z, tau, p))
             for z in zs:
                 for p in (plans[0], plans[0], plans[1], plans[0], plans[2],
@@ -890,10 +894,10 @@ def test_slot_cold_or_warm_same_bits():
 
 
 def test_slot_replaced_never_grows():
-    # 10 000 distinct explicit N at one tau: the entry holds the correction
-    # at the last (N, M), and no table grows past its first size; 1 000
-    # distinct N for gn_sum grow no table of the entry either, and keep at
-    # most 64 coefficient sets
+    # 10 000 distinct explicit N at one tau: the correction LRU holds the
+    # last 8 (N, M), and no table of tau's entry grows past its first size;
+    # 1 000 distinct N for gn_sum grow no table of the entry either, and
+    # keep at most 64 coefficient sets
     tau = 0.9 + 0.45j
     z = 1.2 + 0.3j
     log_double_gamma(z, tau, ComputeParams(N=40, M=16, m_cd=64))
@@ -907,7 +911,11 @@ def test_slot_replaced_never_grows():
         engine._correction(z, tau, N, 1 + N % 16)
     assert backend.tau_memo(tau) is entry
     assert sizes() == before
-    assert entry.correction[:2] == (10039, 1 + 10039 % 16)
+    info = engine._correction_slot.cache_info()
+    assert info.currsize == info.maxsize == 8
+    for N in range(10032, 10040):
+        engine._correction(z, tau, N, 1 + N % 16)
+    assert engine._correction_slot.cache_info().hits == info.hits + 8
     for N in range(40, 1040):
         backend.gn_sum(z, tau, N)
     assert sizes() == before
@@ -1101,13 +1109,15 @@ def test_asymptotic_route_agrees_with_product():
 
 def test_auto_product_builds_one_series_set_and_no_correction():
     # at a fresh tau the automatic product sums every term: one coefficient
-    # set, for S(m_switch), none for S(N + 1), and no correction slot
+    # set, for S(m_switch), none for S(N + 1), and no correction polynomial
+    # built or read
     tau = _fresh_tau(random.Random(31))
     misses = backend._series.cache_info().misses
+    slots = engine._correction_slot.cache_info()
     r = log_double_gamma(9.0 + 2.0j, tau)
     assert r.route == "product"
     assert backend._series.cache_info().misses == misses + 1
-    assert backend.tau_memo(tau).correction is None
+    assert engine._correction_slot.cache_info() == slots
 
 
 def test_auto_product_agrees_with_explicit_plans_on_a_grid():
@@ -1233,14 +1243,59 @@ def test_shifted_route_declines_to_the_product(monkeypatch):
     z, tau = cases[0][0]
     assert engine._shift_steps(z, tau, 10 ** 9) > engine._SHIFT_MAX
     monkeypatch.setattr(engine, "_SHIFT_MAX", 10 ** 9)
-    n_plan = choose_params(z, tau).N
-    assert engine._shifted_route(z, tau, n_plan)[1] <= 1e-9
+    assert engine._shifted_route(z, tau)[1] <= 1e-9
     z, tau = cases[1][0]
     assert engine._shift_steps(z, tau, 10 ** 9) <= 2000
-    assert engine._shifted_route(z, tau, choose_params(z, tau).N)[1] > 1e-9
+    assert engine._shifted_route(z, tau)[1] > 1e-9
     z, tau = cases[2][0]
     n = engine._shift_steps(z, tau, 10 ** 9)
     assert engine._n_floor(z + n * tau, tau) <= engine._N0_CROSSOVER
+
+
+def test_shift_steps_stay_below_the_floor():
+    # a point reaches _shifted_route only past the crossover; on a seeded
+    # grid of in-cone points there (|z| in [1, 1e4], |tau| in [0.05, 50],
+    # |arg tau| in [1e-6, 3pi/4]) every shift count is below the product
+    # floor N0, so no plan's N would bound it
+    rng = random.Random(41)
+    seen = shifted = 0
+    for _ in range(8000):
+        arg = 0.75 * math.pi * (1e-6 / (0.75 * math.pi)) ** rng.random()
+        tau = cmath.rect(0.05 * 1000.0 ** rng.random(),
+                         rng.choice((-1.0, 1.0)) * arg)
+        a = cmath.phase(-tau)
+        z = cmath.rect(10.0 ** (4.0 * rng.random()),
+                       a + (math.copysign(math.pi, a) - a) * rng.random())
+        if engine._outside_cone(z, tau) or not engine._past_crossover(z, tau):
+            continue
+        try:
+            n0 = engine._n_floor(z, tau)
+        except CapacityError:    # refused before any route
+            continue
+        seen += 1
+        n = engine._shift_steps(z, tau, engine._SHIFT_MAX + 1)
+        if n is not None:
+            shifted += 1
+            assert n < n0, (z, tau, n, n0)
+    assert seen >= 2000 and shifted >= 1000, (seen, shifted)
+
+
+def test_large_z_decline_builds_no_coefficients():
+    # scatter_point(7, 208): past the crossover, outside the cone and
+    # clear of the terms beyond all orders, but no tail order meets the
+    # target at |z| = 5.77. From cold memos the expansion declines before
+    # it pays for tau's coefficients and their b0, and the product answers
+    z = 5.595398535319003 + 1.4260983602279425j
+    tau = 0.2991297704611933 - 0.05826283386858516j
+    assert engine._past_crossover(z, tau) and engine._outside_cone(z, tau)
+    assert engine._beyond_all_orders(z, tau) <= engine._BEYOND_MAX
+    target = engine._TARGET * (1.0 + abs(z))
+    assert engine._tail_order(engine._tail(tau, engine._TAIL_LEN), abs(z),
+                              target) is None
+    clear_memos()
+    assert log_double_gamma(z, tau).route == "product"
+    assert backend.tau_memo(tau).coeffs is None
+    assert engine._b0_memo.cache_info().currsize == 0
 
 
 def test_shift_steps_is_the_least_n():
@@ -1281,7 +1336,7 @@ def test_shifted_route_against_mpmath_barnesg():
                            math.pi + rng.uniform(-0.19, 0.19))
             if engine._zero_within(z, 1.0, 0.1):
                 continue
-            found = engine._asymptotic_route(z, 1.0, choose_params(z, 1.0).N)
+            found = engine._asymptotic_route(z, 1.0)
             if found is None:
                 continue
             log_val, est, route = found
@@ -1568,6 +1623,20 @@ def test_capacity_error():
     for f in (choose_params, log_double_gamma):
         with pytest.raises(CapacityError):
             f(0.01, 3e-5)
+
+
+def test_plan_refused_past_the_floor():
+    # the floor N0 = 506 171 is under the cap, but no order M <= 16 meets
+    # the target at any N up to it: the plan's search in N refuses late,
+    # and the automatic evaluation with it, each at once
+    z = -0.7152648042482597 - 2.931138379937469j
+    tau = 7.806583590968538e-05 - 1.391201519815768e-05j
+    assert engine._n_floor(z, tau) == 506171 < engine._N_CAP
+    for f in (choose_params, log_double_gamma):
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError, match="truncation exceeded"):
+            f(z, tau)
+        assert time.perf_counter() - t0 < 0.1, f
 
 
 def test_value_overflow_is_inf():
