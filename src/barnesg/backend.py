@@ -394,7 +394,9 @@ class TauEntry:
       filled by gn_sum, and by cd_sums for its k < k0, which are also
       direct terms of the product (k0 <= gn_sum's switch point), so the
       evaluation that builds the modular forms first finds them warm;
-    * p_rows: the engine's {k: rows of P_k(z;-tau)}, k <= 16;
+    * p_rows: the engine's {k: rows of P_k(z;-tau)}, k <= 16, filled by
+      a plan (explicit, or read from an automatic result's params_used)
+      and by the correction of an explicit one;
     * coeffs: the engine's AsymptoticCoeffs of the large-z expansion, or
       None (their b0 is read from the engine's own bits-keyed map of 64
       tau, _b0_memo, which outlives the 8 entries of tau_memo)."""

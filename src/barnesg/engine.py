@@ -91,6 +91,16 @@ _REFLECT_RADIUS = 1e-4
 _SHIFT_MAX = 2000
 _SHIFT_ROUNDOFF = 2.5
 _SHIFT_ERR_MAX = 1e-9
+# an automatic evaluation at |arg tau| <= 3pi/4 runs no plan; it plans up
+# front only where choose_params can refuse, past this product floor N0 or
+# this |z|, so that reading params_used later never raises. Over seeded
+# draws at |arg tau| <= 3pi/4 and |z| <= _PLAN_Z the least N0 refused under
+# _N_CAP was 250 438 (at |tau| < 5e-4), and with N0 <= _PLAN_N0 the least
+# |z| refused was 1.09e28 (at |tau| ~ 1e24, where the rows of P_k overflow
+# binary64). Past _PLAN_N0 the product sums at least N0/4 direct terms, so
+# the plan costs little there
+_PLAN_N0 = _N_CAP // 10
+_PLAN_Z = 1e20
 # tau whose b0 _b0_memo keeps: more than the 21 a run_suite meets, at about
 # 0.2 KB an entry
 _B0_MEMO = 64
@@ -130,10 +140,15 @@ class EvalResult(Record):
     |arg tau| <= 3pi/4 sums every term instead of N and a correction, so
     its log is not bit-identical to log_double_gamma(z, tau, params_used),
     and its error_estimate is the cut of its series, not the correction
-    bound at the plan."""
+    bound at the plan.
 
-    __slots__ = ("log_value", "value", "error_estimate", "params_used",
-                 "route")
+    An automatic result that ran no plan keeps its (z, tau) and plans on
+    the first read of params_used, which every comparison, hash, repr,
+    pickle, copy and to_json_dict makes: they see the same plan either
+    way."""
+
+    __slots__ = ("log_value", "value", "error_estimate", "_plan", "route")
+    _fields = ("log_value", "value", "error_estimate", "params_used", "route")
 
     def __init__(self, log_value: complex, value: complex,
                  error_estimate: float, params_used: ComputeParams,
@@ -141,8 +156,19 @@ class EvalResult(Record):
         set_field(self, "log_value", log_value)
         set_field(self, "value", value)
         set_field(self, "error_estimate", error_estimate)
-        set_field(self, "params_used", params_used)
+        set_field(self, "_plan", params_used)
         set_field(self, "route", route)
+
+    @property
+    def params_used(self) -> ComputeParams:
+        plan = self._plan
+        if type(plan) is tuple:
+            # the (z, tau) of an automatic result (_result): planned now,
+            # through the name this module binds, and kept. Concurrent
+            # first reads may both plan, and get the same bits
+            plan = choose_params(*plan)
+            set_field(self, "_plan", plan)
+        return plan
 
     def to_json_dict(self) -> dict:
         return {
@@ -475,31 +501,40 @@ def log_double_gamma(z: complex, tau: complex,
     """Canonical log of G(z;tau); raises LatticeZeroError at zeros of G,
     whether or not the product with the given N would reach them.
 
-    With params None the plan is choose_params', and the routes are chosen
-    from (z, tau) alone. At |arg tau| > 3pi/4, where gn_sum never
-    regroups, the reflection identity runs instead (route "reflection",
-    _reflection_route), except where 1 - z (1 - conj z at Im tau > 0) lies
-    within _REFLECT_RADIUS of a zero of its inner G; the product at the
-    plan's N and M answers there. Elsewhere, where the large-z expansion
-    passes _asymptotic_route's accuracy tests, the expansion runs instead:
-    at z (route "asymptotic"), or, for a z inside the zero cone, at
-    z + n tau, carried back by n shift equations (route "shifted"). On
-    these routes the log matches the canonical log only modulo 2 pi i.
-    Otherwise the product sums every term, not the plan's N: the direct
-    terms and S(m_switch) of backend._gn_parts, added to the prefactor
-    pieces by math.fsum, with the cut of that series,
-    (_SERIES_EPS + (K - 2) _BINET_EPS) |z|, as the error estimate. So
-    params_used is the plan an explicit call would run, but the log is not
-    bit-identical to log_double_gamma(z, tau, r.params_used).
+    With params None the routes are chosen from (z, tau) alone. At
+    |arg tau| > 3pi/4, where gn_sum never regroups, the reflection identity
+    runs instead (route "reflection", _reflection_route), except where
+    1 - z (1 - conj z at Im tau > 0) lies within _REFLECT_RADIUS of a zero
+    of its inner G; the product at choose_params' N and M answers there.
+    Elsewhere, where the large-z expansion passes _asymptotic_route's
+    accuracy tests, the expansion runs instead: at z (route "asymptotic"),
+    or, for a z inside the zero cone, at z + n tau, carried back by n shift
+    equations (route "shifted"). On these routes the log matches the
+    canonical log only modulo 2 pi i. Otherwise the product sums every
+    term, with no N and no correction: the direct terms and S(m_switch) of
+    backend._gn_parts, added to the prefactor pieces by math.fsum, with the
+    cut of that series, (_SERIES_EPS + (K - 2) _BINET_EPS) |z|, as the
+    error estimate, and m_cd = default_m(tau). So params_used is the plan
+    an explicit call would run, but the log is not bit-identical to
+    log_double_gamma(z, tau, r.params_used).
+
+    At |arg tau| <= 3pi/4 no automatic route runs a plan, so none is made
+    up front: the result plans when params_used is first read. The
+    exceptions are points where choose_params can refuse (an N0 past
+    _PLAN_N0 or a |z| past _PLAN_Z), which plan before the routes as the
+    far sector does, so that every refusal comes from the call and reading
+    params_used never raises. _n_floor's DomainError for an overflowing
+    |z| comes at once; a CapacityError from _n_floor, default_m or the plan
+    waits for the zero test.
 
     Explicit params always run the product at their N and M, with the
     correction's error bound as the estimate, and raise CapacityError
     before summing when N exceeds _N_CAP or N |tau| <= |z|.
 
     Every route yields a log and its error estimate, and _result builds the
-    EvalResult from them, with choose_params' plan as params_used on an
-    automatic route; a log that is not finite in binary64 raises
-    DomainError.
+    EvalResult from them, with choose_params' plan, made or deferred, as
+    params_used on an automatic route; a log that is not finite in
+    binary64 raises DomainError.
     """
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
@@ -508,9 +543,13 @@ def log_double_gamma(z: complex, tau: complex,
     refused = None
     if auto:
         # before the zero test, so an overflowing |z| is refused at once; a
-        # refusal for capacity waits for it, since a zero needs no terms
+        # refusal for capacity waits for it, since a zero needs no terms.
+        # The plan runs here only where it is run (the far sector's product)
+        # or can refuse; elsewhere the result plans when params_used is read
         try:
-            params = choose_params(z, tau)
+            n0, m_cd = _n_floor(z, tau), default_m(tau)
+            plan = (choose_params(z, tau)
+                    if far or n0 > _PLAN_N0 or abs(z) > _PLAN_Z else (z, tau))
         except CapacityError as exc:
             refused = exc
     if _zero_within(z, tau, 1e-12 * (1.0 + abs(z))):
@@ -522,15 +561,20 @@ def log_double_gamma(z: complex, tau: complex,
         found = (_reflection_route(z, tau) if far
                  else _asymptotic_route(z, tau))
         if found is not None:
-            return _result(found[0], found[1], params, found[2])
-    if not abs(z) < params.N * abs(tau):
-        # the correction series in z/(N tau) diverges: refuse before summing
-        raise CapacityError(
-            f"N = {params.N} is too small for |z|/|tau| = {abs(z) / abs(tau):.6g};"
-            " the product needs N |tau| > |z|")
-    if params.N > _N_CAP:
-        raise CapacityError(f"product truncation N = {params.N} exceeds {_N_CAP}")
-    m_cd = params.m_cd if params.m_cd is not None else default_m(tau)
+            return _result(found[0], found[1], plan, found[2])
+        if far:
+            params = plan
+    else:
+        if not abs(z) < params.N * abs(tau):
+            # the correction series in z/(N tau) diverges: refuse before
+            # summing
+            raise CapacityError(
+                f"N = {params.N} is too small for |z|/|tau| = "
+                f"{abs(z) / abs(tau):.6g}; the product needs N |tau| > |z|")
+        if params.N > _N_CAP:
+            raise CapacityError(
+                f"product truncation N = {params.N} exceeds {_N_CAP}")
+        m_cd = params.m_cd if params.m_cd is not None else default_m(tau)
     mf = modular_forms_cached(tau, m_cd)
     lt, lg = -cmath.log(tau), log_gamma(z)
     at = mf.a_tilde * z / tau
@@ -549,7 +593,7 @@ def log_double_gamma(z: complex, tau: complex,
                 math.fsum((lt.imag, -lg.imag, at.imag, bt.imag, si, ci)))
         except (ValueError, OverflowError):  # inf - inf, or past binary64
             log_val = complex(math.nan, math.nan)
-        return _result(log_val, error, params)
+        return _result(log_val, error, plan)
     corr, error = _correction(z, tau, params.N, params.M)
     log_val = lt - lg + at + bt + backend.gn_sum(z, tau, params.N) + corr
     if far:
@@ -562,14 +606,16 @@ def log_double_gamma(z: complex, tau: complex,
     return _result(log_val, error, params)
 
 
-def _result(log_val: complex, error: float, params: ComputeParams,
+def _result(log_val: complex, error: float, plan: ComputeParams | tuple,
             route: str = "product") -> EvalResult:
     """The EvalResult of every evaluation, whatever its route: a log that
     left binary64 on the way is refused with DomainError, not returned as
-    exact; value is its exponential."""
+    exact; value is its exponential. plan is the ComputeParams reported as
+    params_used, or the (z, tau) of an automatic evaluation that ran none,
+    which the result plans from when params_used is first read."""
     if not cmath.isfinite(log_val):
         raise DomainError(f"log G is not finite in binary64: {log_val}")
-    return EvalResult(log_val, _safe_exp(log_val), error, params, route)
+    return EvalResult(log_val, _safe_exp(log_val), error, plan, route)
 
 
 def double_gamma_value(z: complex, tau: complex,
@@ -894,7 +940,11 @@ def _reflection_route(z: complex,
     lt = cmath.log(-2j * math.pi * t)
     log_val = lp - lq - lt - inner.log_value
     # the roundoff of the inner product (measured below 5.7 2^-52 N at
-    # tau = 1; its estimate counts truncation only) and of the three sums
+    # tau = 1; its estimate counts truncation only) and of the three sums.
+    # The plan's N read here is the package's only read of an automatic
+    # params_used, so this route alone plans the inner evaluation; it is
+    # kept for the estimate's bits until the error budget (roundoff from
+    # the sizes of the summed terms) replaces it
     roundoff = _TARGET * (8.0 * inner.params_used.N
                           + 1.5 * (abs(lp) + abs(lq) + abs(lt)
                                    + abs(inner.log_value)))
@@ -978,6 +1028,9 @@ def gamma2(z: complex, w1: complex, w2: complex,
                        / G(z/w1; w2/w1), principal powers.
 
     Valid under |arg w1 - arg w2| < pi with both arguments in (-pi, pi).
+    The error estimate, route and params_used are those of the inner
+    evaluation at (z/w1, w2/w1); an automatic one plans only when
+    params_used is read.
     """
     z = complex(z)
     w1 = complex(w1)
@@ -992,8 +1045,8 @@ def gamma2(z: complex, w1: complex, w2: complex,
     inner = log_double_gamma(z / w1, w2 / w1, params)
     p = -z * z / (2.0 * w1 * w2) + z * (w1 + w2) / (2.0 * w1 * w2) - 1.0
     log_val = (z / (2.0 * w1) * LN_2PI + p * cmath.log(w2) - inner.log_value)
-    return _result(log_val, inner.error_estimate, inner.params_used,
-                   inner.route)
+    # the inner plan, passed on unread
+    return _result(log_val, inner.error_estimate, inner._plan, inner.route)
 
 
 def log_G_integrand(z: complex, tau: complex):

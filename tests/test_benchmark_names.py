@@ -1,6 +1,6 @@
 """The library names that the benchmark under perfbench/ binds still resolve,
 and the library keeps the behaviour the benchmark relies on: every automatic
-route records choose_params' plan, and refusals come before any work.
+route reports choose_params' plan, and refusals come before any work.
 
 perfbench/ is read here, never changed: a rename in the library that the
 benchmark depends on fails this test instead of the benchmark run.
@@ -78,17 +78,34 @@ def test_run_suite_calls_gn_sum_with_an_integer_n(monkeypatch):
 
 def test_auto_eval_calls_choose_params(monkeypatch):
     # The traced benchmark measures engine.choose_params.us_per_call from
-    # the calls the automatic path makes through the name engine binds; a
-    # plan reached any other way leaves that layer with no calls.
+    # the calls made through the name engine binds; a plan reached any
+    # other way leaves that layer with no calls. An automatic evaluation at
+    # |arg tau| <= 3pi/4 runs no plan and makes its call when params_used
+    # is first read; the far sector, whose product fallback runs the plan,
+    # calls it up front. perfbench's coverage phase takes the layer's
+    # us_per_call on scatter from run_suite's calls, which the tracer sees
+    # at every module that binds the function, as here.
     calls = []
     original = barnesg.engine.choose_params
+    assert original is barnesg.identities.choose_params
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(barnesg.engine, "choose_params", counting)
-    barnesg.engine.log_double_gamma(1.5 + 0.5j, 2.0)
+    monkeypatch.setattr(barnesg.identities, "choose_params", counting)
+    monkeypatch.setattr(barnesg, "choose_params", counting)
+    rec = barnesg.engine.log_double_gamma(1.5 + 0.5j, 2.0)
+    assert calls == []
+    assert rec.params_used == original(1.5 + 0.5j, 2.0)
+    assert calls == [(1.5 + 0.5j, 2.0 + 0j)]
+    assert rec.params_used == original(1.5 + 0.5j, 2.0)
+    assert len(calls) == 1
+    barnesg.engine.log_double_gamma(0.3 + 0.2j, -1 + 0.1j)
+    assert len(calls) >= 2
+    del calls[:]
+    barnesg.identities.run_suite(0)
     assert calls
 
 

@@ -4,12 +4,14 @@ growth, pure evaluators safe for unrestricted concurrent use."""
 
 import cmath
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from conftest import clear_memos
 
 from barnesg import backend, engine
-from barnesg.engine import ComputeParams, b0_of_tau, log_double_gamma
+from barnesg.engine import (ComputeParams, b0_of_tau, choose_params,
+                            log_double_gamma)
 from barnesg.kernels import log_gamma, polygamma
 from barnesg.polys import p_poly_recursive, q_poly, q_poly_recursive
 
@@ -37,6 +39,29 @@ def test_engine_concurrent_evaluations_deterministic():
     with ThreadPoolExecutor(max_workers=6) as ex:
         results = list(ex.map(run, args))
     assert all(r == serial for r in results)  # bit-identical
+
+
+def test_deferred_plan_read_by_threads():
+    # 8 threads make the first reads of one fresh automatic result's
+    # params_used at once: each may plan, and all get the same plan
+    clear_memos()
+    z, tau = 2.3 - 0.4j, 0.8 + 0.35j
+    r = log_double_gamma(z, tau)
+    start = threading.Barrier(8)
+
+    def read(_):
+        start.wait()
+        return r.params_used
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            plans = list(ex.map(read, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(old)
+    assert all(p == choose_params(z, tau) for p in plans)
+    assert r.params_used == plans[0]
 
 
 def test_per_tau_memos_under_concurrent_fill_and_eviction():

@@ -717,17 +717,21 @@ def test_memo_bounds():
 
 
 def test_memo_entry_filled_and_evicted_whole():
-    # an automatic product evaluation fills the direct table and the P_k
-    # rows of its tau's entry and builds no correction, and an explicit
-    # plan builds one, in the correction LRU; 8 further tau evict the
-    # entry, and with it every field at once
+    # an automatic product evaluation fills the direct table of its tau's
+    # entry and runs no plan: its P_k rows stay empty until params_used is
+    # read, which plans and fills them, and no correction is built; an
+    # explicit plan builds one, in the correction LRU; 8 further tau evict
+    # the entry, and with it every field at once
     assert backend.TauEntry.__slots__ == ("direct", "p_rows", "coeffs")
     rng = random.Random(10)
     tau = _fresh_tau(rng)
     slots = engine._correction_slot.cache_info().misses
     r = log_double_gamma(9.0 + 2.0j, tau)   # both gn_sum branches
     entry = backend.tau_memo(tau)
-    assert entry.direct and entry.p_rows
+    assert entry.direct and entry.p_rows == {}
+    plan = r.params_used
+    assert entry.p_rows
+    assert plan == choose_params(9.0 + 2.0j, tau)
     assert engine._correction_slot.cache_info().misses == slots
     log_double_gamma(9.0 + 2.0j, tau, r.params_used)
     assert engine._correction_slot.cache_info().misses == slots + 1
@@ -1550,6 +1554,24 @@ def test_gamma2_argument_condition():
         gamma2(1.0, -1.0, 1.0)  # arg w1 not inside (-pi, pi)
 
 
+def test_gamma2_passes_the_inner_plan_on_unread(monkeypatch):
+    # at |arg tau| <= 3pi/4 the automatic inner evaluation runs no plan,
+    # and gamma2 forces none: the plan is made once, on the first read
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return choose_params(*args)
+
+    monkeypatch.setattr(engine, "choose_params", counting)
+    z, tau = 1.3 + 0.2j, 1.5 + 0.5j
+    r = gamma2(z, 1.0, tau)
+    assert calls == []
+    assert r.params_used == choose_params(z, tau)
+    assert calls == [(z, tau)]
+    assert r.params_used is r.params_used and len(calls) == 1
+
+
 # ---------------------------------------------------------- integral oracle
 
 @pytest.mark.parametrize("z,tau", [(1.0, 2.0), (SQRT3, SQRT3), (2.5, 1.3)])
@@ -1637,6 +1659,43 @@ def test_plan_refused_past_the_floor():
         with pytest.raises(CapacityError, match="truncation exceeded"):
             f(z, tau)
         assert time.perf_counter() - t0 < 0.1, f
+
+
+def test_plan_never_refused_inside_the_deferred_band():
+    # an automatic evaluation at |arg tau| <= 3pi/4 plans up front only past
+    # N0 > _PLAN_N0 or |z| > _PLAN_Z, where choose_params can refuse; below
+    # both its plan is deferred to the first read of params_used, which
+    # must never raise. Seeded draws, log-uniform in |tau| and |z|
+    rng = random.Random(2701)
+    planned = 0
+    for k in range(24_000):
+        if k < 20_000:
+            at, az = 10 ** rng.uniform(-6, math.log10(3)), 10 ** rng.uniform(-3, 2)
+        else:   # large |tau|, with the |z| that N0 <= _PLAN_N0 allows
+            at = 10 ** rng.uniform(0, 16)
+            az = 10 ** rng.uniform(-3, math.log10(engine._PLAN_N0 * at / 8))
+        tau = cmath.rect(at, rng.uniform(-0.75, 0.75) * math.pi)
+        z = cmath.rect(az, rng.uniform(-1.0, 1.0) * math.pi)
+        try:
+            n0 = engine._n_floor(z, tau)
+        except CapacityError:   # N0 past _N_CAP
+            continue
+        if n0 <= engine._PLAN_N0 and az <= engine._PLAN_Z:
+            choose_params(z, tau)   # raises CapacityError on a refusal
+            planned += 1
+    assert planned >= 15_000
+
+
+def test_plan_refused_at_a_huge_z_before_any_work():
+    # N0 is small, but the rows of P_k overflow binary64 at |tau| ~ 1e24,
+    # so no order meets the target and the plan refuses: the automatic
+    # evaluation plans up front there (|z| > _PLAN_Z) and refuses with it
+    z, tau = 1e28 + 1e28j, 1e24 + 1e24j
+    assert engine._n_floor(z, tau) == 80000 <= engine._PLAN_N0
+    assert abs(z) > engine._PLAN_Z
+    for f in (choose_params, log_double_gamma):
+        with pytest.raises(CapacityError, match="truncation exceeded"):
+            f(z, tau)
 
 
 def test_value_overflow_is_inf():

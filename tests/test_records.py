@@ -121,6 +121,35 @@ def test_copy_and_pickle_keep_the_value():
             assert twin == r and type(twin) is type(r)
 
 
+def test_deferred_plan_reads_as_the_plan():
+    # an automatic result plans on the first read of params_used; each of
+    # repr, ==, hash, pickle, copy and to_json_dict, made first or after
+    # that read, gives what the record built with choose_params' plan gives
+    from barnesg.engine import choose_params, log_double_gamma
+    z, tau = 1.5 + 0.5j, 2.0
+    r = log_double_gamma(z, tau)
+    eager = EvalResult(r.log_value, r.value, r.error_estimate,
+                       choose_params(z, tau), r.route)
+    checks = (
+        lambda r: repr(r) == repr(eager),
+        lambda r: r == eager and eager == r,
+        lambda r: hash(r) == hash(eager),
+        lambda r: repr(pickle.loads(pickle.dumps(r))) == repr(eager),
+        lambda r: repr(copy.copy(r)) == repr(eager),
+        lambda r: r.to_json_dict() == eager.to_json_dict(),
+    )
+    for check in checks:
+        for read_first in (False, True):
+            r = log_double_gamma(z, tau)
+            assert type(r._plan) is tuple   # deferred
+            if read_first:
+                assert r.params_used == eager.params_used
+            assert check(r)
+            assert r.params_used == eager.params_used
+    with pytest.raises(AttributeError):
+        r.params_used = eager.params_used
+
+
 def test_identity_report_is_mutable_with_fresh_notes():
     a = IdentityReport("x", [(1, 2)], [0.5], 1.0)
     b = IdentityReport("x", [(1, 2)], [0.5], 1.0)
