@@ -1,13 +1,18 @@
 """Command-line front end.
 
 Subcommands: eval, table, polys, modular-forms, verify, bench.
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 capacity or non-convergence.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error
+(an --out path that cannot be written too), 3 capacity or non-convergence.
 
-eval and modular-forms print their record's own to_json_dict(), table a
-list of rows built from those records, and the CSV rows of these three are
-read off the JSON records through their headers, only under --format csv.
-JSON prints each float as its shortest round-trip repr and CSV with 17
+eval and modular-forms print their record's own to_json_dict(). table
+prints one row per grid point, built from the EvalResult's log, value and
+error estimate: with no --N, --M or --m each row is the automatic
+evaluation, as eval's, and with any of them every row runs the one plan
+made at the grid's largest |z|. Its JSON comes from a fixed row template
+with the bytes of json.dumps(rows, indent=2). Under --format csv alone,
+the CSV rows of eval and modular-forms are read off their JSON records
+through the headers, and table's off the same rows as its JSON. JSON
+prints each float as its shortest round-trip repr and CSV with 17
 significant digits; both read back bit-exactly at binary64. main builds the
 argument parser once per process.
 """
@@ -20,8 +25,9 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
-from . import engine, identities, modular, polys
+from . import backend, engine, identities, modular, polys
 from .errors import CapacityError, ConvergenceError, DomainError, LatticeZeroError
 
 EXIT_OK = 0
@@ -43,16 +49,23 @@ def _emit(args, payload, csv_header, csv_rows) -> None:
     """Write either the JSON payload or the equivalent CSV rows; csv_rows
     is a function returning the rows, called only under --format csv."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2)
+        _write(args, json.dumps(payload, indent=2))
     else:
-        import csv  # only here: the JSON path never loads it
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(csv_header)
-        for row in csv_rows():
-            w.writerow([format(v, ".17g") if isinstance(v, float) else v
-                        for v in row])
-        text = buf.getvalue().rstrip("\n")
+        _write(args, _csv_text(csv_header, csv_rows()))
+
+
+def _csv_text(header, rows) -> str:
+    import csv  # only here: the JSON path never loads it
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([format(v, ".17g") if isinstance(v, float) else v
+                    for v in row])
+    return buf.getvalue().rstrip("\n")
+
+
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -71,7 +84,10 @@ def _csv_rows(header, records) -> list:
     return [[cell(r, c) for c in header] for r in records]
 
 
-def _params_from_args(z, tau, args) -> engine.ComputeParams:
+def _params_from_args(z, tau, args) -> engine.ComputeParams | None:
+    # None with no truncation flag: the library then picks the truncations
+    if (args.N, args.M, args.m) == (None, None, None):
+        return None
     if args.N is not None:
         return engine.ComputeParams(
             N=args.N, M=12 if args.M is None else args.M, m_cd=args.m)
@@ -89,24 +105,19 @@ def _params_from_args(z, tau, args) -> engine.ComputeParams:
 
 # ---------------------------------------------------------------- commands
 
-def _lattice_zero() -> dict:
-    # the record of G = 0, in the key order of EvalResult.to_json_dict
-    return {"log": None, "value": {"re": 0.0, "im": 0.0}, "err_est": 0.0}
-
-
 def _cmd_eval(args) -> int:
     z, tau = args.z, args.tau
     # with no override the library picks the truncations, so a zero it finds
     # without summing reports N and M as null
-    params = None
-    if (args.N, args.M, args.m) != (None, None, None):
-        params = _params_from_args(z, tau, args)
+    params = _params_from_args(z, tau, args)
     header = ["log_re", "log_im", "value_re", "value_im", "err_est", "N", "M"]
     try:
         record = engine.log_double_gamma(z, tau, params).to_json_dict()
     except LatticeZeroError:
         N, M = (None, None) if params is None else (params.N, params.M)
-        record = {**_lattice_zero(), "N": N, "M": M, "note": "lattice zero"}
+        # the record of G = 0, in the key order of EvalResult.to_json_dict
+        record = {"log": None, "value": {"re": 0.0, "im": 0.0}, "err_est": 0.0,
+                  "N": N, "M": M, "note": "lattice zero"}
         header.append("note")
     _emit(args, record, header, lambda: _csv_rows(header, [record]))
     return EXIT_OK
@@ -125,7 +136,50 @@ def _parse_grid(text: str) -> tuple[complex, complex, int]:
         raise argparse.ArgumentTypeError(f"bad grid count in {text!r}")
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
+    if count > backend._N_CAP:
+        # refused before a point is built, as every length past the cap is
+        raise argparse.ArgumentTypeError(
+            f"grid count is capped at {backend._N_CAP}")
     return start, stop, count
+
+
+# one row of table's JSON as json.dumps(rows, indent=2) spells it, and the
+# {"re", "im"} pair of a complex at the depth of a row's keys
+_ROW = """  {
+    "index": %d,
+    "z": %s,
+    "value": %s,
+    "log": %s,
+    "err_est": %s,
+    "note": %s
+  }"""
+_PAIR = """{
+      "re": %s,
+      "im": %s
+    }"""
+# json's spelling of the floats that float.__repr__ spells otherwise
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    s = float.__repr__(x)
+    return _NON_FINITE.get(s, s)
+
+
+def _json_pair(w: complex) -> str:
+    return _PAIR % (_json_float(w.real), _json_float(w.imag))
+
+
+def _table_json(rows) -> str:
+    """json.dumps(rows, indent=2) of the rows' records, byte for byte, from
+    the (z, log, value, err_est, note) tuples of _cmd_table. indent turns
+    json's C encoder off, and its pure-Python one walks every row's dicts;
+    the template spells each value as json does and nothing else."""
+    return "[\n" + ",\n".join([
+        _ROW % (k, _json_pair(z), _json_pair(value),
+                "null" if log is None else _json_pair(log),
+                _json_float(err), encode_basestring_ascii(note))
+        for k, (z, log, value, err, note) in enumerate(rows)]) + "\n]"
 
 
 def _cmd_table(args) -> int:
@@ -133,19 +187,27 @@ def _cmd_table(args) -> int:
     tau = args.tau
     zs = [start] if count == 1 else [
         start + (stop - start) * (k / (count - 1)) for k in range(count)]
+    # as in eval: with no override each row is the automatic evaluation,
+    # which plans nothing; a truncation flag runs one explicit plan, made
+    # at the grid's largest |z|. Rows read the result's fields, not
+    # to_json_dict, which would make the automatic plan at every row
     params = _params_from_args(max(zs, key=abs), tau, args)
     rows = []
-    for idx, z in enumerate(zs):
+    for z in zs:
         try:
-            r, note = engine.log_double_gamma(z, tau, params).to_json_dict(), ""
+            r = engine.log_double_gamma(z, tau, params)
+            rows.append((z, r.log_value, r.value, r.error_estimate, ""))
         except LatticeZeroError:
-            r, note = _lattice_zero(), "lattice zero"
-        rows.append({"index": idx, "z": {"re": z.real, "im": z.imag},
-                     "value": r["value"], "log": r["log"],
-                     "err_est": r["err_est"], "note": note})
-    header = ["index", "z_re", "z_im", "value_re", "value_im",
-              "log_re", "log_im", "err_est", "note"]
-    _emit(args, rows, header, lambda: _csv_rows(header, rows))
+            rows.append((z, None, 0j, 0.0, "lattice zero"))
+    if args.format == "json":
+        _write(args, _table_json(rows))
+    else:
+        header = ["index", "z_re", "z_im", "value_re", "value_im",
+                  "log_re", "log_im", "err_est", "note"]
+        _write(args, _csv_text(header, [
+            [k, z.real, z.imag, value.real, value.imag,
+             *(("", "") if log is None else (log.real, log.imag)), err, note]
+            for k, (z, log, value, err, note) in enumerate(rows)]))
     return EXIT_OK
 
 
@@ -336,6 +398,9 @@ def main(argv=None) -> int:
     except (CapacityError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -362,9 +362,11 @@ def _correction_slot(tau_bits: bytes, tau: complex, N: int,
     pw_prev and pw_last are (-tau)^(-k-1) at k = M - 1 and M by
     _coefficients' own products (pw_prev is None at M = 1). Built from the
     rows of P_k (tau's backend.tau_memo p_rows) with no Horner in z, and
-    kept for the last 8 (tau, N, M): an explicit table needs one per op,
-    run_suite one per explicit check. Each value depends on (tau, N, M)
-    alone. Threads: as for backend.tau_memo."""
+    kept for the last 8 (tau, N, M). Only explicit plans read it: a table
+    with a truncation flag (one per op), run_suite's explicit checks (one
+    each) and the far sector's product fallback; the automatic product
+    never does. Each value depends on (tau, N, M) alone. Threads: as for
+    backend.tau_memo."""
     p_rows = backend.tau_memo(tau).p_rows
     inv_neg_tau = -1.0 / tau
     pw = inv_neg_tau * inv_neg_tau      # (-tau)^(-k-1) at k = 1

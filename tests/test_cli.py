@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from barnesg import backend, engine
-from barnesg.cli import main, parse_complex
+from barnesg.cli import _parse_grid, _table_json, main, parse_complex
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +248,76 @@ def test_table_bad_grid_exit(capsys):
     assert exc.value.code == 2
 
 
+def test_table_grid_count_capped_before_any_point(capsys, monkeypatch):
+    # a count past the package's length cap is a usage error from the
+    # parser, before a grid point is built or evaluated
+    def never(*args):
+        raise AssertionError("a grid point was evaluated")
+
+    monkeypatch.setattr(engine, "log_double_gamma", never)
+    for count in (backend._N_CAP + 1, 10 ** 9):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--grid", f"0:1:{count}", "--tau", "2"])
+        assert exc.value.code == 2
+        assert "capped" in capsys.readouterr().err
+    assert _parse_grid(f"0:1:{backend._N_CAP}")[2] == backend._N_CAP
+
+
+def test_table_without_flags_plans_nothing(capsys, monkeypatch):
+    # automatic rows read log, value and err_est off the result, never
+    # params_used, which would plan at every row; the one flagged table
+    # plans once. Patched through the module name params_used calls
+    calls = []
+    original = engine.choose_params
+
+    def counting(z, tau):
+        calls.append((z, tau))
+        return original(z, tau)
+
+    monkeypatch.setattr(engine, "choose_params", counting)
+    grid = ["--grid=0.5+0.1i:3.5+1.2i:40", "--tau=1.1+0.35i"]
+    for fmt in ("json", "csv"):
+        code, _, _ = run_cli(capsys, "table", *grid, "--format", fmt)
+        assert code == 0 and calls == [], fmt
+    code, _, _ = run_cli(capsys, "table", *grid, "--m", "100")
+    assert code == 0 and len(calls) == 1
+
+
+def _row_record(k, row):
+    # the record json.dumps writes for one of _cmd_table's row tuples
+    z, log, value, err, note = row
+    return {"index": k, "z": {"re": z.real, "im": z.imag},
+            "value": {"re": value.real, "im": value.imag},
+            "log": None if log is None else {"re": log.real, "im": log.imag},
+            "err_est": err, "note": note}
+
+
+def test_table_json_template_is_json_dumps():
+    inf, nan, tiny = math.inf, math.nan, 5e-324
+    rows = [(complex(-1.0, 0.0), None, 0j, 0.0, "lattice zero"),
+            (complex(inf, -inf), complex(nan, -0.0), complex(tiny, -tiny),
+             inf, ""),
+            (complex(-0.0, 2.5e-310), complex(1e308, -1.7976931348623157e308),
+             complex(0.1, 1 / 3), nan, "\u00e9 \"q\" \\ \n"),
+            (complex(1.5, 0.5), complex(2.0 ** -1074, 123456789.0),
+             complex(-inf, nan), -inf, "")]
+    assert _table_json(rows) == json.dumps(
+        [_row_record(k, r) for k, r in enumerate(rows)], indent=2)
+    assert _table_json(rows[:1]) == json.dumps([_row_record(0, rows[0])],
+                                               indent=2)
+
+
+def test_table_json_is_json_dumps_of_its_rows(capsys):
+    # a real table, flagged or not and with lattice zeros, prints the bytes
+    # of json.dumps(rows, indent=2)
+    for argv in (("--grid=-2:-0.5:7", "--tau=1"),
+                 ("--grid=-2:-0.5:7", "--tau=1", "--N", "40"),
+                 ("--grid=0.2:40+5i:30", "--tau=1+1i")):
+        code, out, _ = run_cli(capsys, "table", *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
 # -------------------------------------------------------------------- polys
 
 def test_polys_q5(capsys):
@@ -385,6 +455,18 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert "value" in payload
+
+
+def test_out_path_unwritable_exit(tmp_path, capsys):
+    # an --out that cannot be opened is a usage error, not a traceback and
+    # exit 1 (the verification-failure code)
+    target = tmp_path / "missing" / "x.json"
+    for cmd in (("table", "--grid", "1:2:3", "--tau", "2"),
+                ("eval", "--z", "1.5", "--tau", "2")):
+        code, out, err = run_cli(capsys, *cmd, "--out", str(target))
+        assert code == 2, cmd
+        assert out == "" and err.startswith("error: ") and "x.json" in err
+        assert not target.exists()
 
 
 # one parser per process: every subcommand, per command an error, an --out

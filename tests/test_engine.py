@@ -851,13 +851,13 @@ def test_slot_log_within_four_ulps_of_the_a_list_sum():
 
 
 def test_table_rows_are_the_evaluator_bit_for_bit(capsys):
-    # no table-only path: row k is log_double_gamma(z_k, tau, plan), with
-    # the plan the table takes (choose_params at its largest |z|) or an
-    # explicit one
+    # no table-only path: with no flag row k is the automatic
+    # log_double_gamma(z_k, tau), as in eval; with a flag it is
+    # log_double_gamma(z_k, tau, plan) at the one explicit plan
     from barnesg.cli import main
     start, stop, count, tau = 0.5 + 0.1j, 3.5 + 1.2j, 40, 1.1 + 0.35j
     zs = [start + (stop - start) * (k / (count - 1)) for k in range(count)]
-    for extra, params in (((), choose_params(max(zs, key=abs), tau)),
+    for extra, params in (((), None),
                           (("--N", "70", "--M", "9"),
                            ComputeParams(N=70, M=9))):
         assert main(["table", f"--grid={start}:{stop}:{count}",
