@@ -35,7 +35,8 @@
 
 At a fresh tau every z-independent kernel value is computed once: the
 modular forms run first and fill the direct table for k < k0, and gn_sum
-finds those terms warm, since k0 is at most its switch point.
+finds those of its direct terms warm (TauEntry says where k0 passes its
+switch point).
 
 Every Bernoulli-type tail (``_tail``) is a Horner polynomial whose length
 is read from a table of limits on its argument, built at import per
@@ -375,12 +376,16 @@ def _neumaier_add(s: float, c: float, x: float) -> tuple[float, float]:
     return t, c
 
 
-_STABLE_RADIUS = 16.0
+# gn_sum regroups its terms from the switch point on, where every z + m tau
+# lies at least _CUT_MARGIN from the cut: the radius where lgG's 13 Binet
+# terms reach 2^-60 (_switch_point)
+_CUT_MARGIN = 8.0
 _MEMO_M = 1024
 # gn_sum's S(a) (see _series) is cut where a proven bound on the rest falls
-# below _SERIES_EPS |z|, and each coefficient's Binet sum where its next
-# term's bound falls below _BINET_EPS |z|. The scaled Hurwitz rows the
-# coefficients are built from are kept for up to _ZETA_KEYS integers a
+# below _SERIES_EPS |z|, and each coefficient's Binet sum where the bounds
+# of the terms it leaves out sum below _BINET_EPS |z|. The scaled Hurwitz
+# rows the coefficients are built from are kept for up to _ZETA_KEYS
+# integers a
 _SERIES_EPS = 2.0 ** -56
 _BINET_EPS = 2.0 ** -60
 _ZETA_KEYS = 512
@@ -388,12 +393,35 @@ _ZETA_KEYS = 512
 _EM = tuple(b / math.factorial(2 * j + 2) for j, b in enumerate(_B2K))
 
 
+def _cut_distance(w: complex) -> float:
+    """Distance from w to the cut (-inf, 0]: |w| at Re w >= 0, else
+    |Im w|."""
+    if w.real >= 0.0:
+        return abs(w)
+    return abs(w.imag)
+
+
+def _switch_point(z: complex, tau: complex) -> int:
+    """gn_sum's switch point at |arg tau| <= 3pi/4, the first m it regroups:
+    a = ceil(max((8 + |z|)/d(tau), 2|z|/|tau|)), d = _cut_distance. From a
+    on, every z + m tau lies at least _CUT_MARGIN = 8 from the cut and
+    |z/(m tau)| <= 1/2, so R = a|tau| >= 8 + |z| (d <= |tau|) and R >= 2|z|.
+    For |z| >= 8 at Re tau >= 0 it is ceil(2|z|/|tau|)."""
+    az = abs(z)
+    return math.ceil(max((_CUT_MARGIN + az) / _cut_distance(tau),
+                         2.0 * az / abs(tau)))
+
+
 class TauEntry:
     """The z-independent work of the evaluations at one tau (tau_memo):
     * direct: {k: (lgG(w), psi(w), psi'(w))}, w = k tau, k <= _MEMO_M,
-      filled by gn_sum, and by cd_sums for its k < k0, which are also
-      direct terms of the product (k0 <= gn_sum's switch point), so the
-      evaluation that builds the modular forms first finds them warm;
+      filled by gn_sum for its direct terms, below _switch_point, and by
+      cd_sums for its k < k0, so the evaluation that builds the modular
+      forms first finds them warm. At Re tau >= 0, k0 = ceil(8/|tau|) is
+      at most the switch point. At Re tau < 0, k0 = ceil(16/|tau|) can
+      pass it, which at small |z| is about 8/|Im tau|: there cd_sums also
+      builds the entries from the switch point to k0 - 1, whose psi and
+      psi' the modular forms read and whose lgG no product term reads;
     * p_rows: the engine's {k: rows of P_k(z;-tau)}, k <= 16, filled by
       a plan (explicit, or read from an automatic result's params_used)
       and by the correction of an explicit one;
@@ -492,9 +520,11 @@ def _zeta_row(a: int, p: int) -> array:
 
 @functools.lru_cache(maxsize=256)
 def _k_row(k: int) -> tuple:
-    """(f1, f2, g, |g|, beta) for the z^k coefficient of S(a), k >= 3: the
-    same at every (tau, a), built on first use; g and |g| are compact
-    arrays.
+    """(f1, f2, g, |g|, fall, beta) for the z^k coefficient of S(a), k >= 3:
+    the same at every (tau, a), built on first use; g, |g| and beta's last
+    field are compact arrays. fall is the largest ratio |g_(j+1)| / |g_j|,
+    so that each of Binet's terms in c_k is at most fall R^-2 times the one
+    before.
 
     With u = z/w, w = m tau, the z^k coefficient of -lgG(z + w) from
     Stirling's series is w^(1-k) times f1 (from (z + w - 1/2) log(1 + u)),
@@ -502,35 +532,33 @@ def _k_row(k: int) -> tuple:
     C(2j+k-2, k) from Binet's term b_j (w + z)^(1-2j), b_j =
     B_2j/((2j-1)2j), j = 1..13.
 
-    beta bounds what these series leave after u^k, summed over m >= a,
-    at R = a|tau| >= 16 and |u| <= 1/2: as R rho^(k+1) a^k T_k(a) beta,
-    rho = |z|/R. The log term's two series leave at most
-    |w| |u|^(k+1)/(k(k+1)) and |u|^(k+1)/(2(k+1)), each over 1 - |u| >= 1/2,
-    and sum to R rho^(k+1) a^k T_k(a) times 2/(k(k+1)) and
-    2/(2(k+1)R) <= 1/(16(k+1)). Binet's term j leaves at most
+    beta = (l, h, B) bounds what these series leave after u^k, summed over
+    m >= a, at |u| <= 1/2: as R rho^(k+1) a^k T_k(a) beta(R), R = a|tau|,
+    rho = |z|/R, beta(R) = l + h/R + sum_j B_j R^-2j. The log
+    term's two series leave at most |w| |u|^(k+1)/(k(k+1)) and
+    |u|^(k+1)/(2(k+1)), each over 1 - |u| >= 1/2, and sum to
+    R rho^(k+1) a^k T_k(a) times l = 2/(k(k+1)) and h/R, h = 1/(k+1).
+    Binet's term j leaves at most B_j R^-2j in the same unit:
     |b_j| C(2j+k-1, k+1) |u|^(k+1) / (1 - q) while the ratio of its
     consecutive terms stays below q = (2j+k)/(2(k+2)) < 1, and else, by
     Cauchy's bound on |u| = 3/4, 3 |b_j| 4^(2j-1) (4/3)^(k+1) |u|^(k+1);
-    summed over m it carries R^-2j <= 16^-2j."""
+    summed over m it carries R^-2j. _series takes beta at its own R, which
+    is at least 8 + |z| from the switch point on."""
     # c0 = C(2j+k-2, k) and c1 = C(2j+k-1, k+1) are carried from j to j + 1
     sign = 1.0 if k % 2 else -1.0
     cauchy = 0.75 * (4.0 / 3.0) ** (k + 1)
-    g, size, binet, c0, c1, r = [], [], 0.0, 1.0, 1.0, 1.0
+    g, size, binet, c0, c1 = [], [], [], 1.0, 1.0
     for j, b in enumerate(_BJ, start=1):
         size.append(abs(b) * c0)
         g.append(sign * size[-1] if b > 0.0 else -sign * size[-1])
-        r *= 1.0 / 256.0                         # 16^-2j
         cauchy *= 16.0                           # 3 4^(2j-1) (4/3)^(k+1)
         q = (2 * j + k) / (2.0 * (k + 2))
-        if q < 1.0:
-            binet += abs(b) * c1 / (1.0 - q) * r
-        else:
-            binet += abs(b) * cauchy * r
+        binet.append(abs(b) * c1 / (1.0 - q) if q < 1.0 else abs(b) * cauchy)
         c0 *= (2 * j + k - 1) * (2 * j + k) / ((2 * j - 1) * 2 * j)
         c1 *= (2 * j + k) * (2 * j + k + 1) / ((2 * j - 1) * 2 * j)
-    beta = 2.0 / (k * (k + 1)) + 1.0 / (16.0 * (k + 1)) + binet
     return (sign / (k * (k - 1)), sign * 0.5 / k, array("d", g),
-            array("d", size), beta)
+            array("d", size), max(map(operator.truediv, size[1:], size)),
+            (2.0 / (k * (k + 1)), 1.0 / (k + 1), array("d", binet)))
 
 
 # keyed by tau's bits as well as tau, as the engine's _b0_memo, so that 0.0
@@ -540,7 +568,8 @@ def _series(tau_bits: bytes, tau: complex, a: int,
             e: int) -> tuple[complex, ...]:
     """The coefficients c_K .. c_3, highest first, of
     S(a) = sum_{m>=a} r_m(z) = sum_{k=3}^{K} c_k z^k + rest, good for every
-    z with rho = |z|/R < 2^e <= 1/2, R = a|tau| >= 16.
+    z with rho = |z|/R < 2^e <= 1/2, R = a|tau| (at least 8 + |z| from the
+    switch point on).
 
     The Taylor series of -lgG(z + m tau) from Stirling's series
     (_k_row), summed over m >= a first: with Y = 1/(a tau) and
@@ -548,20 +577,33 @@ def _series(tau_bits: bytes, tau: complex, a: int,
       c_k = f1 X_(k-1) + f2 X_k + sum_j g_j X_(k-1+2j),
     that is (-1)^(k+1) [X_(k-1)/(k(k-1)) + X_k/(2k)
                         + sum_j b_j C(2j+k-2, k) X_(k-1+2j)].
-    Binet's sum takes j while its term's bound at the class' largest rho,
-    |g_j| R^-2j a^(k-1) T_(k-1)(a) 2^(e(k-1)) |z|, is at least
-    _BINET_EPS |z|, so the sum is cut at the actual R. K is the least
-    count whose rest, at most R rho^(K+1) a^K T_K(a) beta_K, is below
-    _SERIES_EPS |z| for every rho < 2^e: 2^(eK) a^K T_K(a) beta_K <=
-    _SERIES_EPS. Each value depends on (tau, a, e) alone. Threads: as for
-    tau_memo."""
+    Binet's term j is bounded, at the class' largest rho, by
+    |g_j| R^-2j a^(k-1) T_(k-1)(a) 2^(e(k-1)) |z|, and the sum takes j
+    while that bound is at least (1 - q) _BINET_EPS |z|, with q = R^-2
+    times _k_row's fall: each term left out is at most q times the one
+    before, so together they stay below _BINET_EPS |z|, at the actual R
+    (near R = 8 they can fall slowly; at q >= 1 every term is taken). K is
+    the least count whose rest, at most R rho^(K+1) a^K T_K(a) beta_K(R)
+    (_k_row), is below _SERIES_EPS |z| for every rho < 2^e:
+    2^(eK) a^K T_K(a) beta_K(R) <= _SERIES_EPS. Each value depends on
+    (tau, a, e) alone. Threads: as for tau_memo."""
     y = 1.0 / (a * tau)
     r = a * abs(tau)
     x2 = 1.0 / (r * r)
+    # R^-2j, a list: tuple() of an iterator builds by resizing, so the
+    # tuples it frees pile up in the interpreter's free list of their size
+    r2j = list(accumulate(repeat(x2, len(_BJ)), operator.mul))
     rc = math.ldexp(1.0, e)
     row = _zeta_row(a, 6)
     K, rk = 3, rc * rc * rc
-    while not rk * row[K] * _k_row(K)[4] <= _SERIES_EPS:
+    while True:
+        l, h, binet = _k_row(K)[5]
+        # beta_K(R): its Binet part, a small share, is summed only once the
+        # log part alone passes
+        x = rk * row[K] * (l + h / r)
+        if x <= _SERIES_EPS and x + rk * row[K] * sum(
+                map(operator.mul, binet, r2j)) <= _SERIES_EPS:
+            break
         K += 1
         rk *= rc
         if len(row) <= K:
@@ -569,11 +611,11 @@ def _series(tau_bits: bytes, tau: complex, a: int,
     ys, xs, coeffs = [1.0 + 0j], [], []
     lead = rc * rc / _BINET_EPS       # rc^(k-1) / _BINET_EPS at k = 3
     for k in range(3, K + 1):
-        f1, f2, g, size, _ = _k_row(k)
-        bound, n = lead * row[k - 1], 0
+        f1, f2, g, size, fall, _ = _k_row(k)
+        bound, n, stop = lead * row[k - 1], 0, 1.0 - fall * x2   # 1 - q
         for c in size:
             bound *= x2
-            if bound * c < 1.0:
+            if bound * c < stop:
                 break
             n += 1
         top = k + 2 * n                  # X_k and X_(k-1+2n)
@@ -599,17 +641,18 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
     """sum_{m=1}^{N} r_m(z), r_m(z) = lgG(m tau) - lgG(z + m tau)
     + z psi(m tau) + (z^2/2) psi'(m tau), sequentially compensated.
 
-    Below the switch point m_switch = ceil(max(16, 2|z|)/|tau|) each term
-    is taken from the kernels, memoized per tau (tau_memo). From it on,
-    where |m tau| >= 16 and |z/(m tau)| <= 1/2, the terms are summed all
-    at once, as S(m_switch) - S(N + 1) with S(a) = sum_{m>=a} r_m(z): a
-    polynomial in z whose coefficients come from Hurwitz zeta values at a
-    (_series), so the cost does not grow with N. A coefficient set serves
-    a class of z: those with rho = |z|/(a|tau|) in [2^(e-1), 2^e) for
-    e < -1, and in [1/4, 1/2] for e = -1 (rho <= 1/2 here). The last 64
-    sets built are kept, keyed by (tau, a, e), so one set serves every N
-    with m_switch or N + 1 at a. At |arg tau| > 3pi/4 every term is
-    direct; at z = 0 every r_m is 0.
+    Below the switch point m_switch = ceil(max((8 + |z|)/d, 2|z|/|tau|)),
+    d the distance from tau to the cut (_switch_point), each term is taken
+    from the kernels, memoized per tau (tau_memo). From it on, where every
+    z + m tau lies at least 8 from the cut and |z/(m tau)| <= 1/2, the
+    terms are summed all at once, as S(m_switch) - S(N + 1) with
+    S(a) = sum_{m>=a} r_m(z): a polynomial in z whose coefficients come
+    from Hurwitz zeta values at a (_series), so the cost does not grow
+    with N. A coefficient set serves a class of z: those with
+    rho = |z|/(a|tau|) in [2^(e-1), 2^e) for e < -1, and in [1/4, 1/2] for
+    e = -1 (rho <= 1/2 here). The last 64 sets built are kept, keyed by
+    (tau, a, e), so one set serves every N with m_switch or N + 1 at a. At
+    |arg tau| > 3pi/4 every term is direct; at z = 0 every r_m is 0.
 
     The two S values enter the compensated sum as two more terms. So the
     prefix property holds bit for bit up to m_switch: for N' < N the first
@@ -640,7 +683,7 @@ def _gn_parts(z: complex, tau: complex, N: int | None = None) -> tuple:
     az = abs(z)
     abs_tau = abs(tau)
     if abs(cmath.phase(tau)) <= _MAX_ARG:
-        m_switch = int(math.ceil(max(_STABLE_RADIUS, 2.0 * az) / abs_tau))
+        m_switch = _switch_point(z, tau)
     else:
         m_switch = N + 1
     bits = tau_bits(tau)

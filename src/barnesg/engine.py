@@ -40,7 +40,7 @@ import math
 from . import backend
 from ._laurent import Laurent
 from ._record import Record, set_field
-from .backend import LN_2PI
+from .backend import LN_2PI, _cut_distance
 from .errors import (
     ArgumentConditionError,
     CapacityError,
@@ -51,8 +51,8 @@ from .errors import (
 )
 from .kernels import (_N_CAP, QuadratureSpec, _log_q_product, check_finite,
                       integrate_semiaxis, log_gamma)
-from .modular import (_cut_distance, _semiaxis_series, _small_x_branch,
-                      check_off_cut, default_m, modular_forms_cached)
+from .modular import (_semiaxis_series, _small_x_branch, check_off_cut,
+                      default_m, modular_forms_cached)
 from .polys import q_terms
 
 # error target of the automatic truncation, per unit of 1 + |z|: the
@@ -417,7 +417,8 @@ def _correction(z: complex, tau: complex, N: int,
 
 def _n_floor(z: complex, tau: complex) -> int:
     """Least N a plan may use: N0 = ceil(8(2+|z|)/|tau|), which is never below
-    gn_sum's direct-branch end ceil(max(16, 2|z|)/|tau|), and the least N
+    gn_sum's switch point (backend._switch_point: at |arg tau| <= 3pi/4 the
+    cut distance is at least |tau|/sqrt(2)), and the least N
     whose disk |w - N tau| <= 2|z| misses the cut (-inf, 0]: N|tau| > 2|z|
     when Re tau >= 0, N|Im tau| > 2|z| otherwise. At Re tau < 0 also
     N |Im tau| >= 6.5, so the terms in |q|^N = e^(-2 pi N |Im tau|), which
@@ -561,7 +562,7 @@ def log_double_gamma(z: complex, tau: complex,
         raise refused
     if auto:
         found = (_reflection_route(z, tau) if far
-                 else _asymptotic_route(z, tau))
+                 else _asymptotic_route(z, tau, n0))
         if found is not None:
             return _result(found[0], found[1], plan, found[2])
         if far:
@@ -747,8 +748,8 @@ def _tail_order(tail: tuple[complex, ...], az: float,
     return None
 
 
-def _asymptotic_route(z: complex,
-                      tau: complex) -> tuple[complex, float, str] | None:
+def _asymptotic_route(z: complex, tau: complex, n0: int | None = None
+                      ) -> tuple[complex, float, str] | None:
     """(log G, error estimate, route) at an automatic evaluation at
     |arg tau| <= 3pi/4 (the reflection route takes the rest) where a
     large-z route passes its accuracy tests; else None. Both routes need z
@@ -757,9 +758,10 @@ def _asymptotic_route(z: complex,
     at z + n tau (route "shifted", _shifted_route). Both depend on
     (z, tau) alone, never on what the memo holds, so a call returns the
     same bits whatever ran before it. log_double_gamma's _result builds the
-    EvalResult.
+    EvalResult. n0, when given, is _n_floor(z, tau), already taken by the
+    caller.
     """
-    if not _past_crossover(z, tau):
+    if not _past_crossover(z, tau, n0):
         return None
     if not _outside_cone(z, tau):
         return _shifted_route(z, tau)
@@ -767,20 +769,21 @@ def _asymptotic_route(z: complex,
     return None if found is None else (*found, "asymptotic")
 
 
-def _past_crossover(z: complex, tau: complex) -> bool:
+def _past_crossover(z: complex, tau: complex, n0: int | None = None) -> bool:
     """Whether the large-z expansion may answer at z, as far as |z| goes:
 
     * |z| > 1 and |z/tau| > 1, so the calls inside b0_of_tau, at (1/2, tau)
       and (tau, 2 tau), never reach it: the large-z routes cannot recurse;
     * the product floor N0 is past _N0_CROSSOVER, where building the
       coefficients for a fresh tau costs less than the product (an N0
-      past _N_CAP is past it too).
+      past _N_CAP is past it too); n0 is that floor when the caller has
+      taken it.
     """
     az = abs(z)
     if not min(az, az / abs(tau)) > 1.0:
         return False
     try:
-        return _n_floor(z, tau) > _N0_CROSSOVER
+        return (_n_floor(z, tau) if n0 is None else n0) > _N0_CROSSOVER
     except CapacityError:
         return True
 

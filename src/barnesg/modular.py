@@ -25,7 +25,8 @@ import math
 from . import backend
 from ._laurent import Laurent
 from ._record import Record, set_field
-from .backend import _MAX_ARG, EULER_GAMMA, LN_2PI, _binet, _psi_tail
+from .backend import (_MAX_ARG, EULER_GAMMA, LN_2PI, _binet, _cut_distance,
+                      _psi_tail)
 from .errors import (CapacityError, ConsistencyError, DomainError,
                      PreconditionError, check_index)
 from .kernels import (_N_CAP, QuadratureSpec, check_finite, elliptic_ke,
@@ -91,12 +92,6 @@ def default_m(tau: complex) -> int:
     if m > _N_CAP:
         raise CapacityError(f"Euler-Maclaurin length exceeded {_N_CAP}")
     return max(64, math.ceil(m))
-
-
-def _cut_distance(w: complex) -> float:
-    if w.real >= 0.0:
-        return abs(w)
-    return abs(w.imag)
 
 
 def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:

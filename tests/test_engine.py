@@ -402,7 +402,7 @@ def _switch(z, tau, N):
     # gn_sum's switch point: N + 1 (every term direct) past |arg tau| = 3pi/4
     if abs(cmath.phase(tau)) > backend._MAX_ARG:
         return N + 1
-    return int(math.ceil(max(backend._STABLE_RADIUS, 2.0 * abs(z)) / abs(tau)))
+    return backend._switch_point(z, tau)
 
 
 def _gn_sum_unmemoized(z, tau, N):
@@ -541,15 +541,16 @@ def test_gn_sum_short_and_long_z_series_in_either_order():
             clear_memos()
             for z in order:
                 assert repr(backend.gn_sum(z, tau, N)) == cold[z], (z, tau)
-        # the first two share m_switch and read a short and a long set,
-        # both held
-        a = _switch(zs[0], tau, N)
-        assert _switch(zs[1], tau, N) == a
+        # the first two read a short and a long set, each keyed by its own
+        # switch point (both move with |z|), both held
         misses = backend._series.cache_info().misses
-        lengths = sorted(
-            len(backend._series(backend.tau_bits(tau), tau, a,
-                                min(math.frexp(abs(z) / (a * abs(tau)))[1], -1)))
-            for z in zs[:2])
+        lengths = []
+        for z in zs[:2]:
+            a = _switch(z, tau, N)
+            e = min(math.frexp(abs(z) / (a * abs(tau)))[1], -1)
+            lengths.append(len(backend._series(backend.tau_bits(tau), tau,
+                                               a, e)))
+        lengths.sort()
         assert backend._series.cache_info().misses == misses
         assert 3 * lengths[0] < lengths[1], lengths
 
@@ -589,6 +590,60 @@ def test_gn_sum_grid_rederived_live():
         assert make_gn_sum_grid.stable_range(z, tau, N) == row["S"], row
 
 
+def _series_value(z, tau, a):
+    # S(a) from its coefficient set, as _gn_parts sums it
+    e = min(math.frexp(abs(z) / (a * abs(tau)))[1], -1)
+    h = 0j
+    for c in backend._series(backend.tau_bits(tau), tau, a, e):
+        h = h * z + c
+    return z * z * z * h
+
+
+def test_gn_sum_series_at_the_sector_edge_against_mpmath():
+    # S(a) at the switch point a, where z + m tau comes nearest the cut:
+    # S(a) - S(a + 20) against its 20 terms from mpmath at 30 digits,
+    # within 4 units of 2^-52 max(|z|, |S(a)|, |S(a + 20)|) (the series'
+    # cut is below 2^-56 |z|, its roundoff a few ulps of each S; 2.95 was
+    # the worst seen over 280 such draws). Seeded draws in both
+    # sectors, half with z pointed at the cut, then a fixed point in the
+    # mid sector where starting at a = 21, 4.8 from the cut, misses by
+    # 47 units: there a = 28 keeps z + m tau 8.7 from it
+    import mpmath as mp
+
+    def miss(z, tau, a):
+        with mp.workdps(30):
+            mz, mt = mp.mpc(z), mp.mpc(tau)
+            ref = complex(mp.fsum(
+                mp.loggamma(m * mt) - mp.loggamma(mz + m * mt)
+                + mz * mp.digamma(m * mt) + mz * mz / 2 * mp.psi(1, m * mt)
+                for m in range(a, a + 20)))
+        sa, sb = _series_value(z, tau, a), _series_value(z, tau, a + 20)
+        return abs(sa - sb - ref) / (2.0 ** -52 * max(abs(z), abs(sa), abs(sb)))
+
+    rng = random.Random(29)
+    for i in range(40):
+        if i % 2:
+            arg = rng.uniform(0.5 * math.pi + 0.01, 0.75 * math.pi)
+        else:
+            arg = rng.uniform(0.0, 0.5 * math.pi)
+        tau = cmath.rect(10.0 ** rng.uniform(-0.4, 0.4),
+                         arg * rng.choice((-1.0, 1.0)))
+        z = cmath.rect(10.0 ** rng.uniform(-1.0, 1.2),
+                       rng.uniform(-math.pi, math.pi))
+        if i % 4 < 2:   # pointed at the cut, from m tau, within 0.5 rad
+            if tau.real >= 0.0:
+                toward = -tau / abs(tau)
+            else:
+                toward = complex(0.0, -math.copysign(1.0, tau.imag))
+            z = abs(z) * toward * cmath.rect(1.0, rng.uniform(-0.5, 0.5))
+        units = miss(z, tau, backend._switch_point(z, tau))
+        assert units <= 4.0, (z, tau, units)
+    z, tau = cmath.rect(7.68, -2.0), cmath.rect(0.79, 2.352)
+    assert backend._switch_point(z, tau) == 28
+    assert miss(z, tau, 28) <= 4.0
+    assert miss(z, tau, 21) > 40.0
+
+
 def test_fresh_tau_evaluation_computes_each_k_tau_once(monkeypatch):
     # cd_sums' direct k < k0 fill the table the product reads, so one
     # product evaluation at a fresh tau, at choose_params' plan, takes psi
@@ -611,7 +666,7 @@ def test_fresh_tau_evaluation_computes_each_k_tau_once(monkeypatch):
         r = log_double_gamma(z, tau, choose_params(z, tau))
         N, m_cd = r.params_used.N, r.params_used.m_cd
         if abs(cmath.phase(tau)) <= backend._MAX_ARG:
-            n_direct = math.ceil(backend._STABLE_RADIUS / abs(tau)) - 1
+            n_direct = backend._switch_point(z, tau) - 1
         else:
             n_direct = N
         per_k = collections.Counter()
@@ -1159,8 +1214,8 @@ def test_auto_product_sum_against_mpmath():
     # terms summed directly, plus the float correction for m > 400 at
     # M = 16 (its bound is below 1e-23 at these points). The tolerance is
     # 2^-52 times the sizes of the summed pieces: the direct terms'
-    # lgG(m tau) and lgG(z + m tau), and the result; 0.30 of it was the
-    # worst seen, and the same at gn_sum(z, tau, 400)
+    # lgG(m tau) and lgG(z + m tau) below the switch point, and the
+    # result; 0.19 of it was the worst seen
     import mpmath as mp
     for z, tau in ((1.5 + 0.5j, 2.0), (9 + 2j, 0.7 + 0.4j),
                    (-3 + 4j, -0.5 + 1.2j)):
@@ -1176,9 +1231,8 @@ def test_auto_product_sum_against_mpmath():
         ref = complex(total) + corr
         sr, cr, si, ci, _ = backend._gn_parts(z, tau)
         got = complex(sr + cr, si + ci)
-        m_switch = math.ceil(max(16.0, 2 * abs(z)) / abs(tau))
         size = abs(ref) + sum(abs(log_gamma(m * tau)) + abs(log_gamma(z + m * tau))
-                              for m in range(1, m_switch))
+                              for m in range(1, backend._switch_point(z, tau)))
         assert abs(got - ref) <= _EPS * size, (z, tau, abs(got - ref))
 
 
@@ -1187,10 +1241,10 @@ def test_asymptotic_route_falls_back_to_the_product():
     # named; where the product answers, its log and estimate are pinned
     cases = (
         ((-20 + 5j, 0.5 + 0.5j), "e^(-2 pi s) above the target, s = 5",
-         "(825.9654838033229-347.35109499403745j)", "1.126510579323832e-15"),
+         "(825.9654838033229-347.35109499403745j)", "1.1086294590171045e-15"),
         ((80 + 30j, -1.0 + 0.35j), "|arg tau| > 3pi/4", None, None),
         ((25 + 5j, 2.0), "N0 at the crossover or below",
-         "(139.16020470622294+90.13296151359009j)", "1.3710352724774527e-15"),
+         "(139.16020470622294+90.13296151359009j)", "1.3489218003407198e-15"),
     )
     for (z, tau), why, log_value, estimate in cases:
         r = log_double_gamma(z, tau)
@@ -1227,11 +1281,11 @@ def test_shifted_route_declines_to_the_product(monkeypatch):
     # estimate, and within _AUTO_ULPS of the explicit plan
     cases = (
         ((-100.3 - 8.1j, 0.04 + 0.006j), "n over _SHIFT_MAX",
-         "(829552.142739214-228378.60072439528j)", "6.0222929686666134e-15"),
+         "(829552.142739214-228378.60072439528j)", "5.847733752183523e-15"),
         ((-900 + 30j, 1.0), "error estimate over _SHIFT_ERR_MAX",
-         "(2233722.3702669423+1116923.868108511j)", "5.2330961352121444e-14"),
+         "(2233722.3702669423+1116923.868108511j)", "5.0768843102804386e-14"),
         ((-300 + 2j, 1.0), "w = z + n tau at the crossover or below",
-         "(192186.78053409207+139477.33550782714j)", "1.7174144047094765e-14"),
+         "(192186.78053409207+139477.33550782714j)", "1.6653715439607044e-14"),
     )
     for (z, tau), why, log_value, estimate in cases:
         assert not engine._outside_cone(z, tau), why
