@@ -423,8 +423,9 @@ class TauEntry:
       builds the entries from the switch point to k0 - 1, whose psi and
       psi' the modular forms read and whose lgG no product term reads;
     * p_rows: the engine's {k: rows of P_k(z;-tau)}, k <= 16, filled by
-      a plan (explicit, or read from an automatic result's params_used)
-      and by the correction of an explicit one;
+      engine._coefficients for a plan (explicit, or read from an
+      automatic result's params_used) and for the correction of an
+      explicit one;
     * coeffs: the engine's AsymptoticCoeffs of the large-z expansion, or
       None (their b0 is read from the engine's own bits-keyed map of 64
       tau, _b0_memo, which outlives the 8 entries of tau_memo)."""

@@ -13,10 +13,9 @@ adds the order-M correction for the rest,
     z^3 sum_{k=1}^{M} (-tau)^(-k-1) P_k(z;-tau) / (k(k+1)(k+2)) N^(-k),
 
 with P_k's coefficients built from the exact Bernoulli numbers in integer
-arithmetic, each rounded to binary64 once. At fixed (tau, N, M) the
-correction is one polynomial in z: its M coefficients are kept for the
-last 8 (tau, N, M) (_correction_slot), so a point pays z^3 times one
-Horner of length M. An automatic evaluation at |arg tau| <= 3pi/4 that
+arithmetic, each rounded to binary64 once. The correction sums the
+coefficients of _coefficients, the one evaluator that the plan reads too.
+An automatic evaluation at |arg tau| <= 3pi/4 that
 takes the product sums every term instead, the limit N -> inf that the
 correction approximates: the direct terms below
 gn_sum's switch point and its swapped series from there on
@@ -62,6 +61,10 @@ _TARGET = 2.0 ** -52
 # sums, and the tail it keeps per tau (two more, for the omitted terms)
 _TAIL_MAX = 16
 _TAIL_LEN = _TAIL_MAX + 2
+# the most tail terms asymptotic_coeffs builds: the coefficients of
+# q_(n_tail+2) are rounded to binary64 (_q_rounded), and past n_tail = 257
+# the largest of them overflows it
+_TAIL_CAP = 257
 # margin in rad the expansion keeps from the zero cone
 _CONE_MARGIN = 0.2
 # largest e^(-2 pi s) the route accepts (2 pi s >= ln(1/_TARGET), s >= 5.74);
@@ -299,34 +302,32 @@ def _p_rounded(k: int) -> tuple[tuple[float, ...], ...]:
                  for j in range(1, k + 1))
 
 
-def _p_rows(p_rows: dict, tau: complex, k: int) -> list[complex]:
-    """Build and store in p_rows, a field of tau's backend.tau_memo
-    record, the rows of P_k(z;-tau): the coefficient of each power of z at
-    -tau, by Horner in -tau. Callers read p_rows.get(k) first, so this runs
-    once per k."""
-    t = -tau
-    rows = []
-    for row in _p_rounded(k):
-        v = 0j
-        for c in reversed(row):
-            v = v * t + c
-        rows.append(v)
-    p_rows[k] = rows
-    return rows
-
-
 def _coefficients(z: complex, tau: complex):
     """Yield the N-free correction coefficients a_k = z^3 (-tau)^(-k-1)
     P_k(z;-tau) / (k(k+1)(k+2)) for k = 1, 2, ..., with P_k(z;-tau) by
-    Horner in z over its rows (_p_rows); the k-th correction term at N is
-    a_k N^(-k). Lazy: no order past the last one read is built."""
+    Horner in z over its rows, the coefficient of each power of z at -tau
+    by Horner in -tau. The rows are built once per k and stored whole in
+    p_rows, a field of tau's backend.tau_memo record. The k-th correction
+    term at N is a_k N^(-k). Lazy: no order past the last one read is
+    built. The plan, the correction and its error bound all read this one
+    evaluator."""
     z3 = z * z * z
+    t = -tau
     inv_neg_tau = -1.0 / tau
     pw = inv_neg_tau * inv_neg_tau      # (-tau)^(-k-1) at k = 1
     p_rows = backend.tau_memo(tau).p_rows
     for k in itertools.count(1):
+        rows = p_rows.get(k)
+        if rows is None:
+            rows = []
+            for row in _p_rounded(k):
+                v = 0j
+                for c in reversed(row):
+                    v = v * t + c
+                rows.append(v)
+            p_rows[k] = rows
         pk = 0j
-        for v in reversed(p_rows.get(k) or _p_rows(p_rows, tau, k)):
+        for v in reversed(rows):
             pk = pk * z + v
         yield z3 * pw * pk / (k * (k + 1) * (k + 2))
         pw *= inv_neg_tau
@@ -348,71 +349,18 @@ def _error_bound(last: float, prev: float, N: int, M: int, az: float,
     return bound * az / (N * atau - az)
 
 
-# keyed by tau's bits as well as tau, as backend._series, so that 0.0 and
-# -0.0 stay apart
-@functools.lru_cache(maxsize=8)
-def _correction_slot(tau_bits: bytes, tau: complex, N: int,
-                     M: int) -> tuple:
-    """The correction at (tau, N, M) as one polynomial in z:
-    (terms, pw_prev, pw_last), where
-    sum_{k<=M} a_k N^(-k) = z^3 sum_j c_j z^j,
-    c_j = sum_{k>j} (-tau)^(-k-1) N^(-k) row_(k,j) / (k(k+1)(k+2)).
-    terms holds M triples in a row, highest power of z first: c_j,
-    row_(M,j) and row_(M-1,j) (0j where P_(M-1) has no such power).
-    pw_prev and pw_last are (-tau)^(-k-1) at k = M - 1 and M by
-    _coefficients' own products (pw_prev is None at M = 1). Built from the
-    rows of P_k (tau's backend.tau_memo p_rows) with no Horner in z, and
-    kept for the last 8 (tau, N, M). Only explicit plans read it: a table
-    with a truncation flag (one per op), run_suite's explicit checks (one
-    each) and the far sector's product fallback; the automatic product
-    never does. Each value depends on (tau, N, M) alone. Threads: as for
-    backend.tau_memo."""
-    p_rows = backend.tau_memo(tau).p_rows
-    inv_neg_tau = -1.0 / tau
-    pw = inv_neg_tau * inv_neg_tau      # (-tau)^(-k-1) at k = 1
-    inv_n = 1.0 / N
-    npow = inv_n
-    c = [0j] * M
-    rows = ()
-    pw_prev = pw_last = None
-    for k in range(1, M + 1):
-        prev, rows = rows, p_rows.get(k) or _p_rows(p_rows, tau, k)
-        f = pw * (npow / (k * (k + 1) * (k + 2)))
-        j = 0
-        for v in rows:
-            c[j] += f * v
-            j += 1
-        pw_prev, pw_last = pw_last, pw
-        pw *= inv_neg_tau
-        npow *= inv_n
-    # one flat tuple, not M 3-tuples: those freed with each evicted entry
-    # fill the interpreter's tuple free list, which raised the peak RSS of
-    # a stream of fresh tau by 7%. A leading 0j in P_(M-1)'s Horner leaves
-    # it 0j, since z is finite
-    terms = tuple(itertools.chain.from_iterable(
-        zip(reversed(c), reversed(rows), reversed((*prev, 0j)))))
-    return terms, pw_prev, pw_last
-
-
 def _correction(z: complex, tau: complex, N: int,
                 M: int) -> tuple[complex, float]:
-    """The order-M correction sum_{k<=M} a_k N^(-k) at z and its
-    _error_bound: z^3 times one Horner in z over the polynomial of
-    _correction_slot, with P_M(z;-tau) and P_(M-1)(z;-tau) by Horner in
-    the same pass, so that a_(M-1) and a_M, and with them the bound, have
-    the bits of _coefficients'."""
-    terms, pw_prev, pw_last = _correction_slot(backend.tau_bits(tau), tau,
-                                               N, M)
-    poly = pm = pm1 = 0j
-    it = iter(terms)
-    for cj, u, v in zip(it, it, it):
-        poly = poly * z + cj
-        pm = pm * z + u
-        pm1 = pm1 * z + v
-    z3 = z * z * z
-    last = abs(z3 * pw_last * pm / (M * (M + 1) * (M + 2)))
-    prev = abs(z3 * pw_prev * pm1 / ((M - 1) * M * (M + 1))) if M > 1 else 0.0
-    return z3 * poly, _error_bound(last, prev, N, M, abs(z), abs(tau))
+    """The order-M correction sum_{k<=M} a_k N^(-k) at z, by Horner in 1/N
+    over the first M orders of _coefficients, and its _error_bound from
+    |a_M| and |a_(M-1)| of the same pass, the bits the plan read."""
+    a = list(itertools.islice(_coefficients(z, tau), M))
+    inv_n = 1.0 / N
+    corr = 0j
+    for ak in reversed(a):
+        corr = corr * inv_n + ak
+    return corr * inv_n, _error_bound(abs(a[M - 1]), abs(a[M - 2]), N, M,
+                                      abs(z), abs(tau))
 
 
 def _n_floor(z: complex, tau: complex) -> int:
@@ -667,12 +615,23 @@ def _coeffs(tau: complex, tail: tuple[complex, ...]) -> AsymptoticCoeffs:
 
 
 def asymptotic_coeffs(tau: complex, n_tail: int = 0) -> AsymptoticCoeffs:
-    """Closed-form a/b coefficients plus n_tail inverse-power tail terms."""
+    """Closed-form a/b coefficients plus n_tail inverse-power tail terms.
+    DomainError for an n_tail outside 0.._TAIL_CAP, before any work, and
+    for a tail term that is not finite in binary64."""
     tau = check_off_cut(tau)
+    tail = _tail(tau, _check_tail(n_tail))
+    if not all(map(cmath.isfinite, tail)):
+        raise DomainError(
+            f"the tail of {n_tail} terms at tau = {tau} is not finite in "
+            "binary64")
+    return _coeffs(tau, tail)
+
+
+def _check_tail(n_tail: int) -> int:
     n_tail = check_index(n_tail, "n_tail")
-    if n_tail < 0:
-        raise DomainError("n_tail must be nonnegative")
-    return _coeffs(tau, _tail(tau, n_tail))
+    if not 0 <= n_tail <= _TAIL_CAP:
+        raise DomainError(f"n_tail must be in 0..{_TAIL_CAP}, got {n_tail}")
+    return n_tail
 
 
 def _memo_coeffs(tau: complex, tail: tuple[complex, ...] | None = None
@@ -811,7 +770,9 @@ def _expansion(z: complex, tau: complex) -> tuple[complex, float] | None:
     n_tail, omitted = order
     if coeffs is None:
         coeffs = _memo_coeffs(tau, tail)
-    log_val = log_double_gamma_asymptotic(z, tau, n_tail, coeffs)
+    # a log that is not finite is returned as it is: the shifted route
+    # declines on it, and _result refuses it at z
+    log_val = _expansion_sum(z, coeffs, n_tail)
     return log_val, omitted + beyond * abs(log_val) + coeffs.b0_error
 
 
@@ -967,13 +928,13 @@ def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
     arg(-tau) to pi taken the short way, which holds the zeros
     -m tau - n; violations raise SectorError. Without usable coeffs, tau's
     memoized ones are used (built once per tau) when they hold n_tail
-    terms.
+    terms. DomainError, before any work, for an n_tail outside
+    0.._TAIL_CAP, and for a result that is not finite in binary64 (a |z|
+    so large that z^2 ln z overflows, or so small that z^-n_tail does).
     """
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
-    n_tail = check_index(n_tail, "n_tail")
-    if n_tail < 0:
-        raise DomainError("n_tail must be nonnegative")
+    n_tail = _check_tail(n_tail)
     if z == 0:
         raise SectorError("z = 0 is outside every admissible sector")
     if not _outside_cone(z, tau):
@@ -982,6 +943,16 @@ def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
     if coeffs is None or coeffs.tau != tau or len(coeffs.tail) < n_tail:
         coeffs = (_memo_coeffs(tau) if n_tail <= _TAIL_LEN
                   else asymptotic_coeffs(tau, n_tail))
+    log_val = _expansion_sum(z, coeffs, n_tail)
+    if not cmath.isfinite(log_val):
+        raise DomainError(f"the expansion at z = {z} is not finite in "
+                          f"binary64: {log_val}")
+    return log_val
+
+
+def _expansion_sum(z: complex, coeffs: AsymptoticCoeffs,
+                   n_tail: int) -> complex:
+    # the expansion with n_tail terms of coeffs' tail, at a z != 0
     ln_z = cmath.log(z)
     acc = ((coeffs.a2 * z * z + coeffs.a1 * z + coeffs.a0) * ln_z
            + coeffs.b2 * z * z + coeffs.b1 * z + coeffs.b0)

@@ -176,26 +176,42 @@ def elliptic_ke(k: float) -> EllipticKE:
     return EllipticKE(K, E, Kp)
 
 
+# x = exp(c sinh t) maps R onto (0, inf); |c sinh t| is capped so x stays
+# inside the double range.
+_SINH_CAP = 695.0
+_C = 0.5 * math.pi
+# the finest level integrate_semiaxis may refine to: _level_sum at
+# h = 2^-level evaluates at most t = 0 and t = j h for
+# 1 <= |j| <= asinh(_SINH_CAP/_C)/h, 2 asinh(_SINH_CAP/_C) 2^level + 1
+# nodes, which pass _N_CAP after level 16
+_MAX_LEVEL = math.floor(
+    math.log2((_N_CAP - 1) / (2.0 * math.asinh(_SINH_CAP / _C))))
+
+
 class QuadratureSpec(Record):
-    """Target absolute error and refinement cap for integrate_semiaxis."""
+    """Target absolute error and refinement cap for integrate_semiaxis.
+    DomainError for a target that is not finite or below 10x unit
+    roundoff, or a max_level below 1; CapacityError, before any node is
+    evaluated, for a max_level past _MAX_LEVEL, whose finest level would
+    evaluate more than _N_CAP nodes."""
 
     __slots__ = ("target", "max_level")
 
     def __init__(self, target: float = 1e-11, max_level: int = 11):
+        if not math.isfinite(target):
+            raise DomainError(f"quadrature target must be finite, got {target}")
         if target < 10.0 * _EPS:
             raise DomainError(
                 "quadrature target below 10x unit roundoff is not attainable")
         max_level = check_index(max_level, "max_level")
         if max_level < 1:
             raise DomainError("max_level must be positive")
+        if max_level > _MAX_LEVEL:
+            raise CapacityError(
+                f"quadrature level {max_level} would exceed {_N_CAP} nodes "
+                f"(max_level <= {_MAX_LEVEL})")
         set_field(self, "target", target)
         set_field(self, "max_level", max_level)
-
-
-# x = exp(c sinh t) maps R onto (0, inf); |c sinh t| is capped so x stays
-# inside the double range.
-_SINH_CAP = 695.0
-_C = 0.5 * math.pi
 
 
 def _level_sum(f: Callable[[float], complex], h: float, target: float) -> complex:

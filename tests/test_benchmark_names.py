@@ -189,6 +189,16 @@ _EN, _MO, _PO = "barnesg.engine", "barnesg.modular", "barnesg.polys"
      ("barnesg.polys._MemoList.get",)),
     (_PO, "q_terms", (-1,), DomainError, ("barnesg.polys._MemoList.get",)),
     (_PO, "q_terms", (2.5,), DomainError, ("barnesg.polys._MemoList.get",)),
+    # an n_tail whose q coefficients overflow binary64: refused before any
+    # coefficient is built
+    (_EN, "asymptotic_coeffs", (1.5, 258), DomainError,
+     ("barnesg.engine._tail",)),
+    (_EN, "asymptotic_coeffs", (1.5, 10 ** 6), DomainError,
+     ("barnesg.engine._tail",)),
+    (_EN, "log_double_gamma_asymptotic", (50, 1.5, 258), DomainError,
+     ("barnesg.engine._memo_coeffs", "barnesg.engine.asymptotic_coeffs")),
+    (_EN, "log_double_gamma_asymptotic", (50, 1.5, 10 ** 6), DomainError,
+     ("barnesg.engine._memo_coeffs", "barnesg.engine.asymptotic_coeffs")),
 ])
 def test_refusals_come_before_any_work(monkeypatch, module, name, args,
                                        error, work):

@@ -94,11 +94,12 @@ def test_per_tau_memos_under_concurrent_fill_and_eviction():
         sys.setswitchinterval(old)
 
 
-def test_correction_slot_raced_by_two_plans_at_one_tau():
+def test_p_rows_raced_by_two_plans_at_one_tau():
     # 8 threads alternate two (N, M) at one shared tau, from a cold
-    # correction LRU, so its first misses race, then warm: whole
-    # evaluations, then the correction alone (engine._correction); every
-    # result must equal the serial one bit for bit
+    # backend._tau_memo, so they race the fill of the entry's P_k rows
+    # (TauEntry.p_rows), then warm: whole evaluations, then the correction
+    # alone (engine._correction); every result must equal the serial one
+    # bit for bit
     tau = 0.95 + 0.4j
     plans = (ComputeParams(N=60, M=7, m_cd=64), ComputeParams(N=75, M=13, m_cd=64))
     zs = [complex(0.2 + 0.15 * k, 0.4 - 0.05 * k) for k in range(48)]
@@ -113,7 +114,7 @@ def test_correction_slot_raced_by_two_plans_at_one_tau():
     old = sys.getswitchinterval()
     for f, js in ((run, jobs), (run_correction, jobs * 40)):
         serial = [f(job) for job in js]
-        engine._correction_slot.cache_clear()
+        backend._tau_memo.cache_clear()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(2):

@@ -774,22 +774,24 @@ def test_memo_bounds():
 def test_memo_entry_filled_and_evicted_whole():
     # an automatic product evaluation fills the direct table of its tau's
     # entry and runs no plan: its P_k rows stay empty until params_used is
-    # read, which plans and fills them, and no correction is built; an
-    # explicit plan builds one, in the correction LRU; 8 further tau evict
+    # read, which plans and fills them; an explicit evaluation at that plan
+    # finds the entry and its rows and rebuilds none; 8 further tau evict
     # the entry, and with it every field at once
     assert backend.TauEntry.__slots__ == ("direct", "p_rows", "coeffs")
     rng = random.Random(10)
     tau = _fresh_tau(rng)
-    slots = engine._correction_slot.cache_info().misses
     r = log_double_gamma(9.0 + 2.0j, tau)   # both gn_sum branches
     entry = backend.tau_memo(tau)
     assert entry.direct and entry.p_rows == {}
     plan = r.params_used
-    assert entry.p_rows
+    rows = dict(entry.p_rows)
+    assert rows
     assert plan == choose_params(9.0 + 2.0j, tau)
-    assert engine._correction_slot.cache_info().misses == slots
-    log_double_gamma(9.0 + 2.0j, tau, r.params_used)
-    assert engine._correction_slot.cache_info().misses == slots + 1
+    misses = backend._tau_memo.cache_info().misses
+    log_double_gamma(9.0 + 2.0j, tau, plan)
+    assert backend._tau_memo.cache_info().misses == misses
+    assert entry.p_rows.keys() == rows.keys()
+    assert all(entry.p_rows[k] is v for k, v in rows.items())
     assert entry.coeffs is None          # the product route builds none
     misses = backend._tau_memo.cache_info().misses
     assert backend.tau_memo(tau) is entry
@@ -859,51 +861,7 @@ def test_gn_sum_against_the_term_by_term_kernels_on_a_grid():
         _assert_gn_sum(z, tau, N, backend.gn_sum(z, tau, N))
 
 
-# ---------------------------------------------------------- correction slot
-
-def _log_with_a_list(z, tau, params):
-    # the product's log with the correction summed as a list of a_k N^(-k),
-    # term by term, the way the evaluator summed it before the slot
-    mf = engine.modular_forms_cached(tau, params.m_cd)
-    a = list(itertools.islice(engine._coefficients(z, tau), params.M))
-    inv_n = 1.0 / params.N
-    npow = inv_n
-    corr = 0j
-    for ak in a:
-        corr += ak * npow
-        npow *= inv_n
-    return (-cmath.log(tau) - log_gamma(z)
-            + mf.a_tilde * z / tau
-            + mf.b_tilde * z * z / (2.0 * tau * tau)
-            + backend.gn_sum(z, tau, params.N)
-            + corr)
-
-
-def test_slot_log_within_four_ulps_of_the_a_list_sum():
-    # 2016 points at 24 tau, both gn_sum branches and the all-direct
-    # sector, every order M = 1..16 at an explicit N at or past the floor
-    rng = random.Random(22)
-    count = 0
-    for i in range(24):
-        arg = (rng.uniform(-1.4, 1.4), rng.uniform(1.7, 2.3),
-               rng.uniform(2.45, 2.9))[i % 3]
-        tau = cmath.rect(rng.uniform(0.6, 2.5), rng.choice((-1.0, 1.0)) * arg)
-        m_cd = engine.default_m(tau)
-        for j in range(84):
-            z = complex(rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0))
-            n0 = engine._n_floor(z, tau)
-            params = ComputeParams(N=n0 + rng.randrange(0, 8),
-                                   M=1 + j % 16, m_cd=m_cd)
-            try:
-                got = log_double_gamma(z, tau, params)
-            except LatticeZeroError:
-                continue
-            ref = _log_with_a_list(z, tau, params)
-            assert abs(got.log_value - ref) <= \
-                4.0 * 2.0 ** -52 * (1.0 + abs(ref)), (z, tau, params)
-            count += 1
-    assert count >= 2000
-
+# ---------------------------------------------------------- correction
 
 def test_table_rows_are_the_evaluator_bit_for_bit(capsys):
     # no table-only path: with no flag row k is the automatic
@@ -926,9 +884,9 @@ def test_table_rows_are_the_evaluator_bit_for_bit(capsys):
 
 
 def test_slot_cold_or_warm_same_bits():
-    # each point reads the bits of a cold slot whether its (tau, N, M) was
-    # cold, warm from other points at its (N, M), or built after another N
-    # or another M
+    # each point reads the bits of a cold tau entry (its p_rows slot
+    # empty) whether its (tau, N, M) was cold, warm from other points at
+    # its (N, M), or run after another N or another M
     rng = random.Random(23)
     for _ in range(6):
         tau = _fresh_tau(rng)
@@ -943,7 +901,6 @@ def test_slot_cold_or_warm_same_bits():
             for z in zs:
                 for p in plans:
                     backend._tau_memo.cache_clear()
-                    engine._correction_slot.cache_clear()
                     cold[z, p] = repr(log_double_gamma(z, tau, p))
             for z in zs:
                 for p in (plans[0], plans[0], plans[1], plans[0], plans[2],
@@ -953,10 +910,9 @@ def test_slot_cold_or_warm_same_bits():
 
 
 def test_slot_replaced_never_grows():
-    # 10 000 distinct explicit N at one tau: the correction LRU holds the
-    # last 8 (N, M), and no table of tau's entry grows past its first size;
-    # 1 000 distinct N for gn_sum grow no table of the entry either, and
-    # keep at most 64 coefficient sets
+    # 10 000 distinct explicit (N, M) at one tau grow no table of tau's
+    # entry (its p_rows slot included) past its first size; 1 000 distinct
+    # N for gn_sum grow none either, and keep at most 64 coefficient sets
     tau = 0.9 + 0.45j
     z = 1.2 + 0.3j
     log_double_gamma(z, tau, ComputeParams(N=40, M=16, m_cd=64))
@@ -970,11 +926,6 @@ def test_slot_replaced_never_grows():
         engine._correction(z, tau, N, 1 + N % 16)
     assert backend.tau_memo(tau) is entry
     assert sizes() == before
-    info = engine._correction_slot.cache_info()
-    assert info.currsize == info.maxsize == 8
-    for N in range(10032, 10040):
-        engine._correction(z, tau, N, 1 + N % 16)
-    assert engine._correction_slot.cache_info().hits == info.hits + 8
     for N in range(40, 1040):
         backend.gn_sum(z, tau, N)
     assert sizes() == before
@@ -1010,8 +961,8 @@ def _exact_correction_terms(z, tau, N):
     return terms
 
 
-def test_slot_correction_against_exact_rationals():
-    # at dyadic (z, tau), exact in binary64, the float polynomial lies
+def test_correction_against_exact_rationals():
+    # at dyadic (z, tau), exact in binary64, the float correction lies
     # within a few ulps of sum |a_k N^(-k)| of the exact sum, M = 1..16
     rng = random.Random(24)
     for _ in range(24):
@@ -1032,6 +983,22 @@ def test_slot_correction_against_exact_rationals():
             err = abs(complex(float(Fraction(got.real) - re),
                               float(Fraction(got.imag) - im)))
             assert err <= 6.0 * 2.0 ** -52 * scale, (zf, tf, N, M)
+
+
+def test_correction_bound_has_the_plans_bits():
+    # the correction's error bound is _error_bound over |a_M| and
+    # |a_(M-1)| as _coefficients yields them to the plan, bit for bit, at
+    # seeded (z, tau, N) in both half-planes of tau and M = 1..16
+    rng = random.Random(25)
+    for _ in range(40):
+        tau = cmath.rect(rng.uniform(0.3, 3.0), rng.uniform(-2.3, 2.3))
+        z = complex(rng.uniform(-6.0, 8.0), rng.uniform(-5.0, 5.0))
+        N = engine._n_floor(z, tau) + rng.randrange(0, 50)
+        a = list(itertools.islice(engine._coefficients(z, tau), 16))
+        for M in range(1, 17):
+            bound = engine._error_bound(abs(a[M - 1]), abs(a[M - 2]), N, M,
+                                        abs(z), abs(tau))
+            assert engine._correction(z, tau, N, M)[1] == bound, (z, tau, N, M)
 
 
 # ----------------------------------------------------------- asymptotics
@@ -1057,6 +1024,37 @@ def _product(z, tau):
     # the product at the automatic plan: independent of the large-z route,
     # which automatic evaluations may take
     return log_double_gamma(z, tau, choose_params(z, tau))
+
+
+def test_asymptotic_api_refuses_what_binary64_cannot_hold():
+    # _TAIL_CAP is the last n_tail whose q_(n_tail + 2) coefficients are
+    # finite in binary64 (its refusals past it: test_benchmark_names.py)
+    assert all(map(math.isfinite, engine._q_rounded(engine._TAIL_CAP + 2)))
+    with pytest.raises(OverflowError):
+        engine._q_rounded(engine._TAIL_CAP + 3)
+    with pytest.raises(DomainError, match="n_tail must be in 0..257"):
+        asymptotic_coeffs(1.0, engine._TAIL_CAP + 1)
+    # a finite z whose expansion leaves binary64 (z^2 ln z overflows, or
+    # z^-n does), and a tail with terms past binary64 (two of the 257 at
+    # tau = 1), are refused rather than returned
+    for z in (1e154, 1e160, 1e-200):
+        with pytest.raises(DomainError, match="not finite"):
+            log_double_gamma_asymptotic(z, 1.0)
+    with pytest.raises(DomainError, match="not finite"):
+        asymptotic_coeffs(1.0, 257)
+
+
+def test_large_z_routes_pass_a_non_finite_expansion_on(monkeypatch):
+    # a non-finite expansion does not raise inside the automatic routes:
+    # the shifted route declines on it, to the product, and the route at z
+    # returns it for log_double_gamma's _result to refuse
+    assert engine._shifted_route(-300 + 40j, 1.0 + 0.2j) is not None
+    assert log_double_gamma(300.0 + 40.0j, 1.0 + 0.2j).route == "asymptotic"
+    monkeypatch.setattr(engine, "_expansion_sum",
+                        lambda z, coeffs, n_tail: complex(math.nan, math.nan))
+    assert engine._shifted_route(-300 + 40j, 1.0 + 0.2j) is None
+    with pytest.raises(DomainError, match="not finite in binary64"):
+        log_double_gamma(300.0 + 40.0j, 1.0 + 0.2j)
 
 
 def test_asymptotic_agreement_large_z():
@@ -1168,15 +1166,14 @@ def test_asymptotic_route_agrees_with_product():
 
 def test_auto_product_builds_one_series_set_and_no_correction():
     # at a fresh tau the automatic product sums every term: one coefficient
-    # set, for S(m_switch), none for S(N + 1), and no correction polynomial
-    # built or read
+    # set, for S(m_switch), none for S(N + 1), and no correction, so no
+    # row of any P_k is built
     tau = _fresh_tau(random.Random(31))
     misses = backend._series.cache_info().misses
-    slots = engine._correction_slot.cache_info()
     r = log_double_gamma(9.0 + 2.0j, tau)
     assert r.route == "product"
     assert backend._series.cache_info().misses == misses + 1
-    assert engine._correction_slot.cache_info() == slots
+    assert backend.tau_memo(tau).p_rows == {}
 
 
 def test_auto_product_agrees_with_explicit_plans_on_a_grid():

@@ -3,6 +3,7 @@ ModularForms, QuadratureSpec and IdentityReport) and the import graph of
 the CLI."""
 
 import copy
+import math
 import os
 import pickle
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from barnesg.engine import AsymptoticCoeffs, ComputeParams, EvalResult
-from barnesg.errors import DomainError
+from barnesg.errors import CapacityError, DomainError
 from barnesg.identities import IdentityReport
 from barnesg.kernels import QuadratureSpec
 from barnesg.modular import ModularForms
@@ -71,16 +72,24 @@ def test_validation_errors():
         (lambda: ComputeParams(8, 17), r"M must be in 1\.\.16"),
         (lambda: ComputeParams(8, 12, 0), "m_cd must be positive"),
         (lambda: QuadratureSpec(target=1e-16), "below 10x unit roundoff"),
+        (lambda: QuadratureSpec(target=math.nan), "must be finite"),
+        (lambda: QuadratureSpec(target=math.inf), "must be finite"),
         (lambda: QuadratureSpec(1e-10, max_level=0),
          "max_level must be positive"),
     ]
     for build, message in cases:
         with pytest.raises(DomainError, match=message):
             build()
+    # past level 16 the finest level would evaluate more than _N_CAP
+    # nodes: refused as every length past it is, before any node
+    for max_level in (17, 18, 10 ** 6):
+        with pytest.raises(CapacityError, match="exceed 1000000 nodes"):
+            QuadratureSpec(2.3e-15, max_level)
     # the boundaries themselves are valid
     assert ComputeParams(1, 1, 1).M == 1
     assert ComputeParams(1, 16).M == 16
     assert QuadratureSpec(max_level=1).max_level == 1
+    assert QuadratureSpec(max_level=16).max_level == 16
 
 
 def test_assignment_refused():
