@@ -23,15 +23,11 @@
                       term, m >= 1, as the direct terms and S(m_switch)
                       alone: the engine's automatic product.
 * ``cd_sums``       - the partial psi/psi' sums feeding the gamma modular
-                      forms: a small-k direct part, read from and written to
-                      the same per-tau table as gn_sum's direct terms, and
-                      for the rest the Bernoulli tails summed over k by
-                      swapping the two sums, so that each tail order j carries
-                      one real power sum sum_k k^-s; no intermediate grows
-                      with m. The power sums do not involve tau and are
-                      memoized by (k0, m) (``_power_sums``): both are
-                      integers rounded up from |tau|, so a stream of fresh
-                      tau keeps meeting the same few hundred keys.
+                      forms: a head k < k0 (``_head_sums``), and Bernoulli
+                      tails whose sums over k are Hurwitz zeta values at an
+                      integer, read from the same rows (``_hurwitz_tails``).
+                      The modular forms at m = inf read the head and the
+                      tails past k0 alone.
 
 At a fresh tau every z-independent kernel value is computed once: the
 modular forms run first and fill the direct table for k < k0, and gn_sum
@@ -415,13 +411,11 @@ def _switch_point(z: complex, tau: complex) -> int:
 class TauEntry:
     """The z-independent work of the evaluations at one tau (tau_memo):
     * direct: {k: (lgG(w), psi(w), psi'(w))}, w = k tau, k <= _MEMO_M,
-      filled by gn_sum for its direct terms, below _switch_point, and by
-      cd_sums for its k < k0, so the evaluation that builds the modular
-      forms first finds them warm. At Re tau >= 0, k0 = ceil(8/|tau|) is
-      at most the switch point. At Re tau < 0, k0 = ceil(16/|tau|) can
-      pass it, which at small |z| is about 8/|Im tau|: there cd_sums also
-      builds the entries from the switch point to k0 - 1, whose psi and
-      psi' the modular forms read and whose lgG no product term reads;
+      filled by gn_sum's direct terms, below _switch_point, and by the
+      modular forms' head (_head_sums), k < k0, whichever runs first. At
+      Re tau < 0 the head can pass the switch point (k0 = ceil(16/|tau|)
+      against about 8/|Im tau| at small |z|), and there builds entries
+      whose lgG no product term reads;
     * p_rows: the engine's {k: rows of P_k(z;-tau)}, k <= 16, filled by
       engine._coefficients for a plan (explicit, or read from an
       automatic result's params_used) and for the correction of an
@@ -735,14 +729,53 @@ def _gn_parts(z: complex, tau: complex, N: int | None = None) -> tuple:
     return sr, cr, si, ci, cut
 
 
-@functools.lru_cache(maxsize=512)
-def _power_sums(k0: int, m: int) -> tuple[float, ...]:
-    # (H_1, ..., H_27), H_s = sum_{k0<=k<m} k^-s exactly rounded: every
-    # order cd_sums' tails can take (see cd_sums for why tau is not in the
-    # key). Threads: deterministic values stored whole, as for tau_memo.
-    ks = [float(k) for k in range(k0, m)]
-    return tuple(math.fsum(map(pow, ks, repeat(-s)))
-                 for s in range(1, 2 * len(_B2K) + 2))
+def _hurwitz_tails(tau: complex, a: int,
+                   row=None) -> tuple[complex, complex]:
+    """(sum_{k>=a} S(k tau), sum_{k>=a} S'(k tau)), S and S' the Bernoulli
+    tails of psi and psi' (_psi_tail, _psi1_tail), with the sum over j
+    outside: sum_j (B_2j/2j) tau^-2j zeta(2j, a) and sum_j B_2j
+    tau^(-2j-1) zeta(2j+1, a), zeta(s, a) = a^-s row[s] (_zeta_row).
+    zeta(s+2j, a) <= a^-2j zeta(s, a), so each series falls at least as
+    fast as the tail at a tau, and takes that tail's count. cd_sums passes
+    the row of a finite range of k instead."""
+    y = 1.0 / (a * tau)
+    y2 = y * y
+    c0 = _PSI_TAIL.horner[bisect_right(_PSI_TAIL.limits, abs(y2))]
+    c1 = _PSI1_TAIL.horner[bisect_right(_PSI1_TAIL.limits, abs(y2))]
+    n0, n1 = len(c0), len(c1)
+    if row is None:
+        row = _zeta_row(a, max(2 * n0, 2 * n1 + 1))
+    s0 = s1 = 0j
+    for i, c in enumerate(c0):
+        s0 = s0 * y2 + c * row[2 * (n0 - i)]
+    for i, c in enumerate(c1):
+        s1 = s1 * y2 + c * row[2 * (n1 - i) + 1]
+    return y2 * s0, y2 * y * s1
+
+
+def _head_sums(tau: complex, k0: int,
+               less_logs: bool = False) -> tuple[complex, complex]:
+    """(sum_{k<k0} psi(k tau), sum_{k<k0} psi'(k tau)), Neumaier-compensated,
+    from tau_memo's direct table (filled where missing): cd_sums' head.
+    The modular forms at m = inf sum psi(k tau) - log(k tau) (less_logs),
+    so that the logs leave before the sum is rounded."""
+    direct = tau_memo(tau).direct
+    ps_r = ps_c = ps_i = ps_ci = 0.0
+    p1_r = p1_c = p1_i = p1_ci = 0.0
+    for k in range(1, k0):
+        w = k * tau
+        p = direct.get(k)
+        if p is None:
+            p = _direct_pieces(direct, k, w)
+        _, t, t1 = p
+        if less_logs:
+            t -= cmath.log(w)
+        ps_r, ps_c = _neumaier_add(ps_r, ps_c, t.real)
+        ps_i, ps_ci = _neumaier_add(ps_i, ps_ci, t.imag)
+        p1_r, p1_c = _neumaier_add(p1_r, p1_c, t1.real)
+        p1_i, p1_ci = _neumaier_add(p1_i, p1_ci, t1.imag)
+    return (complex(ps_r + ps_c, ps_i + ps_ci),
+            complex(p1_r + p1_c, p1_i + p1_ci))
 
 
 def cd_sums(tau: complex, m: int, k0: int):
@@ -761,48 +794,27 @@ def cd_sums(tau: complex, m: int, k0: int):
     - h1/(2 tau) - s0_tail, with the lgG terms meant to be cancelled
     analytically by the caller, who keeps |k0 tau| in the Stirling regime.
 
-    The tails come from the power sums H_s = sum_{k0<=k<m} k^-s, which are
-    memoized by (k0, m) in ``_power_sums`` (512 keys). tau is not in the
-    key because the H_s do not involve it. modular_forms_em rounds k0 up
-    from |tau| and its sector, and the default m from |tau| (and |Im tau|
-    at Re tau < 0), so a stream of tau that never repeats still repeats
-    (k0, m), and each repeat pays no power sum. A warm memo changes no
-    bit: the stored values are those a cold call computes.
+    The tails are _hurwitz_tails' over the row k0^s H_s of the power sums
+    H_s = sum_{k0<=k<m} k^-s: zeta(s, k0) - zeta(s, m) from the rows of k0
+    and m, or, below m = 2 k0, where that difference would lose up to
+    log2(k0) bits, H_s summed exactly. h1 is one math.fsum, as zeta(1, a)
+    diverges. A warm memo changes no bit.
     """
     tau = complex(tau)
-    direct = tau_memo(tau).direct
-    ps_r = ps_c = ps_i = ps_ci = 0.0
-    p1_r = p1_c = p1_i = p1_ci = 0.0
-    for k in range(1, min(k0, m)):
-        p = direct.get(k)
-        if p is None:
-            p = _direct_pieces(direct, k, k * tau)
-        _, t, t1 = p
-        ps_r, ps_c = _neumaier_add(ps_r, ps_c, t.real)
-        ps_i, ps_ci = _neumaier_add(ps_i, ps_ci, t.imag)
-        p1_r, p1_c = _neumaier_add(p1_r, p1_c, t1.real)
-        p1_i, p1_ci = _neumaier_add(p1_i, p1_ci, t1.imag)
-    psi_small = complex(ps_r + ps_c, ps_i + ps_ci)
-    psi1_small = complex(p1_r + p1_c, p1_i + p1_ci)
+    psi_small, psi1_small = _head_sums(tau, min(k0, m))
     if k0 >= m:
         return psi_small, psi1_small, 0j, 0j, 0.0, 0.0
-    # The sums over k swapped with the tails' sums over j: with the power
-    # sums H_s = sum_{k0<=k<m} k^-s (h[s - 1]),
-    #   sum S(k tau)  = sum_j (B_2j/2j) tau^-2j H_2j,
-    #   sum S'(k tau) = sum_j B_2j tau^(-2j-1) H_(2j+1).
-    # H_(s+2j) <= k0^-2j H_s, so each j-series falls at least as fast as
-    # the tail at k0 tau, and takes that tail's count.
-    x = 1.0 / (tau * tau)
-    ax = abs(x) / (k0 * k0)
-    c0 = _PSI_TAIL.horner[bisect_right(_PSI_TAIL.limits, ax)]
-    c1 = _PSI1_TAIL.horner[bisect_right(_PSI1_TAIL.limits, ax)]
-    h = _power_sums(k0, m)
-    s0 = s1 = 0j
-    for j, c in enumerate(c0):
-        s0 = s0 * x + c * h[2 * (len(c0) - j) - 1]
-    for j, c in enumerate(c1):
-        s1 = s1 * x + c * h[2 * (len(c1) - j)]
-    return psi_small, psi1_small, x * s0, x * s1 / tau, h[0], h[1]
+    ks = range(k0, m)
+    top = 2 * len(_B2K) + 1            # every order the tails can take
+    if m < 2 * k0:
+        row = [k0 ** s * math.fsum(k ** -s for k in ks)
+               for s in range(top + 1)]
+    else:
+        rk, rm, r = _zeta_row(k0, top), _zeta_row(m, top), k0 / m
+        row = [rk[s] - r ** s * rm[s] for s in range(top + 1)]
+    s0, s1 = _hurwitz_tails(tau, k0, row)
+    return (psi_small, psi1_small, s0, s1, math.fsum(1.0 / k for k in ks),
+            row[2] / (k0 * k0))
 
 
 def backend_name() -> str:

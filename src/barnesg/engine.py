@@ -19,8 +19,10 @@ An automatic evaluation at |arg tau| <= 3pi/4 that
 takes the product sums every term instead, the limit N -> inf that the
 correction approximates: the direct terms below
 gn_sum's switch point and its swapped series from there on
-(backend._gn_parts), with no correction. The term-wise sum fixes a
-specific branch ("canonical logarithm"); it is never reduced mod 2 pi i, and
+(backend._gn_parts), with no correction. a~ and b~ come from the modular
+forms C and D at m = inf, or at an explicit Euler-Maclaurin length m_cd.
+The term-wise sum fixes a specific branch ("canonical logarithm"); it is
+never reduced mod 2 pi i, and
 identity tests always compare multiplicatively or modulo 2 pi i. Automatic
 evaluations may take one of three other routes: the large-z expansion
 ("asymptotic"), the expansion at z + n tau carried back by n shift
@@ -50,8 +52,8 @@ from .errors import (
 )
 from .kernels import (_N_CAP, QuadratureSpec, _log_q_product, check_finite,
                       integrate_semiaxis, log_gamma)
-from .modular import (_semiaxis_series, _small_x_branch, check_off_cut,
-                      default_m, modular_forms_cached)
+from .modular import (_head, _semiaxis_series, _small_x_branch,
+                      check_off_cut, default_m, modular_forms_cached)
 from .polys import q_terms
 
 # error target of the automatic truncation, per unit of 1 + |z|: the
@@ -111,7 +113,8 @@ _B0_MEMO = 64
 
 class ComputeParams(Record):
     """Truncation controls: product length N, correction order M, and the
-    Euler-Maclaurin length m_cd behind a_tilde / b_tilde."""
+    Euler-Maclaurin length m_cd behind a_tilde / b_tilde (None, as in every
+    plan of choose_params: C and D at m = inf)."""
 
     __slots__ = ("N", "M", "m_cd")
 
@@ -390,8 +393,7 @@ def _plan(z: complex, tau: complex, orders) -> ComputeParams:
     """The least (N, M), M in orders (ascending), at which _error_bound
     meets the target: N = _n_floor with the first M that passes there, else
     the least N at which any order passes, with the first M that passes
-    there. m_cd = default_m(tau). CapacityError when N or m_cd would exceed
-    _N_CAP.
+    there. m_cd is None. Refusals as choose_params'.
 
     The bound decreases in N at every order, so that least N is bracketed
     by doubling from N0 and found by bisection. No order past the first M
@@ -400,7 +402,7 @@ def _plan(z: complex, tau: complex, orders) -> ComputeParams:
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
     n0 = _n_floor(z, tau)
-    m_cd = default_m(tau)
+    default_m(tau)   # the modular forms' refusal, which the plan keeps
     az, atau = abs(z), abs(tau)
     target = _TARGET * (1.0 + az)
     coeffs = _coefficients(z, tau)
@@ -409,7 +411,7 @@ def _plan(z: complex, tau: complex, orders) -> ComputeParams:
         while len(mags) < M:
             mags.append(abs(next(coeffs)))
         if _error_bound(mags[M - 1], mags[M - 2], n0, M, az, atau) <= target:
-            return ComputeParams(N=n0, M=M, m_cd=m_cd)
+            return ComputeParams(N=n0, M=M)
 
     def first_order(N: int) -> int | None:
         return next((M for M in orders
@@ -430,7 +432,7 @@ def _plan(z: complex, tau: complex, orders) -> ComputeParams:
             lo = mid
     if hi > _N_CAP:
         raise CapacityError(f"product truncation exceeded {_N_CAP}")
-    return ComputeParams(N=hi, M=first_order(hi), m_cd=m_cd)
+    return ComputeParams(N=hi, M=first_order(hi))
 
 
 def choose_params(z: complex, tau: complex) -> ComputeParams:
@@ -442,7 +444,8 @@ def choose_params(z: complex, tau: complex) -> ComputeParams:
     the least M <= 16 whose error bound, over orders M and M - 1, meets the
     target 2^-52 (1 + |z|), the binary64 resolution of the result; only
     when no M does is N raised, to the least N any M reaches.
-    m_cd = default_m(tau). CapacityError when N or m_cd would exceed _N_CAP.
+    m_cd is None. CapacityError when N would exceed _N_CAP, or where
+    default_m(tau) refuses, as the modular forms do.
     """
     return _plan(z, tau, range(1, 17))
 
@@ -465,7 +468,7 @@ def log_double_gamma(z: complex, tau: complex,
     term, with no N and no correction: the direct terms and S(m_switch) of
     backend._gn_parts, added to the prefactor pieces by math.fsum, with the
     cut of that series, (_SERIES_EPS + (K - 2) _BINET_EPS) |z|, as the
-    error estimate, and m_cd = default_m(tau). So params_used is the plan
+    error estimate, and C and D at m = inf. So params_used is the plan
     an explicit call would run, but the log is not bit-identical to
     log_double_gamma(z, tau, r.params_used).
 
@@ -478,9 +481,10 @@ def log_double_gamma(z: complex, tau: complex,
     |z| comes at once; a CapacityError from _n_floor, default_m or the plan
     waits for the zero test.
 
-    Explicit params always run the product at their N and M, with the
-    correction's error bound as the estimate, and raise CapacityError
-    before summing when N exceeds _N_CAP or N |tau| <= |z|.
+    Explicit params always run the product at their N and M, its pieces
+    added by math.fsum as the automatic product's, with the correction's
+    error bound as the estimate, and raise CapacityError before summing
+    when N exceeds _N_CAP or N |tau| <= |z|.
 
     Every route yields a log and its error estimate, and _result builds the
     EvalResult from them, with choose_params' plan, made or deferred, as
@@ -498,7 +502,8 @@ def log_double_gamma(z: complex, tau: complex,
         # The plan runs here only where it is run (the far sector's product)
         # or can refuse; elsewhere the result plans when params_used is read
         try:
-            n0, m_cd = _n_floor(z, tau), default_m(tau)
+            n0 = _n_floor(z, tau)
+            default_m(tau)   # where the modular forms refuse
             plan = (choose_params(z, tau)
                     if far or n0 > _PLAN_N0 or abs(z) > _PLAN_Z else (z, tau))
         except CapacityError as exc:
@@ -525,36 +530,36 @@ def log_double_gamma(z: complex, tau: complex,
         if params.N > _N_CAP:
             raise CapacityError(
                 f"product truncation N = {params.N} exceeds {_N_CAP}")
-        m_cd = params.m_cd if params.m_cd is not None else default_m(tau)
-    mf = modular_forms_cached(tau, m_cd)
+    mf = modular_forms_cached(tau, None if auto else params.m_cd)
     lt, lg = -cmath.log(tau), log_gamma(z)
     at = mf.a_tilde * z / tau
     bt = mf.b_tilde * z * z / (2.0 * tau * tau)
     if auto and not far:
         # the product to N = inf, which the correction approximates: its
-        # direct terms and S(m_switch), with no S(N + 1) and no correction.
-        # The pieces can cancel by an order of magnitude (at (4+i, 0.5+0.2i)
-        # the b~ piece is 41 and the sum 47 for a log of 6.3), so they and
-        # the sum's compensated pair are summed exactly rounded, with no
-        # rounding at ulp of the larger pieces first
+        # direct terms and S(m_switch), with no S(N + 1) and no correction
         sr, cr, si, ci, error = backend._gn_parts(z, tau)
-        try:
-            log_val = complex(
-                math.fsum((lt.real, -lg.real, at.real, bt.real, sr, cr)),
-                math.fsum((lt.imag, -lg.imag, at.imag, bt.imag, si, ci)))
-        except (ValueError, OverflowError):  # inf - inf, or past binary64
-            log_val = complex(math.nan, math.nan)
-        return _result(log_val, error, plan)
-    corr, error = _correction(z, tau, params.N, params.M)
-    log_val = lt - lg + at + bt + backend.gn_sum(z, tau, params.N) + corr
+        re, im = (sr, cr), (si, ci)
+    else:
+        corr, error = _correction(z, tau, params.N, params.M)
+        g = backend.gn_sum(z, tau, params.N)
+        re, im = (g.real, corr.real), (g.imag, corr.imag)
+    # The pieces can cancel by an order of magnitude (at (4+i, 0.5+0.2i)
+    # the b~ piece is 41 and the sum 47 for a log of 6.3), so they are
+    # summed exactly rounded, with no rounding at ulp of the larger first
+    try:
+        log_val = complex(
+            math.fsum((lt.real, -lg.real, at.real, bt.real, *re)),
+            math.fsum((lt.imag, -lg.imag, at.imag, bt.imag, *im)))
+    except (ValueError, OverflowError):  # inf - inf, or past binary64
+        log_val = complex(math.nan, math.nan)
     if far:
-        # gn_sum and cd_sums never regroup here, and the roundoff of their
-        # n direct terms, each about |n tau| in size, grows as n^2: on a
-        # seeded grid of automatic and doubled plans it stayed below
-        # 1.7 2^-52 N^2 |tau|
-        n = max(params.N, m_cd)
+        # gn_sum and the modular forms' sums (k < m_cd, or k0) never
+        # regroup here, and the roundoff of their n direct terms, each about
+        # |n tau| in size, grows as n^2: on a seeded grid of automatic and
+        # doubled plans it stayed below 1.7 2^-52 N^2 |tau|
+        n = max(params.N, params.m_cd or _head(tau))
         error += 4.0 * _TARGET * n * n * abs(tau)
-    return _result(log_val, error, params)
+    return _result(log_val, error, plan if auto else params)
 
 
 def _result(log_val: complex, error: float, plan: ComputeParams | tuple,

@@ -246,15 +246,23 @@ def integrate_semiaxis(f: Callable[[float], complex],
     The integrand must be analytic on the open half-line, decay exponentially
     at infinity, and have a finite limit at 0+ (it is never evaluated at 0).
     Levels double the node density until two successive levels agree within
-    spec.target; exceeding spec.max_level raises ConvergenceError.
+    spec.target. ConvergenceError past spec.max_level, or at a level whose
+    difference is no smaller than the one before, once that one is below
+    sqrt(spec.target): the rule's error squares as h halves, so from there
+    only roundoff keeps the next level from the target.
     """
-    prev: complex | None = None
+    prev, last = None, math.inf
     h = 1.0
-    for _ in range(spec.max_level + 1):
+    for level in range(spec.max_level + 1):
         cur = _level_sum(f, h, spec.target)
-        if prev is not None and abs(cur - prev) <= spec.target:
+        diff = math.inf if prev is None else abs(cur - prev)
+        if diff <= spec.target:
             return cur
-        prev = cur
+        if last <= diff and last < math.sqrt(spec.target):
+            raise ConvergenceError(
+                f"semiaxis quadrature stopped converging at level {level}, "
+                f"short of {spec.target}")
+        prev, last = cur, diff
         h *= 0.5
     raise ConvergenceError(
         f"semiaxis quadrature did not reach {spec.target} within "

@@ -15,6 +15,8 @@ symbolically. Plain binary64 summation of the raw formula would otherwise
 cap the accuracy near 1e-12 for m ~ 1000; the regrouped form stays at a few
 ulp. Both groupings are the same formula, including all displayed
 correction terms, so the m-convergence order is unchanged.
+The engine reads its limit m -> inf (``_modular_forms_inf``); an explicit
+m runs ``modular_forms_em``, the paper's route and the limit's check.
 """
 
 from __future__ import annotations
@@ -94,6 +96,19 @@ def default_m(tau: complex) -> int:
     return max(64, math.ceil(m))
 
 
+def _odd_powers(tau: complex) -> tuple[complex, complex, complex]:
+    """(tau^3, tau^5, tau^7); DomainError when tau^7 overflows binary64."""
+    try:
+        t3 = tau ** 3
+        t5 = t3 * tau * tau
+        t7 = t5 * tau * tau
+        if not cmath.isfinite(t7):
+            raise OverflowError
+    except OverflowError:
+        raise DomainError(f"tau^7 overflows binary64 at tau = {tau}") from None
+    return t3, t5, t7
+
+
 def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
     """C(tau) and D(tau) by the Euler-Maclaurin route with m terms.
 
@@ -114,19 +129,11 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
         raise PreconditionError(
             f"m tau = {w} is within distance 1 of the cut; increase m")
 
-    abs_tau = abs(tau)
     arg_tau = abs(cmath.phase(tau))
     ln_tau = cmath.log(tau)
     ln_m = math.log(m)
 
-    try:
-        t3 = tau ** 3
-        t5 = t3 * tau * tau
-        t7 = t5 * tau * tau
-        if not cmath.isfinite(t7):
-            raise OverflowError
-    except OverflowError:
-        raise DomainError(f"tau^7 overflows binary64 at tau = {tau}") from None
+    t3, t5, t7 = _odd_powers(tau)
     psi_w, psi1_w = backend.psi_pair(w)
     last_c = t7 / 1209600.0 * polygamma(7, w)
     last_d = t7 / 1209600.0 * polygamma(8, w)
@@ -139,8 +146,7 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
               - t5 / 30240.0 * polygamma(6, w)
               + last_d)
 
-    radius = 8.0 if arg_tau <= 0.5 * math.pi else 16.0
-    k0 = max(1, math.ceil(radius / abs_tau))
+    k0 = _head(tau)
     regroup = arg_tau <= _MAX_ARG and m >= max(k0, 8)
 
     if regroup:
@@ -166,6 +172,11 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
              - (lg_w - 0.5 * LN_2PI) / tau + corr_c)
         D = (psi1_small + 0.5 * psi1_w - psi_w / tau + corr_d)
 
+    return _forms(tau, ln_tau, C, D, m, max(abs(last_c), abs(last_d)))
+
+
+def _forms(tau: complex, ln_tau: complex, C: complex, D: complex,
+           m: int | None, error_estimate: float) -> ModularForms:
     a = (-EULER_GAMMA * tau + 0.5 * tau * (LN_2PI + ln_tau)
          + 0.5 * ln_tau - tau * C)
     b = -_PI2_6 * tau * tau - tau * ln_tau - tau * tau * D
@@ -177,14 +188,59 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
         C=C, D=D, a=a, b=b,
         a_tilde=a + EULER_GAMMA * tau,
         b_tilde=b + _PI2_6 * tau * tau,
-        tau=tau, m_used=m,
-        error_estimate=max(abs(last_c), abs(last_d)),
+        tau=tau, m_used=m, error_estimate=error_estimate,
     )
 
 
+def _head(tau: complex) -> int:
+    """k0, the first k whose psi(k tau), psi'(k tau) come from Bernoulli
+    tails: |k0 tau| >= 8, or 16 past |arg tau| = pi/2, as modular_forms_em
+    regroups, and |k0 Im tau| >= 8 past 3pi/4. Never past default_m."""
+    arg_tau = abs(cmath.phase(tau))
+    if arg_tau > _MAX_ARG:
+        return math.ceil(8.0 / abs(tau.imag))
+    radius = 8.0 if arg_tau <= 0.5 * math.pi else 16.0
+    return max(1, math.ceil(radius / abs(tau)))
+
+
+def _modular_forms_inf(tau: complex) -> ModularForms:
+    """C(tau) and D(tau) at m = inf, where modular_forms_em's log m terms
+    cancel and H_(m-1) - log m -> gamma leaves psi(k0), k0 = _head(tau):
+
+      C = sum_{k<k0} psi(k tau) - lgG(k0) - k0 ln tau + ln(2 pi)/2
+          + ln(tau)/2 + (ln tau + psi(k0))/(2 tau) - sum_{k>=k0} S(k tau),
+      D = sum_{k<k0} psi'(k tau) - (psi(k0) + ln tau)/tau
+          + zeta(2, k0)/(2 tau^2) + sum_{k>=k0} S'(k tau).
+
+    C's head sums psi(k tau) - log(k tau), the logs cancelling lgG(k0) +
+    (k0 - 1) ln tau term by term. Refused, before any kernel call, where
+    modular_forms_em(tau) is. m_used is None, and error_estimate the
+    roundoff scale 2^-52 |lgG(k0) + k0 ln tau| (heuristic)."""
+    tau = check_off_cut(tau)
+    w = default_m(tau) * tau
+    _odd_powers(tau)
+    if not -w.real - abs(w.imag) <= _N_CAP:   # as polygamma(k, w) refuses
+        raise CapacityError(
+            f"polygamma shift at m tau = {w} would exceed {_N_CAP} steps")
+    k0 = _head(tau)
+    ln_tau = cmath.log(tau)
+    head, psi1_small = backend._head_sums(tau, k0, less_logs=True)
+    s0, s1 = backend._hurwitz_tails(tau, k0)
+    psi_k0 = backend._psi_pair_right(complex(k0))[0].real
+    C = (head + 0.5 * (LN_2PI - ln_tau) + (ln_tau + psi_k0) / (2.0 * tau)
+         - s0)
+    D = (psi1_small - (psi_k0 + ln_tau) / tau
+         + backend._zeta_row(k0, 2)[2] / (2.0 * (k0 * tau) ** 2) + s1)
+    return _forms(tau, ln_tau, C, D, None,
+                  2.0 ** -52 * abs(math.lgamma(k0) + k0 * ln_tau))
+
+
 @functools.lru_cache(maxsize=512)
-def modular_forms_cached(tau: complex, m: int) -> ModularForms:
-    """Memoized modular_forms_em (the engine hits the same tau repeatedly)."""
+def modular_forms_cached(tau: complex, m: int | None) -> ModularForms:
+    """Memoized modular_forms_em(tau, m), or _modular_forms_inf(tau) for m
+    None (the engine hits the same tau repeatedly)."""
+    if m is None:
+        return _modular_forms_inf(tau)
     return modular_forms_em(tau, m)
 
 

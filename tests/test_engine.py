@@ -679,6 +679,53 @@ def test_fresh_tau_evaluation_computes_each_k_tau_once(monkeypatch):
         assert all(c == 1 for k, c in per_k.items() if k != m_cd), tau
 
 
+def test_modular_forms_at_m_inf_call_no_kernel_at_m_tau(monkeypatch):
+    # an automatic evaluation, and an explicit plan with m_cd None, read C
+    # and D at m = inf: no polygamma call at all, and psi_pair only at
+    # lattice points k tau, k >= 1, of the head and the product's direct
+    # terms; an explicit m_cd still runs Euler-Maclaurin at m tau
+    from barnesg import kernels, modular
+    calls = collections.Counter()
+    pair, poly = backend.psi_pair, backend.polygamma
+
+    def counted_pair(w):
+        calls["psi_pair", w] += 1
+        return pair(w)
+
+    def counted_poly(k, w):
+        calls["polygamma", w] += 1
+        return poly(k, w)
+
+    monkeypatch.setattr(backend, "psi_pair", counted_pair)
+    for module in (backend, kernels, modular):
+        monkeypatch.setattr(module, "polygamma", counted_poly)
+    rng = random.Random(31)
+    z = 0.7 + 0.3j
+    # Re tau > 0, the mid sector, and the far sector's product
+    for tau in (1.1 + 0.4j, -0.5 + 0.6j, -1.2 + 0.5j):
+        for params in (None, "plan"):
+            tau = tau + 1e-9 * _fresh_tau(rng)
+            plan = choose_params(z, tau) if params else None
+            assert plan is None or plan.m_cd is None
+            calls.clear()
+            log_double_gamma(z, tau, plan)
+            assert not [w for kind, w in calls if kind == "polygamma"], tau
+            # the far sector's reflection route runs at -conj(tau) and -tau
+            for _, w in calls:
+                assert any(w == k * t for t in (tau, -tau.conjugate(), -tau)
+                           for k in {max(1, round((w / t).real))}), (tau, w)
+            m = engine.default_m(tau)
+            if abs(cmath.phase(tau)) <= backend._MAX_ARG:
+                # past the head and the direct terms: Euler-Maclaurin's m
+                assert m > max(modular._head(tau),
+                               backend._switch_point(z, tau)), tau
+                assert ("psi_pair", m * tau) not in calls, tau
+        calls.clear()
+        log_double_gamma(z, tau, ComputeParams(N=plan.N, M=plan.M, m_cd=m))
+        assert ("psi_pair", m * tau) in calls
+        assert sum(c for (kind, _), c in calls.items() if kind == "polygamma") == 7
+
+
 def test_cd_sums_and_gn_sum_share_the_direct_table_in_either_order():
     # whichever of the two fills the direct table first, both return the
     # bits of a call on a cold table
@@ -814,7 +861,7 @@ def test_clear_memos_reaches_every_lru_cache():
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 memos[id(value)] = value
-    assert len(memos) >= 8
+    assert len(memos) >= 7
     cleared = set()
     try:
         for key, memo in memos.items():
@@ -1238,10 +1285,10 @@ def test_asymptotic_route_falls_back_to_the_product():
     # named; where the product answers, its log and estimate are pinned
     cases = (
         ((-20 + 5j, 0.5 + 0.5j), "e^(-2 pi s) above the target, s = 5",
-         "(825.9654838033229-347.35109499403745j)", "1.1086294590171045e-15"),
+         "(825.9654838033229-347.3510949940373j)", "1.1086294590171045e-15"),
         ((80 + 30j, -1.0 + 0.35j), "|arg tau| > 3pi/4", None, None),
         ((25 + 5j, 2.0), "N0 at the crossover or below",
-         "(139.16020470622294+90.13296151359009j)", "1.3489218003407198e-15"),
+         "(139.1602047062229+90.13296151359009j)", "1.3489218003407198e-15"),
     )
     for (z, tau), why, log_value, estimate in cases:
         r = log_double_gamma(z, tau)
@@ -1278,11 +1325,11 @@ def test_shifted_route_declines_to_the_product(monkeypatch):
     # estimate, and within _AUTO_ULPS of the explicit plan
     cases = (
         ((-100.3 - 8.1j, 0.04 + 0.006j), "n over _SHIFT_MAX",
-         "(829552.142739214-228378.60072439528j)", "5.847733752183523e-15"),
+         "(829552.142739214-228378.6007243954j)", "5.847733752183523e-15"),
         ((-900 + 30j, 1.0), "error estimate over _SHIFT_ERR_MAX",
-         "(2233722.3702669423+1116923.868108511j)", "5.0768843102804386e-14"),
+         "(2233722.3702669423+1116923.8681085112j)", "5.0768843102804386e-14"),
         ((-300 + 2j, 1.0), "w = z + n tau at the crossover or below",
-         "(192186.78053409207+139477.33550782714j)", "1.6653715439607044e-14"),
+         "(192186.78053409205+139477.33550782714j)", "1.6653715439607044e-14"),
     )
     for (z, tau), why, log_value, estimate in cases:
         assert not engine._outside_cone(z, tau), why

@@ -433,18 +433,25 @@ def test_cd_sums_against_termwise_sums(k0):
 @pytest.mark.parametrize("k0, m", [(1, 2), (1, 64), (3, 300), (7, 1024),
                                    (27, 2000), (1, 2000)])
 def test_power_sums_memo_holds_the_exact_sums(k0, m):
-    backend._power_sums.cache_clear()
+    # the power sums H_s = sum_{k0<=k<m} k^-s that cd_sums' tails and h2
+    # read, now held by the Hurwitz rows' map: k0^s H_s = row_k0[s] -
+    # (k0/m)^s row_m[s], as cd_sums takes them (m >= 2 k0 here), cold and
+    # then warm, within 2 units of 2^-52 of the exact sums
+    backend._zeta_rows.clear()
     ks = [float(k) for k in range(k0, m)]
     for _ in range(2):  # cold, then warm
-        h = backend._power_sums(k0, m)
-        assert len(h) == 2 * len(backend._B2K) + 1
-        for s, got in enumerate(h, start=1):
-            assert repr(got) == repr(math.fsum(k ** -s for k in ks)), (k0, m, s)
-    assert backend._power_sums.cache_info().hits == 1
+        top = 2 * len(backend._B2K) + 1
+        rk, rm = backend._zeta_row(k0, top), backend._zeta_row(m, top)
+        for s in range(2, top + 1):
+            got = (rk[s] - (k0 / m) ** s * rm[s]) / k0 ** s
+            ref = math.fsum(k ** -s for k in ks)
+            assert abs(got - ref) <= 2.0 * 2.0 ** -52 * ref, (k0, m, s)
+        assert sorted(backend._zeta_rows) == sorted({k0, m})
 
 
 def test_cd_sums_same_bits_with_the_power_sums_memo_cold_or_warm():
-    # a tau and its conjugate share the (k0, m) that modular_forms_em sets;
+    # a tau and its conjugate share the (k0, m) that modular_forms_em sets,
+    # and so the Hurwitz rows of k0 and m that hold their power sums;
     # cd_sums at either returns the bits of a cold call whichever runs first
     rng = random.Random(18)
     for _ in range(12):
@@ -459,14 +466,15 @@ def test_cd_sums_same_bits_with_the_power_sums_memo_cold_or_warm():
             clear_memos()
             cold[tau] = repr(backend.cd_sums(tau, m, k0))
         for first, second in (taus, taus[::-1]):
-            backend._power_sums.cache_clear()
+            backend._zeta_rows.clear()
             assert repr(backend.cd_sums(first, m, k0)) == cold[first]
+            rows = {a: bytes(row) for a, row in backend._zeta_rows.items()}
+            assert sorted(rows) == sorted({k0, m}), (first, m, k0)
             assert repr(backend.cd_sums(first, m, k0)) == cold[first]
             assert repr(backend.cd_sums(second, m, k0)) == cold[second]
-            info = backend._power_sums.cache_info()
-            # one entry for both tau: the first call missed, two hit
-            assert (info.currsize, info.misses, info.hits) == (1, 1, 2), (
-                first, second, m, k0)
+            # the second tau read the rows the first built, and added none
+            assert {a: bytes(row) for a, row in
+                    backend._zeta_rows.items()} == rows, (first, second)
 
 
 # modular_forms_em's (tau, C, D) before the tails were summed from power
@@ -605,6 +613,25 @@ def test_quadrature_nonconvergence():
     spec = QuadratureSpec(target=1e-11, max_level=4)
     with pytest.raises(ConvergenceError):
         integrate_semiaxis(lambda x: math.cos(x) * x / (1 + x * x), spec)
+
+
+def test_quadrature_stops_when_the_differences_stop_falling(monkeypatch):
+    # at a target below the integrand's roundoff the level differences fall
+    # to 2.8e-14 at level 7 and rise to 1.5e-13 at level 8: the refusal
+    # comes there, after 9 level sums, not after all 17 up to max_level
+    from barnesg import engine, kernels
+
+    calls = []
+    level_sum = kernels._level_sum
+
+    def counted(f, h, target):
+        calls.append(h)
+        return level_sum(f, h, target)
+
+    monkeypatch.setattr(kernels, "_level_sum", counted)
+    with pytest.raises(ConvergenceError, match="stopped converging at level 8"):
+        engine.log_G_via_integral(5 + 3j, 0.2 + 0.1j, QuadratureSpec(2.3e-15, 16))
+    assert calls == [2.0 ** -level for level in range(9)]
 
 
 def test_quadrature_spec_validation():

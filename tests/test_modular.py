@@ -3,11 +3,13 @@
 import cmath
 import json
 import math
+import random
 import time
+from pathlib import Path
 
 import pytest
 
-from barnesg import backend
+from barnesg import backend, modular
 from barnesg.engine import ComputeParams, log_double_gamma
 from barnesg.errors import CapacityError, DomainError, PreconditionError
 from barnesg.kernels import QuadratureSpec, integrate_semiaxis
@@ -222,6 +224,72 @@ def test_modular_forms_json_round_trip():
     assert back["C"]["re"] == mf.C.real
 
 
+def test_tilde_constants_at_tau_and_one_over_tau():
+    # the z and z^2 Taylor coefficients of the modular identity give the
+    # engine's a~(tau) and b~(tau) from their values at 1/tau, with no
+    # oracle: at seeded tau with |tau| below and above 1, both signs of
+    # Im tau and every sector, within 2e-14 of max(1, |a~|) (8.6e-15 was
+    # the worst over 60 such draws)
+    rng = random.Random(37)
+    for i in range(24):
+        r = 10.0 ** (rng.uniform(0.05, 0.7) * (-1.0) ** i)
+        tau = cmath.rect(r, rng.uniform(0.02, 0.98) * math.pi
+                         * (-1.0) ** (i // 2))
+        f = modular.modular_forms_cached(tau, None)
+        g = modular.modular_forms_cached(1.0 / tau, None)
+        lt = cmath.log(tau)
+        a = tau * ((1.0 - 1.0 / tau) * backend.LN_2PI / 2.0
+                   + (0.5 / tau + 0.5) * lt + backend.EULER_GAMMA / tau
+                   - backend.EULER_GAMMA + g.a_tilde)
+        z2 = math.pi ** 2 / 6.0
+        b = -tau * lt - z2 + z2 * tau * tau + tau * tau * g.b_tilde
+        assert abs(a - f.a_tilde) <= 2e-14 * max(1.0, abs(f.a_tilde)), tau
+        assert abs(b - f.b_tilde) <= 2e-14 * max(1.0, abs(f.b_tilde)), tau
+
+
+_CD_GRID = json.loads((Path(__file__).parent / "data" / "cd_grid.json")
+                      .read_text())["rows"]
+
+
+def _cd_row(row):
+    return (complex(*row["tau"]), complex(*map(float, row["C"])),
+            complex(*map(float, row["D"])))
+
+
+def test_closed_form_no_worse_than_euler_maclaurin_on_the_frozen_grid():
+    # every row of tests/data/cd_grid.json (mpmath at 34 digits with a head
+    # four times k0): the closed form at m = inf against modular_forms_em
+    # at its default length, by the error relative to max(1, |C|) and
+    # max(1, |D|), at the p90 and at the maximum over the rows
+    assert len(_CD_GRID) >= 200
+    errors = {}
+    for row in _CD_GRID:
+        tau, C, D = _cd_row(row)
+        for name, mf in (("inf", modular._modular_forms_inf(tau)),
+                         ("em", modular_forms_em(tau))):
+            errors.setdefault(name, []).append(
+                (abs(mf.C - C) / max(1.0, abs(C)),
+                 abs(mf.D - D) / max(1.0, abs(D))))
+    for part in (0, 1):
+        inf = sorted(e[part] for e in errors["inf"])
+        em = sorted(e[part] for e in errors["em"])
+        p90 = int(0.9 * (len(inf) - 1))
+        assert inf[p90] <= em[p90], (part, inf[p90], em[p90])
+        assert inf[-1] <= em[-1], (part, inf[-1], em[-1])
+
+
+def test_cd_grid_rederived_live():
+    # the two rows with the shortest reference head again from the
+    # generator, so the file cannot drift from it
+    import make_cd_grid
+    rows = sorted(_CD_GRID, key=lambda r: make_cd_grid.library_head(
+        complex(*r["tau"])))[:2]
+    for row in rows:
+        tau = complex(*row["tau"])
+        assert make_cd_grid.library_head(tau) == modular._head(tau)
+        assert list(make_cd_grid.c_and_d(tau)) == [row["C"], row["D"]], row
+
+
 # tau whose tau^7 (the last Euler-Maclaurin correction) overflows binary64:
 # from |tau| ~ 1.8e44, and past ~6e102 tau ** 3 itself raises OverflowError
 _HUGE_TAUS = (2e44, 1e45, 1e103, 1e200, -1e200 + 1j, 1e300j, -1e45 + 1j)
@@ -238,10 +306,29 @@ def test_huge_tau_refused_at_once():
             assert time.process_time() - t0 < 0.1, tau
 
 
+def test_closed_form_refused_where_euler_maclaurin_is():
+    # C and D at m = inf refuse, before any kernel call, where
+    # modular_forms_em(tau) at its default length m does: tau^7 past
+    # binary64, and near the negative axis polygamma's shift at m tau past
+    # 10^6 steps (the closed form would otherwise sum its 800 000 head
+    # terms at -3 + 1e-5i for seconds); so does an explicit plan
+    cases = [(-3 + 1e-5j, CapacityError), (-200 - 1e-3j, CapacityError)]
+    cases += [(tau, DomainError) for tau in _HUGE_TAUS]
+    for tau, error in cases:
+        for f in (modular_forms_em, modular._modular_forms_inf,
+                  lambda t: log_double_gamma(0.5, t, ComputeParams(N=64))):
+            t0 = time.process_time()
+            with pytest.raises(error):
+                f(tau)
+            assert time.process_time() - t0 < 0.1, tau
+
+
 def test_tau_1e40_unchanged():
-    # below the overflow the same bits as before the refusal existed
+    # below the overflow: the automatic log reads the modular forms at
+    # m = inf, and its imaginary part is (z - 1) ln tau - lgG(z) rounded
+    # once (the Euler-Maclaurin forms read 1 ulp above it)
     r = log_double_gamma(1.5 + 0.5j, 1e40)
-    assert repr(r.log_value) == "(46.285888207351285+46.01703289860553j)"
+    assert repr(r.log_value) == "(46.285888207351285+46.017032898605514j)"
     assert repr(r.error_estimate) == "2.3314128502267156e-17"
     mf = modular_forms_em(1e40)
     assert (repr(mf.C), repr(mf.D)) == ("(-45.13276332667626+0j)",
