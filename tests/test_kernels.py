@@ -434,7 +434,7 @@ def test_cd_sums_against_termwise_sums(k0):
                                    (27, 2000), (1, 2000)])
 def test_power_sums_memo_holds_the_exact_sums(k0, m):
     # the power sums H_s = sum_{k0<=k<m} k^-s that cd_sums' tails and h2
-    # read, now held by the Hurwitz rows' map: k0^s H_s = row_k0[s] -
+    # read, held by the Hurwitz rows' map: k0^s H_s = row_k0[s] -
     # (k0/m)^s row_m[s], as cd_sums takes them (m >= 2 k0 here), cold and
     # then warm, within 2 units of 2^-52 of the exact sums
     backend._zeta_rows.clear()
