@@ -1,6 +1,7 @@
 """Barnes double gamma function G(z;tau) and companions.
 
-Evaluation engine (truncated Gamma-product with a Bernoulli-polynomial
+Evaluation engine (the Gamma-product summed over every term, or, with
+explicit ComputeParams, truncated at N with a Bernoulli-polynomial
 correction series), gamma modular forms C(tau) and D(tau) by independent
 routes, exact q_n / P_n polynomial families, large-z asymptotics, and an
 identity-based self-verification suite.

@@ -19,9 +19,9 @@
                       kernel values are memoized per tau (``tau_memo``, one
                       ``TauEntry`` record each), and the coefficient sets
                       in one LRU keyed by (tau, a, e) (``_series``). Its
-                      loop is ``_gn_parts``, which with no N sums every
-                      term, m >= 1, as the direct terms and S(m_switch)
-                      alone: the engine's automatic product.
+                      terms come from ``_gn_parts``, which with no N takes
+                      every term, m >= 1, as the direct terms and
+                      S(m_switch) alone: the engine's automatic product.
 * ``cd_sums``       - the partial psi/psi' sums feeding the gamma modular
                       forms: a head k < k0 (``_head_sums``), and Bernoulli
                       tails whose sums over k are Hurwitz zeta values at an
@@ -41,9 +41,10 @@ the first kept one. No term is tested as it is summed. gn_sum's swapped
 series are cut instead by proven bounds on what they leave (``_k_row``,
 ``_series``), and their tables are built on first use.
 
-Everything is deterministic: sums run sequentially in index order with
-Neumaier compensation or exactly (``math.fsum``), so repeated calls are
-bit-identical.
+Everything is deterministic: every sum of kernel values (gn_sum's terms,
+the psi and psi' heads) is exactly rounded (``_exact_sum``, one
+``math.fsum`` per part), so its bits depend on the terms alone, not on
+their order, and repeated calls are bit-identical.
 """
 
 from __future__ import annotations
@@ -363,13 +364,14 @@ def polygamma(k: int, z: complex) -> complex:
     return acc + shift
 
 
-def _neumaier_add(s: float, c: float, x: float) -> tuple[float, float]:
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
+def _exact_sum(terms) -> complex:
+    # the sum of a sequence of complex terms, each part rounded once
+    # (math.fsum); NaN where fsum meets inf - inf or overflows
+    try:
+        return complex(math.fsum([t.real for t in terms]),
+                       math.fsum([t.imag for t in terms]))
+    except (ValueError, OverflowError):
+        return complex(math.nan, math.nan)
 
 
 # gn_sum regroups its terms from the switch point on, where every z + m tau
@@ -634,7 +636,7 @@ def _series(tau_bits: bytes, tau: complex, a: int,
 
 def gn_sum(z: complex, tau: complex, N: int) -> complex:
     """sum_{m=1}^{N} r_m(z), r_m(z) = lgG(m tau) - lgG(z + m tau)
-    + z psi(m tau) + (z^2/2) psi'(m tau), sequentially compensated.
+    + z psi(m tau) + (z^2/2) psi'(m tau), rounded once.
 
     Below the switch point m_switch = ceil(max((8 + |z|)/d, 2|z|/|tau|)),
     d the distance from tau to the cut (_switch_point), each term is taken
@@ -649,28 +651,27 @@ def gn_sum(z: complex, tau: complex, N: int) -> complex:
     (tau, a, e), so one set serves every N with m_switch or N + 1 at a. At
     |arg tau| > 3pi/4 every term is direct; at z = 0 every r_m is 0.
 
-    The two S values enter the compensated sum as two more terms. So the
-    prefix property holds bit for bit up to m_switch: for N' < N the first
-    min(N', m_switch - 1) terms, and S(m_switch) when N' >= m_switch, have
-    the same bits, so differences of results at two truncations carry no
+    The sum is _exact_sum of _gn_parts' terms, the two S values among
+    them. So the prefix property holds bit for bit up to m_switch: for
+    N' < N the first min(N', m_switch - 1) terms, and S(m_switch) when
+    N' >= m_switch, have the same bits, and each result is their exact sum
+    rounded once, so differences of results at two truncations carry no
     shared-prefix rounding noise. The memoized values are those a cold
-    call computes, so a warm memo changes no bit either. The sum is
-    _gn_parts' compensated pair, rounded once.
+    call computes, so a warm memo changes no bit either.
     """
-    sr, cr, si, ci, _ = _gn_parts(z, tau, N)
-    return complex(sr + cr, si + ci)
+    return _exact_sum(_gn_parts(z, tau, N)[0])
 
 
 def _gn_parts(z: complex, tau: complex, N: int | None = None) -> tuple:
-    """(sr, cr, si, ci, cut): the compensated real and imaginary sums of
-    gn_sum's terms before their last rounding (gn_sum returns
-    complex(sr + cr, si + ci)), and the bound that _series proves on what
-    its S values leave, (_SERIES_EPS + (K - 2) _BINET_EPS) |z| for each
-    set of K - 2 coefficients.
+    """(terms, cut): gn_sum's terms, the direct ones in order of m and then
+    the S values, unsummed, and the bound that _series proves on what its
+    S values leave, (_SERIES_EPS + (K - 2) _BINET_EPS) |z| for each set
+    of K - 2 coefficients.
 
-    N None sums every term, m >= 1, as the direct terms below m_switch
+    N None takes every term, m >= 1, as the direct terms below m_switch
     plus S(m_switch) alone; |arg tau| <= 3pi/4 only, where the terms are
-    regrouped from m_switch on. The engine's automatic product reads it.
+    regrouped from m_switch on. The engine's automatic product adds these
+    terms to its prefactor pieces in one exact sum.
     """
     z = complex(z)
     tau = complex(tau)
@@ -683,31 +684,15 @@ def _gn_parts(z: complex, tau: complex, N: int | None = None) -> tuple:
         m_switch = N + 1
     bits = tau_bits(tau)
     direct = _tau_memo(bits).direct
-    sr = cr = si = ci = cut = 0.0
-    # the memo lookups and the compensated additions (_neumaier_add) are
-    # inlined, by the same operations in the same order, so the same bits:
-    # a helper call per term cost a few percent of the sum each
+    terms = []
+    cut = 0.0
     for m in range(1, m_switch if N is None else min(N + 1, m_switch)):
         w = m * tau
         p = direct.get(m)
         if p is None:
             p = _direct_pieces(direct, m, w)
         lg, ps, ps1 = p
-        t = lg - loggamma(z + w) + z * ps + z2h * ps1
-        x = t.real
-        s = sr + x
-        if abs(sr) >= abs(x):
-            cr += (sr - s) + x
-        else:
-            cr += (x - s) + sr
-        sr = s
-        x = t.imag
-        s = si + x
-        if abs(si) >= abs(x):
-            ci += (si - s) + x
-        else:
-            ci += (x - s) + si
-        si = s
+        terms.append(lg - loggamma(z + w) + z * ps + z2h * ps1)
     if N is None:
         ends = ((m_switch, 1.0),)
     elif N >= m_switch:
@@ -722,11 +707,9 @@ def _gn_parts(z: complex, tau: complex, N: int | None = None) -> tuple:
             h = 0j
             for c in coeffs:
                 h = h * z + c
-            t = sign * (z3 * h)
-            sr, cr = _neumaier_add(sr, cr, t.real)
-            si, ci = _neumaier_add(si, ci, t.imag)
+            terms.append(sign * (z3 * h))
             cut += (_SERIES_EPS + len(coeffs) * _BINET_EPS) * az
-    return sr, cr, si, ci, cut
+    return terms, cut
 
 
 def _hurwitz_tails(tau: complex, a: int,
@@ -753,29 +736,20 @@ def _hurwitz_tails(tau: complex, a: int,
     return y2 * s0, y2 * y * s1
 
 
-def _head_sums(tau: complex, k0: int,
-               less_logs: bool = False) -> tuple[complex, complex]:
-    """(sum_{k<k0} psi(k tau), sum_{k<k0} psi'(k tau)), Neumaier-compensated,
-    from tau_memo's direct table (filled where missing): cd_sums' head.
-    The modular forms at m = inf sum psi(k tau) - log(k tau) (less_logs),
-    so that the logs leave before the sum is rounded."""
+def _head_sums(tau: complex, k0: int) -> tuple[list, list]:
+    """([psi(k tau)], [psi'(k tau)]) for k = 1 .. k0 - 1, unsummed, from
+    tau_memo's direct table (filled where missing): cd_sums' head, and
+    the modular forms' at m = inf, which take the logs from the psi terms
+    before summing."""
     direct = tau_memo(tau).direct
-    ps_r = ps_c = ps_i = ps_ci = 0.0
-    p1_r = p1_c = p1_i = p1_ci = 0.0
+    ps, ps1 = [], []
     for k in range(1, k0):
-        w = k * tau
         p = direct.get(k)
         if p is None:
-            p = _direct_pieces(direct, k, w)
-        _, t, t1 = p
-        if less_logs:
-            t -= cmath.log(w)
-        ps_r, ps_c = _neumaier_add(ps_r, ps_c, t.real)
-        ps_i, ps_ci = _neumaier_add(ps_i, ps_ci, t.imag)
-        p1_r, p1_c = _neumaier_add(p1_r, p1_c, t1.real)
-        p1_i, p1_ci = _neumaier_add(p1_i, p1_ci, t1.imag)
-    return (complex(ps_r + ps_c, ps_i + ps_ci),
-            complex(p1_r + p1_c, p1_i + p1_ci))
+            p = _direct_pieces(direct, k, k * tau)
+        ps.append(p[1])
+        ps1.append(p[2])
+    return ps, ps1
 
 
 def cd_sums(tau: complex, m: int, k0: int):
@@ -801,7 +775,8 @@ def cd_sums(tau: complex, m: int, k0: int):
     diverges. A warm memo changes no bit.
     """
     tau = complex(tau)
-    psi_small, psi1_small = _head_sums(tau, min(k0, m))
+    ps, ps1 = _head_sums(tau, min(k0, m))
+    psi_small, psi1_small = _exact_sum(ps), _exact_sum(ps1)
     if k0 >= m:
         return psi_small, psi1_small, 0j, 0j, 0.0, 0.0
     ks = range(k0, m)

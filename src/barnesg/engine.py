@@ -466,10 +466,11 @@ def log_double_gamma(z: complex, tau: complex,
     equations (route "shifted"). On these routes the log matches the
     canonical log only modulo 2 pi i. Otherwise the product sums every
     term, with no N and no correction: the direct terms and S(m_switch) of
-    backend._gn_parts, added to the prefactor pieces by math.fsum, with the
-    cut of that series, (_SERIES_EPS + (K - 2) _BINET_EPS) |z|, as the
-    error estimate, and C and D at m = inf. So params_used is the plan
-    an explicit call would run, but the log is not bit-identical to
+    backend._gn_parts, added with the prefactor pieces in one exact sum
+    (backend._exact_sum), with the cut of that series,
+    (_SERIES_EPS + (K - 2) _BINET_EPS) |z|, as the error estimate, and C
+    and D at m = inf. So params_used is the plan an explicit call would
+    run, but the log is not bit-identical to
     log_double_gamma(z, tau, r.params_used).
 
     At |arg tau| <= 3pi/4 no automatic route runs a plan, so none is made
@@ -482,7 +483,7 @@ def log_double_gamma(z: complex, tau: complex,
     waits for the zero test.
 
     Explicit params always run the product at their N and M, its pieces
-    added by math.fsum as the automatic product's, with the correction's
+    summed exactly as the automatic product's, with the correction's
     error bound as the estimate, and raise CapacityError before summing
     when N exceeds _N_CAP or N |tau| <= |z|.
 
@@ -537,21 +538,15 @@ def log_double_gamma(z: complex, tau: complex,
     if auto and not far:
         # the product to N = inf, which the correction approximates: its
         # direct terms and S(m_switch), with no S(N + 1) and no correction
-        sr, cr, si, ci, error = backend._gn_parts(z, tau)
-        re, im = (sr, cr), (si, ci)
+        terms, error = backend._gn_parts(z, tau)
     else:
         corr, error = _correction(z, tau, params.N, params.M)
-        g = backend.gn_sum(z, tau, params.N)
-        re, im = (g.real, corr.real), (g.imag, corr.imag)
+        terms = (backend.gn_sum(z, tau, params.N), corr)
     # The pieces can cancel by an order of magnitude (at (4+i, 0.5+0.2i)
     # the b~ piece is 41 and the sum 47 for a log of 6.3), so they are
-    # summed exactly rounded, with no rounding at ulp of the larger first
-    try:
-        log_val = complex(
-            math.fsum((lt.real, -lg.real, at.real, bt.real, *re)),
-            math.fsum((lt.imag, -lg.imag, at.imag, bt.imag, *im)))
-    except (ValueError, OverflowError):  # inf - inf, or past binary64
-        log_val = complex(math.nan, math.nan)
+    # summed exactly rounded, with no rounding at ulp of the larger first;
+    # NaN, refused below, where that sum meets inf - inf or overflows
+    log_val = backend._exact_sum((lt, -lg, at, bt, *terms))
     if far:
         # gn_sum and the modular forms' sums (k < m_cd, or k0) never
         # regroup here, and the roundoff of their n direct terms, each about
@@ -857,22 +852,21 @@ def _shifted_route(z: complex,
     log_w, error = found
     ln_tau = cmath.log(tau)
     step = 0.5 * (tau - 1.0) * LN_2PI
-    # the real and imaginary parts summed exactly rounded (math.fsum): a
-    # running sum of n terms loses about n ulps of the result, which at
-    # n = 700 was 100 times the error of the lgG terms themselves
-    re, im = [log_w.real, -n * step.real], [log_w.imag, -n * step.imag]
+    # summed exactly rounded (backend._exact_sum): a running sum of n
+    # terms loses about n ulps of the result, which at n = 700 was 100
+    # times the error of the lgG terms themselves
+    terms = [log_w, -n * step]
     size = abs(log_w) + n * abs(step)
     for j in range(n):
         u = z + j * tau
         lg = log_gamma(u)
         pw = (0.5 - u) * ln_tau
-        re += (-lg.real, -pw.real)
-        im += (-lg.imag, -pw.imag)
+        terms += (-lg, -pw)
         size += abs(lg) + abs(pw)
     error += _SHIFT_ROUNDOFF * _TARGET * size
     if not error <= _SHIFT_ERR_MAX:
         return None
-    return complex(math.fsum(re), math.fsum(im)), error, "shifted"
+    return backend._exact_sum(terms), error, "shifted"
 
 
 def _reflection_route(z: complex,

@@ -111,8 +111,8 @@ def _log_q_product(alpha: complex, beta: complex) -> tuple[complex, float]:
     tri = k * (k - 1) // 2
     # closed form: sum_{n<k} 2 pi i u_n + i pi, with the phase mod 2 pi
     big = _TWO_PI * (k * ya + tri * yb)
-    re = [-big]
-    im = [_TWO_PI * _turns(k * pa + tri * pb + k * (den // 2), den)]
+    terms = [complex(-big,
+                     _TWO_PI * _turns(k * pa + tri * pb + k * (den // 2), den))]
     # five roundings, in units of 2^-52: a half unit of each product
     # (times 2 pi), and of the sum, 2 pi and big
     err = math.pi * (abs(k * ya) + tri * yb) + 1.5 * abs(big)
@@ -125,8 +125,7 @@ def _log_q_product(alpha: complex, beta: complex) -> tuple[complex, float]:
         else:  # 1 - e = -e (1 - 1/e)
             d = backend._one_minus_exp2pi(complex(-x, -y))
             t = cmath.log(d) + complex(-_TWO_PI * y, _TWO_PI * x + math.pi)
-        re.append(t.real)
-        im.append(t.imag)
+        terms.append(t)
         # the term's own rounding, and that of u_n (2 ulps of |y|, one of
         # the unit phase) times |d term/du|: 2 pi |e|/|d| at y >= 0,
         # 2 pi/|d| past it
@@ -136,8 +135,7 @@ def _log_q_product(alpha: complex, beta: complex) -> tuple[complex, float]:
     # each run geometric in |q| = e^(-2 pi yb)
     left_out = (2.0 * (math.exp(-_BIG) + math.exp(-_SMALL))
                 / -math.expm1(-_TWO_PI * yb))
-    return (complex(math.fsum(re), math.fsum(im)),
-            _EPS * err + left_out)
+    return backend._exact_sum(terms), _EPS * err + left_out
 
 
 class EllipticKE(NamedTuple):

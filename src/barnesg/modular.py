@@ -224,7 +224,10 @@ def _modular_forms_inf(tau: complex) -> ModularForms:
             f"polygamma shift at m tau = {w} would exceed {_N_CAP} steps")
     k0 = _head(tau)
     ln_tau = cmath.log(tau)
-    head, psi1_small = backend._head_sums(tau, k0, less_logs=True)
+    ps, ps1 = backend._head_sums(tau, k0)
+    head = backend._exact_sum([t - cmath.log(k * tau)
+                               for k, t in enumerate(ps, start=1)])
+    psi1_small = backend._exact_sum(ps1)
     s0, s1 = backend._hurwitz_tails(tau, k0)
     psi_k0 = backend._psi_pair_right(complex(k0))[0].real
     C = (head + 0.5 * (LN_2PI - ln_tau) + (ln_tau + psi_k0) / (2.0 * tau)

@@ -414,7 +414,7 @@ def _gn_sum_unmemoized(z, tau, N):
     #         - z S(w) + (z^2/2) S'(w),  g(u) = log(1+u) - u + u^2/2
     z2h = 0.5 * z * z
     m_switch = _switch(z, tau, N)
-    sr = cr = si = ci = 0.0
+    terms = []
     for m in range(1, N + 1):
         w = m * tau
         if m < m_switch:
@@ -426,9 +426,9 @@ def _gn_sum_unmemoized(z, tau, N):
                  - (backend._binet(z + w) - backend._binet(w))
                  - z * backend._psi_tail(w)
                  + z2h * backend._psi1_tail(w))
-        sr, cr = backend._neumaier_add(sr, cr, t.real)
-        si, ci = backend._neumaier_add(si, ci, t.imag)
-    return complex(sr + cr, si + ci)
+        terms.append(t)
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
 
 
 def _assert_gn_sum(z, tau, N, value):
@@ -1253,6 +1253,75 @@ def test_auto_product_agrees_with_explicit_plans_on_a_grid():
     assert max(abs(z) for z, _ in seen) >= 150
 
 
+def _rounded_exact_sum(terms):
+    # the exact sum of the terms' real and imaginary parts (Fraction), each
+    # rounded once: int / int division rounds correctly
+    return complex(float(sum(map(Fraction, (t.real for t in terms)))),
+                   float(sum(map(Fraction, (t.imag for t in terms)))))
+
+
+def test_sums_are_their_terms_exact_sum_rounded_once(monkeypatch):
+    # gn_sum(z, tau, N) and the automatic product's assembly each return
+    # the exact sum of their own terms, rounded once. Seeded tau, Re tau < 0
+    # and the far sector included; N on both sides of the switch point, and
+    # at N = m_switch, where S(m_switch) and -S(N + 1) nearly cancel; z at
+    # and near 1, where log G(1) = 0 and the assembly's pieces cancel
+    rng = random.Random(32)
+    exact_sum = backend._exact_sum
+    calls = []
+
+    def record(terms):
+        calls.append(tuple(terms))
+        return exact_sum(terms)
+
+    monkeypatch.setattr(backend, "_exact_sum", record)
+    sums = products = cancelling = 0
+    seen_tau = []
+    for i in range(160):
+        tau = cmath.rect(0.3 * 10.0 ** rng.random(),
+                         0.9 * math.pi * (2 * rng.random() - 1))
+        if i % 3 == 0:
+            z = 1.0 + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * (
+                0.0 if i % 2 else 10.0 ** -rng.randint(4, 12))
+        else:
+            z = cmath.rect(6.0 * math.sqrt(rng.random()),
+                           math.pi * (2 * rng.random() - 1))
+        if lattice_distance(z, tau) < 0.1:
+            continue
+        seen_tau.append(tau)
+        far = abs(cmath.phase(tau)) > backend._MAX_ARG
+        m_switch = None if far else backend._switch_point(z, tau)
+        ns = ((rng.randrange(1, 120),) if far else
+              (max(1, m_switch - 1 - rng.randrange(3)), m_switch,
+               m_switch + rng.randrange(1, 400)))
+        for N in ns:
+            terms, _ = backend._gn_parts(z, tau, N)
+            direct = N if far else min(N, m_switch - 1)
+            assert len(terms) == direct + (0 if far or N < m_switch else 2)
+            got = backend.gn_sum(z, tau, N)
+            assert got == _rounded_exact_sum(terms), (z, tau, N)
+            sums += 1
+            if not far and N == m_switch:
+                # S(m_switch) - S(m_switch + 1) = r_(m_switch)
+                assert abs(terms[-1] + terms[-2]) < abs(terms[-1])
+        if far:
+            continue
+        calls.clear()
+        r = log_double_gamma(z, tau)
+        if r.route != "product":
+            continue
+        pieces = calls[-1]
+        assert pieces[4:] == tuple(backend._gn_parts(z, tau)[0])
+        assert r.log_value == _rounded_exact_sum(pieces), (z, tau)
+        products += 1
+        if abs(r.log_value) < 1e-6 * max(map(abs, pieces)):
+            cancelling += 1
+    assert sums >= 300 and products >= 80 and cancelling >= 20
+    assert sum(tau.real < 0 for tau in seen_tau) >= 40
+    assert sum(abs(cmath.phase(tau)) > backend._MAX_ARG
+               for tau in seen_tau) >= 10
+
+
 def test_auto_product_sum_against_mpmath():
     # backend._gn_parts' sum of every r_m against mpmath at 30 digits: 400
     # terms summed directly, plus the float correction for m > 400 at
@@ -1273,8 +1342,9 @@ def test_auto_product_sum_against_mpmath():
         corr, bound = engine._correction(z, tau, 400, 16)
         assert bound < 1e-23
         ref = complex(total) + corr
-        sr, cr, si, ci, _ = backend._gn_parts(z, tau)
-        got = complex(sr + cr, si + ci)
+        terms, _ = backend._gn_parts(z, tau)
+        got = complex(math.fsum(t.real for t in terms),
+                      math.fsum(t.imag for t in terms))
         size = abs(ref) + sum(abs(log_gamma(m * tau)) + abs(log_gamma(z + m * tau))
                               for m in range(1, backend._switch_point(z, tau)))
         assert abs(got - ref) <= _EPS * size, (z, tau, abs(got - ref))

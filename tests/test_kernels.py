@@ -390,28 +390,19 @@ def test_tails_at_the_limits_of_their_counts():
 
 def _cd_sums_termwise(tau, m, k0):
     # cd_sums summed term by term: the psi and psi' tails at every k tau,
-    # Neumaier-compensated in k, and the direct part exactly
+    # the direct part, h1 and h2, each sum exactly rounded (math.fsum)
+    def csum(terms):
+        return complex(math.fsum(t.real for t in terms),
+                       math.fsum(t.imag for t in terms))
+
     direct = range(1, min(k0, m))
-    psi = [backend.digamma(k * tau) for k in direct]
-    psi1 = [backend.trigamma(k * tau) for k in direct]
-    s0r = s0c = s0i = s0ci = 0.0
-    s1r = s1c = s1i = s1ci = 0.0
-    h1s = h1c = h2s = h2c = 0.0
-    add = backend._neumaier_add
-    for k in range(k0, m):
-        w = k * tau
-        t = backend._psi_tail(w)
-        s0r, s0c = add(s0r, s0c, t.real)
-        s0i, s0ci = add(s0i, s0ci, t.imag)
-        t = backend._psi1_tail(w)
-        s1r, s1c = add(s1r, s1c, t.real)
-        s1i, s1ci = add(s1i, s1ci, t.imag)
-        h1s, h1c = add(h1s, h1c, 1.0 / k)
-        h2s, h2c = add(h2s, h2c, 1.0 / (k * k))
-    return (complex(math.fsum(t.real for t in psi), math.fsum(t.imag for t in psi)),
-            complex(math.fsum(t.real for t in psi1), math.fsum(t.imag for t in psi1)),
-            complex(s0r + s0c, s0i + s0ci), complex(s1r + s1c, s1i + s1ci),
-            h1s + h1c, h2s + h2c)
+    tail = range(k0, m)
+    return (csum([backend.digamma(k * tau) for k in direct]),
+            csum([backend.trigamma(k * tau) for k in direct]),
+            csum([backend._psi_tail(k * tau) for k in tail]),
+            csum([backend._psi1_tail(k * tau) for k in tail]),
+            math.fsum(1.0 / k for k in tail),
+            math.fsum(1.0 / (k * k) for k in tail))
 
 
 @pytest.mark.parametrize("k0", [1, 3, 8, 27, 54])

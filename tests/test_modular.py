@@ -343,9 +343,9 @@ def test_non_finite_log_refused(monkeypatch):
     monkeypatch.setattr(backend, "gn_sum", lambda z, tau, N: complex(math.inf, 0.0))
     with pytest.raises(DomainError):
         log_double_gamma(z, tau, ComputeParams(N=64))
-    for parts in ((math.inf, 0.0, 0.0, 0.0, 0.0),
-                  (math.inf, -math.inf, 0.0, 0.0, 0.0),
-                  (1e308, 1e308, 0.0, 0.0, 0.0)):
+    for parts in (([complex(math.inf, 0.0)], 0.0),
+                  ([complex(math.inf, 0.0), complex(-math.inf, 0.0)], 0.0),
+                  ([complex(1e308, 0.0), complex(1e308, 0.0)], 0.0)):
         monkeypatch.setattr(backend, "_gn_parts", lambda z, tau, p=parts: p)
         with pytest.raises(DomainError):
             log_double_gamma(z, tau)
