@@ -1,5 +1,6 @@
 """CLI behaviour: argument parsing, payload round-trips, exit codes."""
 
+import builtins
 import csv
 import hashlib
 import io
@@ -467,6 +468,88 @@ def test_out_path_unwritable_exit(tmp_path, capsys):
         assert code == 2, cmd
         assert out == "" and err.startswith("error: ") and "x.json" in err
         assert not target.exists()
+
+
+def _out_argv(cmd, target):
+    # the --out call of _REPEATED[cmd], writing to target
+    argv = next(a for a in _REPEATED[cmd] if "--out" in a)
+    return [a.format(out=target) for a in argv]
+
+
+def test_out_rewrites_a_longer_file_in_place(tmp_path, capsys):
+    # each subcommand's text over a 100 000-byte file: the file holds the
+    # bytes the same call prints, with no stale tail, and keeps its inode
+    # and permission bits
+    calls = [(cmd, []) for cmd in _REPEATED] + [("table", ["--format", "csv"])]
+    for i, (cmd, extra) in enumerate(calls):
+        # a fresh file each time: refilling one would truncate it and flush
+        target = tmp_path / f"out{i}.txt"
+        argv = _out_argv(cmd, str(target)) + extra
+        target.write_bytes(b"x" * 100_000)
+        target.chmod(0o640)
+        before = target.stat()
+        k = argv.index("--out")
+        _, expected, _ = run_cli(capsys, *argv[:k], *argv[k + 2:])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == "", argv
+        assert target.read_bytes() == expected.encode(), argv
+        after = target.stat()
+        assert after.st_ino == before.st_ino, argv
+        assert after.st_mode == before.st_mode, argv
+
+
+def test_out_creates_a_file_with_the_umask_mode(tmp_path, capsys):
+    # 0o666 less the umask, as open(path, "w") gives: never executable
+    target = tmp_path / "new.json"
+    old = os.umask(0o027)
+    try:
+        code = main(_out_argv("eval", str(target)))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_to_targets_that_are_not_regular_files(tmp_path, capsys):
+    # a character device is written but not trimmed (ftruncate on one
+    # raises EINVAL); a directory is a usage error
+    for cmd in ("eval", "table"):
+        code, out, err = run_cli(capsys, *_out_argv(cmd, os.devnull))
+        assert (code, out, err) == (0, "", ""), cmd
+        code, out, err = run_cli(capsys, *_out_argv(cmd, str(tmp_path)))
+        assert code == 2, cmd
+        assert out == "" and err.startswith("error: "), cmd
+
+
+def test_out_never_opens_its_target_truncating(tmp_path, capsys, monkeypatch):
+    # the flush that a truncate-to-zero and rewrite costs on ext4 shows as a
+    # count here, not as a time: no open of the target may pass O_TRUNC or
+    # go through open(path, "w")
+    os_opens, opens = [], []
+    os_open, builtin_open = os.open, builtins.open
+
+    def counting_os_open(path, flags, *rest, **kw):
+        os_opens.append((os.fspath(path), flags))
+        return os_open(path, flags, *rest, **kw)
+
+    def counting_open(file, *rest, **kw):
+        opens.append(file)
+        return builtin_open(file, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", counting_os_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for cmd in _REPEATED:
+        target = str(tmp_path / f"{cmd}.txt")
+        Path(target).write_text("stale\n" * 1000)
+        os_opens.clear()
+        opens.clear()
+        assert main(_out_argv(cmd, target)) == 0, cmd
+        capsys.readouterr()
+        flags = [f for p, f in os_opens if p == target]
+        assert len(flags) == 1, cmd
+        assert flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC, cmd
+        assert target not in [os.fspath(f) for f in opens
+                              if not isinstance(f, int)], cmd
 
 
 # one parser per process: every subcommand, per command an error, an --out
