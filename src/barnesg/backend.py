@@ -147,6 +147,13 @@ _LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C[1:], start=1))
 _LANCZOS_SHIFT = _LANCZOS_G - 0.5
 
 
+def phase(w: complex) -> float:
+    """arg w, as cmath.phase, which raises OverflowError where the angle
+    underflows (|Im w| tiny against |Re w|); math.atan2 returns +-0.0
+    there and the same bits elsewhere."""
+    return math.atan2(w.imag, w.real)
+
+
 def _is_nonpositive_integer(z: complex) -> bool:
     # is_integer is False, not an error, at +-inf and NaN: no poles there
     return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
@@ -347,7 +354,7 @@ def polygamma(k: int, z: complex) -> complex:
     try:
         while abs(w) < radius or (w.real < 0.5 and
                                   not (abs(w) >= 4.0 * radius and
-                                       abs(cmath.phase(w)) <= _MAX_ARG)):
+                                       abs(phase(w)) <= _MAX_ARG)):
             shift += fact_k * w ** (-k - 1)
             w += 1.0
     except (ZeroDivisionError, OverflowError):  # w rounded onto the pole at 0
@@ -421,17 +428,15 @@ class TauEntry:
     * p_rows: the engine's {k: rows of P_k(z;-tau)}, k <= 16, filled by
       engine._coefficients for a plan (explicit, or read from an
       automatic result's params_used) and for the correction of an
-      explicit one;
-    * coeffs: the engine's AsymptoticCoeffs of the large-z expansion, or
-      None (their b0 is read from the engine's own bits-keyed map of 64
-      tau, _b0_memo, which outlives the 8 entries of tau_memo)."""
+      explicit one.
+    The large-z expansion's coefficients are kept apart, in the engine's
+    own bits-keyed map of 64 tau (_coeffs_memo)."""
 
-    __slots__ = ("direct", "p_rows", "coeffs")
+    __slots__ = ("direct", "p_rows")
 
     def __init__(self):
         self.direct = {}
         self.p_rows = {}
-        self.coeffs = None
 
 
 @functools.lru_cache(maxsize=8)
@@ -558,8 +563,8 @@ def _k_row(k: int) -> tuple:
             (2.0 / (k * (k + 1)), 1.0 / (k + 1), array("d", binet)))
 
 
-# keyed by tau's bits as well as tau, as the engine's _b0_memo, so that 0.0
-# and -0.0 stay apart
+# keyed by tau's bits as well as tau, as the engine's _coeffs_memo, so that
+# 0.0 and -0.0 stay apart
 @functools.lru_cache(maxsize=64)
 def _series(tau_bits: bytes, tau: complex, a: int,
             e: int) -> tuple[complex, ...]:
@@ -678,7 +683,7 @@ def _gn_parts(z: complex, tau: complex, N: int | None = None) -> tuple:
     z2h = 0.5 * z * z
     az = abs(z)
     abs_tau = abs(tau)
-    if abs(cmath.phase(tau)) <= _MAX_ARG:
+    if abs(phase(tau)) <= _MAX_ARG:
         m_switch = _switch_point(z, tau)
     else:
         m_switch = N + 1

@@ -41,7 +41,7 @@ import math
 from . import backend
 from ._laurent import Laurent
 from ._record import Record, set_field
-from .backend import LN_2PI, _cut_distance
+from .backend import LN_2PI, _cut_distance, phase
 from .errors import (
     ArgumentConditionError,
     CapacityError,
@@ -52,7 +52,7 @@ from .errors import (
 )
 from .kernels import (_N_CAP, QuadratureSpec, _log_q_product, check_finite,
                       integrate_semiaxis, log_gamma)
-from .modular import (_head, _semiaxis_series, _small_x_branch,
+from .modular import (_head, _s_tau_x, _semiaxis_series, _small_x_branch,
                       check_off_cut, default_m, modular_forms_cached)
 from .polys import q_terms
 
@@ -106,9 +106,9 @@ _SHIFT_ERR_MAX = 1e-9
 # the plan costs little there
 _PLAN_N0 = _N_CAP // 10
 _PLAN_Z = 1e20
-# tau whose b0 _b0_memo keeps: more than the 21 a run_suite meets, at about
-# 0.2 KB an entry
-_B0_MEMO = 64
+# tau whose expansion coefficients _coeffs_memo keeps: more than the 21 a
+# run_suite meets, at about 1 KB an entry
+_COEFFS_MEMO = 64
 
 
 class ComputeParams(Record):
@@ -495,7 +495,7 @@ def log_double_gamma(z: complex, tau: complex,
     tau = check_off_cut(tau)
     z = check_finite(z, "z")
     auto = params is None
-    far = abs(cmath.phase(tau)) > backend._MAX_ARG  # gn_sum never regroups
+    far = abs(phase(tau)) > backend._MAX_ARG  # gn_sum never regroups
     refused = None
     if auto:
         # before the zero test, so an overflowing |z| is refused at once; a
@@ -597,34 +597,22 @@ def _tail(tau: complex, n_tail: int) -> tuple[complex, ...]:
     return tuple(tail)
 
 
-def _coeffs(tau: complex, tail: tuple[complex, ...]) -> AsymptoticCoeffs:
-    ln_tau = cmath.log(tau)
-    inv = 1.0 / tau
-    b0, b0_error = _b0(tau)
-    return AsymptoticCoeffs(
-        a0=tau / 12.0 + 0.25 + inv / 12.0,
-        a1=-0.5 * (1.0 + inv),
-        a2=0.5 * inv,
-        b0=b0,
-        b1=0.5 * ((inv + 1.0) * (1.0 + ln_tau) + LN_2PI),
-        b2=-(1.5 + ln_tau) / (2.0 * tau),
-        tail=tail,
-        tau=tau,
-        b0_error=b0_error,
-    )
-
-
 def asymptotic_coeffs(tau: complex, n_tail: int = 0) -> AsymptoticCoeffs:
-    """Closed-form a/b coefficients plus n_tail inverse-power tail terms.
-    DomainError for an n_tail outside 0.._TAIL_CAP, before any work, and
-    for a tail term that is not finite in binary64."""
+    """Closed-form a/b coefficients plus n_tail inverse-power tail terms:
+    tau's memoized ones (_coeffs), their tail cut to n_tail terms, or
+    built longer past _TAIL_LEN. DomainError for an n_tail outside
+    0.._TAIL_CAP, before any work, and for a tail term that is not finite
+    in binary64."""
     tau = check_off_cut(tau)
-    tail = _tail(tau, _check_tail(n_tail))
+    n_tail = _check_tail(n_tail)
+    c = _coeffs(tau)
+    tail = c.tail[:n_tail] if n_tail <= _TAIL_LEN else _tail(tau, n_tail)
     if not all(map(cmath.isfinite, tail)):
         raise DomainError(
             f"the tail of {n_tail} terms at tau = {tau} is not finite in "
             "binary64")
-    return _coeffs(tau, tail)
+    return AsymptoticCoeffs(c.a0, c.a1, c.a2, c.b0, c.b1, c.b2, tail, tau,
+                            c.b0_error)
 
 
 def _check_tail(n_tail: int) -> int:
@@ -634,20 +622,39 @@ def _check_tail(n_tail: int) -> int:
     return n_tail
 
 
-def _memo_coeffs(tau: complex, tail: tuple[complex, ...] | None = None
-                 ) -> AsymptoticCoeffs:
-    """tau's AsymptoticCoeffs with _TAIL_LEN tail terms (tail, when given,
-    is _tail(tau, _TAIL_LEN)), built once and stored whole in the coeffs
-    field of tau's backend.tau_memo record. Their b0 comes from _b0_memo,
-    which keeps more tau than tau_memo, so a rebuild after an eviction pays
-    no engine call."""
-    entry = backend.tau_memo(tau)
-    coeffs = entry.coeffs
-    if coeffs is None:
-        if tail is None:
-            tail = _tail(tau, _TAIL_LEN)
-        coeffs = entry.coeffs = _coeffs(tau, tail)
-    return coeffs
+def _coeffs(tau: complex) -> AsymptoticCoeffs:
+    """tau's AsymptoticCoeffs with _TAIL_LEN tail terms, from _coeffs_memo."""
+    return _coeffs_memo(backend.tau_bits(tau), tau)
+
+
+@functools.lru_cache(maxsize=_COEFFS_MEMO)
+def _coeffs_memo(tau_bits: bytes, tau: complex) -> AsymptoticCoeffs:
+    # tau's bits in the key, as in backend.tau_memo, keep 0.0 and -0.0
+    # apart, which tau alone compares equal. The same thread contract:
+    # deterministic values stored whole; a concurrent miss computes the
+    # same bits twice. b0 is the closed form of b0_of_tau, with its own
+    # rounding of a0, and its error is its share of the estimates of its
+    # two engine calls
+    half = log_double_gamma(0.5, tau)
+    tt = log_double_gamma(tau, 2.0 * tau)
+    ln_tau = cmath.log(tau)
+    inv = 1.0 / tau
+    ln2 = math.log(2.0)
+    b0 = (2.0 * half.log_value + tt.log_value
+          - 0.5 * (1.0 + tau) * LN_2PI
+          - (tau / 12.0 + 0.25 + 1.0 / (12.0 * tau)) * (3.0 * ln_tau - ln2)
+          - ln2) / 3.0
+    return AsymptoticCoeffs(
+        a0=tau / 12.0 + 0.25 + inv / 12.0,
+        a1=-0.5 * (1.0 + inv),
+        a2=0.5 * inv,
+        b0=b0,
+        b1=0.5 * ((inv + 1.0) * (1.0 + ln_tau) + LN_2PI),
+        b2=-(1.5 + ln_tau) / (2.0 * tau),
+        tail=_tail(tau, _TAIL_LEN),
+        tau=tau,
+        b0_error=(2.0 * half.error_estimate + tt.error_estimate) / 3.0,
+    )
 
 
 def _sector_gap(theta: float, cut_angle: float) -> float:
@@ -667,9 +674,9 @@ def _outside_cone(z: complex, tau: complex) -> bool:
         return False
     # the cone is the arc of half-width (pi - |a|)/2 about the bisector of
     # a = arg(-tau) and pi; a != 0 since tau is off the cut
-    a = cmath.phase(-tau)
+    a = phase(-tau)
     half = 0.5 * (math.pi - abs(a))
-    return (_sector_gap(cmath.phase(z), math.copysign(math.pi - half, a))
+    return (_sector_gap(phase(z), math.copysign(math.pi - half, a))
             >= half + _CONE_MARGIN)
 
 
@@ -762,14 +769,11 @@ def _expansion(z: complex, tau: complex) -> tuple[complex, float] | None:
     beyond = _beyond_all_orders(z, tau)
     if beyond > _BEYOND_MAX:
         return None
-    coeffs = backend.tau_memo(tau).coeffs
-    tail = coeffs.tail if coeffs is not None else _tail(tau, _TAIL_LEN)
-    order = _tail_order(tail, az, _TARGET * (1.0 + az))
+    coeffs = _coeffs(tau)
+    order = _tail_order(coeffs.tail, az, _TARGET * (1.0 + az))
     if order is None:
         return None
     n_tail, omitted = order
-    if coeffs is None:
-        coeffs = _memo_coeffs(tau, tail)
     # a log that is not finite is returned as it is: the shifted route
     # declines on it, and _result refuses it at z
     log_val = _expansion_sum(z, coeffs, n_tail)
@@ -790,7 +794,7 @@ def _shift_steps(z: complex, tau: complex, limit: int) -> int | None:
     n is the first integer past t0 or past one of those cuts beyond t0 at
     which both tests pass: at most five candidates, each tested once.
     """
-    a = cmath.phase(-tau)
+    a = phase(-tau)
     s = math.copysign(1.0, a)
     t0 = math.inf
     for edge in (-s * (math.pi - _CONE_MARGIN), a - s * _CONE_MARGIN):
@@ -925,9 +929,9 @@ def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
 
     z must stay 0.2 rad away from the zero cone, the closed sector from
     arg(-tau) to pi taken the short way, which holds the zeros
-    -m tau - n; violations raise SectorError. Without usable coeffs, tau's
-    memoized ones are used (built once per tau) when they hold n_tail
-    terms. DomainError, before any work, for an n_tail outside
+    -m tau - n; violations raise SectorError. Without usable coeffs, those
+    of asymptotic_coeffs(tau, n_tail) are used. DomainError, before any
+    work, for an n_tail outside
     0.._TAIL_CAP, and for a result that is not finite in binary64 (a |z|
     so large that z^2 ln z overflows, or so small that z^-n_tail does).
     """
@@ -937,11 +941,10 @@ def log_double_gamma_asymptotic(z: complex, tau: complex, n_tail: int = 8,
     if z == 0:
         raise SectorError("z = 0 is outside every admissible sector")
     if not _outside_cone(z, tau):
-        raise SectorError(f"arg z = {cmath.phase(z):.3f} is within "
+        raise SectorError(f"arg z = {phase(z):.3f} is within "
                           f"{_CONE_MARGIN} rad of the zero cone")
     if coeffs is None or coeffs.tau != tau or len(coeffs.tail) < n_tail:
-        coeffs = (_memo_coeffs(tau) if n_tail <= _TAIL_LEN
-                  else asymptotic_coeffs(tau, n_tail))
+        coeffs = asymptotic_coeffs(tau, n_tail)
     log_val = _expansion_sum(z, coeffs, n_tail)
     if not cmath.isfinite(log_val):
         raise DomainError(f"the expansion at z = {z} is not finite in "
@@ -967,33 +970,10 @@ def b0_of_tau(tau: complex) -> complex:
     b0 = (1/3){ln[G(1/2;tau)^2 G(tau;2tau)] - (1+tau)/2 ln 2pi
                - a0(tau) ln(tau^3/2) - ln 2} with canonical engine logs.
 
-    Computed once per tau: the value is kept, with its error estimate, in
-    a bounded map keyed by the bits of tau (_b0_memo, the last _B0_MEMO
-    tau), which the large-z expansion's coefficients read too."""
-    return _b0(check_off_cut(tau))[0]
-
-
-def _b0(tau: complex) -> tuple[complex, float]:
-    """(b0, its share of the error estimates of the two engine calls) at
-    tau, from _b0_memo."""
-    return _b0_memo(backend.tau_bits(tau), tau)
-
-
-@functools.lru_cache(maxsize=_B0_MEMO)
-def _b0_memo(tau_bits: bytes, tau: complex) -> tuple[complex, float]:
-    # tau's bits in the key, as in backend.tau_memo, keep 0.0 and -0.0
-    # apart, which tau alone compares equal. The same thread contract:
-    # deterministic values stored whole; a concurrent miss computes the
-    # same bits twice
-    half = log_double_gamma(0.5, tau)
-    tt = log_double_gamma(tau, 2.0 * tau)
-    a0 = tau / 12.0 + 0.25 + 1.0 / (12.0 * tau)
-    ln2 = math.log(2.0)
-    b0 = (2.0 * half.log_value + tt.log_value
-          - 0.5 * (1.0 + tau) * LN_2PI
-          - a0 * (3.0 * cmath.log(tau) - ln2)
-          - ln2) / 3.0
-    return b0, (2.0 * half.error_estimate + tt.error_estimate) / 3.0
+    Computed once per tau, with the rest of the expansion's coefficients:
+    the b0 of tau's record in _coeffs_memo, a bounded map keyed by the
+    bits of tau (the last _COEFFS_MEMO tau)."""
+    return _coeffs(check_off_cut(tau)).b0
 
 
 def gamma2(z: complex, w1: complex, w2: complex,
@@ -1014,7 +994,7 @@ def gamma2(z: complex, w1: complex, w2: complex,
         if w == 0 or (w.imag == 0.0 and w.real < 0.0):
             raise ArgumentConditionError(
                 f"arg {name} must lie in (-pi, pi); got {w}")
-    if abs(cmath.phase(w1) - cmath.phase(w2)) >= math.pi:
+    if abs(phase(w1) - phase(w2)) >= math.pi:
         raise ArgumentConditionError(
             "|arg w1 - arg w2| < pi is required for the symmetric form")
     inner = log_double_gamma(z / w1, w2 / w1, params)
@@ -1040,7 +1020,7 @@ def log_G_integrand(z: complex, tau: complex):
 
     def large(x: float) -> complex:
         sx = 1.0 / -math.expm1(-x)
-        stx = 1.0 / (1.0 - cmath.exp(-tau * x))
+        stx = _s_tau_x(tau, x)
         etx = cmath.exp(-tau * x)
         return ((etx - cmath.exp(-z * x)) * sx * stx
                 - z * etx * stx + c0 * etx + math.exp(-x) * sx) / x

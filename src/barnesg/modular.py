@@ -28,7 +28,7 @@ from . import backend
 from ._laurent import Laurent
 from ._record import Record, set_field
 from .backend import (_MAX_ARG, EULER_GAMMA, LN_2PI, _binet, _cut_distance,
-                      _psi_tail)
+                      _psi_tail, phase)
 from .errors import (CapacityError, ConsistencyError, DomainError,
                      PreconditionError, check_index)
 from .kernels import (_N_CAP, QuadratureSpec, check_finite, elliptic_ke,
@@ -129,7 +129,7 @@ def modular_forms_em(tau: complex, m: int | None = None) -> ModularForms:
         raise PreconditionError(
             f"m tau = {w} is within distance 1 of the cut; increase m")
 
-    arg_tau = abs(cmath.phase(tau))
+    arg_tau = abs(phase(tau))
     ln_tau = cmath.log(tau)
     ln_m = math.log(m)
 
@@ -196,7 +196,7 @@ def _head(tau: complex) -> int:
     """k0, the first k whose psi(k tau), psi'(k tau) come from Bernoulli
     tails: |k0 tau| >= 8, or 16 past |arg tau| = pi/2, as modular_forms_em
     regroups, and |k0 Im tau| >= 8 past 3pi/4. Never past default_m."""
-    arg_tau = abs(cmath.phase(tau))
+    arg_tau = abs(phase(tau))
     if arg_tau > _MAX_ARG:
         return math.ceil(8.0 / abs(tau.imag))
     radius = 8.0 if arg_tau <= 0.5 * math.pi else 16.0
@@ -256,6 +256,18 @@ def _semiaxis_series(tau: complex) -> tuple[Laurent, ...]:
             Laurent.s_series(1.0), Laurent.s_series(tau))
 
 
+def _s_tau_x(tau: complex, x: float) -> complex:
+    """S(tau x) = 1/(1 - e^(-tau x)) at a node x of a semi-axis integrand's
+    large-x branch. DomainError where 1 - e^(-tau x) rounds to 0, as it
+    does at |tau x| below about 2^-53: binary64 cannot resolve the pole
+    there."""
+    d = 1.0 - cmath.exp(-tau * x)
+    if d == 0:
+        raise DomainError(f"the integrand's 1 - exp(-tau x) rounds to 0 "
+                          f"at tau = {tau}, x = {x}")
+    return 1.0 / d
+
+
 def _small_x_branch(series: Laurent, what: str, tol: float, cutoff: float,
                     large):
     """The integrand x -> series' regular part by Horner for x < cutoff,
@@ -283,7 +295,7 @@ def c_integrand(tau: complex):
 
     def large(x: float) -> complex:
         sx = 1.0 / -math.expm1(-x)
-        stx = 1.0 / (1.0 - cmath.exp(-tau * x))
+        stx = _s_tau_x(tau, x)
         ex = math.exp(-x)
         return (cmath.exp(-tau * x) * sx * stx
                 - ex / (tau * x) * (sx + 1.0 - 0.5 * tau))
@@ -300,7 +312,7 @@ def d_integrand(tau: complex):
 
     def large(x: float) -> complex:
         sx = 1.0 / -math.expm1(-x)
-        stx = 1.0 / (1.0 - cmath.exp(-tau * x))
+        stx = _s_tau_x(tau, x)
         return x * cmath.exp(-tau * x) * sx * stx - math.exp(-x) / (tau * x)
 
     series = (e_t * s_x * s_tx).shifted(1) - e_1.shifted(-1).scaled(1.0 / tau)

@@ -177,9 +177,9 @@ _EN, _MO, _PO = "barnesg.engine", "barnesg.modular", "barnesg.polys"
     (_EN, "asymptotic_coeffs", (1.5, 2.5), DomainError,
      ("barnesg.engine._tail",)),
     (_EN, "log_double_gamma_asymptotic", (50, 1.5, 2.5), DomainError,
-     ("barnesg.engine._memo_coeffs", "barnesg.engine.asymptotic_coeffs")),
+     ("barnesg.engine._coeffs_memo", "barnesg.engine.asymptotic_coeffs")),
     (_EN, "log_double_gamma_asymptotic", (50, 1.5, -3), DomainError,
-     ("barnesg.engine._memo_coeffs", "barnesg.engine.asymptotic_coeffs")),
+     ("barnesg.engine._coeffs_memo", "barnesg.engine.asymptotic_coeffs")),
     ("barnesg.kernels", "polygamma", (2.0, 1 + 1j), DomainError,
      ("barnesg.backend.polygamma",)),
     ("barnesg.kernels", "QuadratureSpec", (1e-11, 2.5), DomainError, ()),
@@ -196,9 +196,9 @@ _EN, _MO, _PO = "barnesg.engine", "barnesg.modular", "barnesg.polys"
     (_EN, "asymptotic_coeffs", (1.5, 10 ** 6), DomainError,
      ("barnesg.engine._tail",)),
     (_EN, "log_double_gamma_asymptotic", (50, 1.5, 258), DomainError,
-     ("barnesg.engine._memo_coeffs", "barnesg.engine.asymptotic_coeffs")),
+     ("barnesg.engine._coeffs_memo", "barnesg.engine.asymptotic_coeffs")),
     (_EN, "log_double_gamma_asymptotic", (50, 1.5, 10 ** 6), DomainError,
-     ("barnesg.engine._memo_coeffs", "barnesg.engine.asymptotic_coeffs")),
+     ("barnesg.engine._coeffs_memo", "barnesg.engine.asymptotic_coeffs")),
 ])
 def test_refusals_come_before_any_work(monkeypatch, module, name, args,
                                        error, work):

@@ -156,21 +156,21 @@ def test_b0_memo_under_concurrent_fill():
     # 8 threads ask for b0 at one tau, first with the memo cleared (each may
     # miss and compute it) and then warm; every value has the serial bits
     tau = 1.2 + 0.7j
-    engine._b0_memo.cache_clear()
+    engine._coeffs_memo.cache_clear()
     serial = repr(b0_of_tau(tau))
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for clear in (True, False):
             if clear:
-                engine._b0_memo.cache_clear()
+                engine._coeffs_memo.cache_clear()
             with ThreadPoolExecutor(max_workers=8) as ex:
                 results = list(ex.map(lambda t: repr(b0_of_tau(t)), [tau] * 8,
                                       timeout=120))
             assert results == [serial] * 8
     finally:
         sys.setswitchinterval(old)
-    assert engine._b0_memo.cache_info().currsize == 1
+    assert engine._coeffs_memo.cache_info().currsize == 1
 
 
 def test_kernels_concurrent_use():

@@ -824,7 +824,7 @@ def test_memo_entry_filled_and_evicted_whole():
     # read, which plans and fills them; an explicit evaluation at that plan
     # finds the entry and its rows and rebuilds none; 8 further tau evict
     # the entry, and with it every field at once
-    assert backend.TauEntry.__slots__ == ("direct", "p_rows", "coeffs")
+    assert backend.TauEntry.__slots__ == ("direct", "p_rows")
     rng = random.Random(10)
     tau = _fresh_tau(rng)
     r = log_double_gamma(9.0 + 2.0j, tau)   # both gn_sum branches
@@ -839,7 +839,6 @@ def test_memo_entry_filled_and_evicted_whole():
     assert backend._tau_memo.cache_info().misses == misses
     assert entry.p_rows.keys() == rows.keys()
     assert all(entry.p_rows[k] is v for k, v in rows.items())
-    assert entry.coeffs is None          # the product route builds none
     misses = backend._tau_memo.cache_info().misses
     assert backend.tau_memo(tau) is entry
     for _ in range(8):
@@ -848,7 +847,7 @@ def test_memo_entry_filled_and_evicted_whole():
     fresh = backend.tau_memo(tau)
     assert backend._tau_memo.cache_info().misses == misses + 9
     assert fresh is not entry
-    assert (fresh.direct, fresh.p_rows, fresh.coeffs) == ({}, {}, None)
+    assert (fresh.direct, fresh.p_rows) == ({}, {})
 
 
 def test_clear_memos_reaches_every_lru_cache():
@@ -1452,11 +1451,11 @@ def test_shift_steps_stay_below_the_floor():
     assert seen >= 2000 and shifted >= 1000, (seen, shifted)
 
 
-def test_large_z_decline_builds_no_coefficients():
+def test_large_z_decline_falls_to_the_product():
     # scatter_point(7, 208): past the crossover, outside the cone and
     # clear of the terms beyond all orders, but no tail order meets the
-    # target at |z| = 5.77. From cold memos the expansion declines before
-    # it pays for tau's coefficients and their b0, and the product answers
+    # target at |z| = 5.77. From cold memos the expansion declines, and
+    # the product answers
     z = 5.595398535319003 + 1.4260983602279425j
     tau = 0.2991297704611933 - 0.05826283386858516j
     assert engine._past_crossover(z, tau) and engine._outside_cone(z, tau)
@@ -1466,8 +1465,6 @@ def test_large_z_decline_builds_no_coefficients():
                               target) is None
     clear_memos()
     assert log_double_gamma(z, tau).route == "product"
-    assert backend.tau_memo(tau).coeffs is None
-    assert engine._b0_memo.cache_info().currsize == 0
 
 
 def test_shift_steps_is_the_least_n():
@@ -1526,19 +1523,20 @@ def test_shifted_route_against_mpmath_barnesg():
 
 
 def test_shifted_route_memos_cold_and_warm_bit_identical():
-    # the route reads tau_memo (its expansion coefficients) and _b0_memo:
-    # cold, with one of them warm, and warm, it returns the same bits
+    # the route reads tau_memo (its kernel values) and _coeffs_memo (its
+    # expansion coefficients): cold, with one of them warm, and warm, it
+    # returns the same bits
     for z, tau in ((-50.5 - 49.7j, 1j), (-60.3 - 20.1j, 1 + 1j),
                    (-150.3 - 40.3j, 0.07 + 0.03j)):
         clear_memos()
         cold = log_double_gamma(z, tau)
         assert cold.route == "shifted"
         warm = log_double_gamma(z, tau)
-        backend._tau_memo.cache_clear()             # b0 still held
-        b0_warm = log_double_gamma(z, tau)
-        engine._b0_memo.cache_clear()               # coefficients held
+        backend._tau_memo.cache_clear()             # coefficients held
         coeffs_warm = log_double_gamma(z, tau)
-        for r in (warm, b0_warm, coeffs_warm):
+        engine._coeffs_memo.cache_clear()           # kernel values held
+        kernels_warm = log_double_gamma(z, tau)
+        for r in (warm, coeffs_warm, kernels_warm):
             assert (repr(r.log_value), repr(r.error_estimate)) == \
                 (repr(cold.log_value), repr(cold.error_estimate))
 
@@ -1558,36 +1556,62 @@ def test_b0_of_tau_never_reaches_the_expansion(monkeypatch):
 
     taus = (1.0, 0.01, 0.02 + 0.03j, 0.05j, 1e-3 + 2e-3j, 3 - 1j, 40 + 10j,
             -0.6 + 0.7j, -0.015 - 0.02j)
-    for tau in taus:
-        engine._memo_coeffs(tau)    # b0 is built through the product
     monkeypatch.setattr(engine, "log_double_gamma_asymptotic", refuse)
+    monkeypatch.setattr(engine, "_expansion", refuse)
     monkeypatch.setattr(engine, "_shifted_route", refuse)
-    engine._b0_memo.cache_clear()   # so b0_of_tau runs its engine calls
-    for tau in taus:                # again, with tau's coefficients held
+    engine._coeffs_memo.cache_clear()   # so b0_of_tau runs its engine calls
+    for tau in taus:
         b0_of_tau(tau)
         assert log_double_gamma(0.5, tau).route == "product"
         assert log_double_gamma(tau, 2 * tau).route == "product"
 
 
-def test_asymptotic_coeffs_memoized_whole(monkeypatch):
+def test_asymptotic_coeffs_memoized_whole():
     tau = 1.3 + 0.4j + 1e-9 * _fresh_tau(random.Random(12))
     z = 400 - 50j
     first = log_double_gamma(z, tau)
     assert first.route == "asymptotic"
-    entry = backend.tau_memo(tau)
-    coeffs = entry.coeffs
+    misses = engine._coeffs_memo.cache_info().misses
+    coeffs = engine._coeffs(tau)
     assert len(coeffs.tail) == engine._TAIL_LEN and coeffs.tau == tau
     ref = asymptotic_coeffs(tau, 8)
     assert repr(coeffs.tail[:8]) == repr(ref.tail)
     assert repr(coeffs.b0) == repr(ref.b0) == repr(b0_of_tau(tau))
     assert 0.0 < coeffs.b0_error == ref.b0_error
-    # later calls at tau, through the route or not, reuse the entry: no b0
-    # is built again, and the route returns the same bits
-    monkeypatch.setattr(engine, "_b0", None)
+    # later calls at tau, through the route or not, reuse the record: no
+    # coefficient is built again, and the route returns the same bits
     assert repr(log_double_gamma(z, tau).log_value) == repr(first.log_value)
     la = log_double_gamma_asymptotic(-300 + 500j, tau, 8)
     assert repr(la) == repr(log_double_gamma_asymptotic(-300 + 500j, tau, 8, ref))
-    assert entry.coeffs is coeffs
+    assert engine._coeffs(tau) is coeffs
+    assert engine._coeffs_memo.cache_info().misses == misses
+
+
+def test_cold_tau_builds_the_expansion_once(monkeypatch):
+    # from a cold tau, b0_of_tau, an automatic large-z evaluation,
+    # asymptotic_coeffs and log_double_gamma_asymptotic share one record:
+    # b0's two engine calls and one tail of _TAIL_LEN terms in all
+    tau = 1.1 + 0.6j + 1e-9 * _fresh_tau(random.Random(13))
+    ldg, tail = engine.log_double_gamma, engine._tail
+    engine_calls, tails = [], []
+
+    def counted_ldg(z, t, *args):
+        engine_calls.append((z, t))
+        return ldg(z, t, *args)
+
+    def counted_tail(t, n):
+        tails.append((t, n))
+        return tail(t, n)
+
+    monkeypatch.setattr(engine, "log_double_gamma", counted_ldg)
+    monkeypatch.setattr(engine, "_tail", counted_tail)
+    clear_memos()
+    b0 = b0_of_tau(tau)
+    assert ldg(400 - 50j, tau).route == "asymptotic"
+    assert asymptotic_coeffs(tau, 8).b0 == b0
+    log_double_gamma_asymptotic(-300 + 500j, tau, 8)
+    assert engine_calls == [(0.5, tau), (tau, 2.0 * tau)]
+    assert tails == [(tau, engine._TAIL_LEN)]
 
 
 # ------------------------------------------------------------------- b0
@@ -1595,33 +1619,33 @@ def test_asymptotic_coeffs_memoized_whole(monkeypatch):
 def test_b0_memo_cold_and_warm_bit_identical():
     # b0_of_tau and asymptotic_coeffs each from a cleared memo, then warm
     for tau in (1.0, SQRT2, 1 + 1j, 0.3 - 0.8j, -0.7 + 0.9j):
-        engine._b0_memo.cache_clear()
+        engine._coeffs_memo.cache_clear()
         cold_b0 = repr(b0_of_tau(tau))
-        engine._b0_memo.cache_clear()
+        engine._coeffs_memo.cache_clear()
         cold = asymptotic_coeffs(tau, 8)
-        assert engine._b0_memo.cache_info().misses == 1
+        assert engine._coeffs_memo.cache_info().misses == 1
         assert repr(b0_of_tau(tau)) == cold_b0 == repr(cold.b0)
         warm = asymptotic_coeffs(tau, 8)
         assert repr(warm) == repr(cold)
-        assert engine._b0_memo.cache_info()[:2] == (2, 1)   # hits, misses
+        assert engine._coeffs_memo.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 def test_b0_memo_keeps_signed_zeros_apart():
-    engine._b0_memo.cache_clear()
+    engine._coeffs_memo.cache_clear()
     b0_of_tau(complex(2.0, 0.0))
     b0_of_tau(complex(2.0, -0.0))
-    info = engine._b0_memo.cache_info()
+    info = engine._coeffs_memo.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
 
 
 def test_b0_memo_stays_within_its_bound():
-    engine._b0_memo.cache_clear()
-    n = engine._B0_MEMO + 8
+    engine._coeffs_memo.cache_clear()
+    n = engine._COEFFS_MEMO + 8
     for k in range(n):
         b0_of_tau(complex(1.5, 0.02 + 0.01 * k))
-    info = engine._b0_memo.cache_info()
-    assert info.maxsize == engine._B0_MEMO
-    assert (info.misses, info.currsize) == (n, engine._B0_MEMO)
+    info = engine._coeffs_memo.cache_info()
+    assert info.maxsize == engine._COEFFS_MEMO
+    assert (info.misses, info.currsize) == (n, engine._COEFFS_MEMO)
 
 
 def test_b0_at_one_glaisher():

@@ -130,12 +130,13 @@ def test_suite_coverage_unique():
 
 def test_suite_deterministic():
     # the first run starts with every memo cleared, the second finds every
-    # b0 it needs in the b0 memo; the reports agree bit for bit
+    # b0 it needs in the expansion-coefficients memo; the reports agree bit
+    # for bit
     clear_memos()
     a = [r.to_json_dict() for r in run_suite(3, "default")]
-    misses = engine._b0_memo.cache_info().misses
+    misses = engine._coeffs_memo.cache_info().misses
     b = [r.to_json_dict() for r in run_suite(3, "default")]
-    info = engine._b0_memo.cache_info()
+    info = engine._coeffs_memo.cache_info()
     assert info.misses == misses and info.hits > 0
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 

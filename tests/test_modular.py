@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from barnesg import backend, modular
-from barnesg.engine import ComputeParams, log_double_gamma
-from barnesg.errors import CapacityError, DomainError, PreconditionError
+from barnesg import backend, cli, modular
+from barnesg.engine import (ComputeParams, b0_of_tau, gamma2,
+                            log_double_gamma, log_double_gamma_asymptotic,
+                            log_G_via_integral)
+from barnesg.errors import (CapacityError, ConsistencyError,
+                            ConvergenceError, DomainError, PreconditionError)
 from barnesg.kernels import QuadratureSpec, integrate_semiaxis
 from barnesg.modular import (
     C_via_integral,
@@ -304,6 +307,51 @@ def test_huge_tau_refused_at_once():
             with pytest.raises(DomainError):
                 f(tau)
             assert time.process_time() - t0 < 0.1, tau
+
+
+_PACKAGE_ERRORS = (DomainError, CapacityError, ConsistencyError,
+                   ConvergenceError)
+
+
+def _finite_or_refused(f):
+    # f returns a finite value, or raises one of the package's errors
+    try:
+        r = f()
+    except _PACKAGE_ERRORS:
+        return
+    value = getattr(r, "log_value", getattr(r, "C", r))
+    assert cmath.isfinite(value), value
+
+
+def test_underflowing_angles_read_as_zero():
+    # arg w underflows where |Im w| is tiny against |Re w|: cmath.phase
+    # raised a raw OverflowError at each of these, and the CLI printed a
+    # traceback; backend.phase reads the angle as +-0.0
+    tau = 1e200 + 1e-200j
+    for f in (lambda: log_double_gamma(0.5, tau),
+              lambda: modular_forms_em(tau),
+              lambda: b0_of_tau(tau),
+              lambda: gamma2(1, 1e10 + 1e-320j, 1),
+              lambda: log_double_gamma_asymptotic(1e10 + 1e-320j, 1)):
+        _finite_or_refused(f)
+    assert cli.main(["eval", "--z", "0.5", "--tau", "1e200+1e-200i"]) == 2
+    assert backend.phase(1e308 + 5e-324j) == 0.0
+    assert math.copysign(1.0, backend.phase(1e308 - 5e-324j)) == -1.0
+
+
+def test_semiaxis_integrands_refuse_an_unresolved_pole():
+    # 1 - e^(-tau x) rounds to 0 at the first large-x node where
+    # |tau x| < 2^-53: the integrands raised a raw ZeroDivisionError there
+    for f in (lambda: C_via_integral(1e-17),
+              lambda: D_via_integral(1e-300),
+              lambda: log_G_via_integral(1.0, 1e-300),
+              lambda: log_G_via_integral(
+                  34278777409750.945 - 114101569695140.34j,
+                  0.002490724405909156)):
+        t0 = time.process_time()
+        with pytest.raises(_PACKAGE_ERRORS):
+            f()
+        assert time.process_time() - t0 < 1.0
 
 
 def test_closed_form_refused_where_euler_maclaurin_is():
